@@ -17,10 +17,7 @@
 // Flags (bench_util.h parser): `--json <path>` captures the metrics;
 // `--cards N` (default 4), `--clients N` (default 8), `--bursts N`
 // (default 8), `--burstlen N` (default 8), `--blocks N` (default 4) and
-// `--seed S` (default 53) rescale both tables; `--threads N` (default 1)
-// runs the fleets on the sharded parallel engine — the tables and JSON
-// are identical for every thread count (the determinism contract
-// bench_parallel gates), only the host wall clock moves.
+// `--seed S` (default 53) rescale both tables.
 #include "bench_util.h"
 
 #include <string>
@@ -54,9 +51,6 @@ std::size_t flag_blocks() {
 }
 std::uint64_t flag_seed() {
   return static_cast<std::uint64_t>(bench::flags().get_int("seed", 53));
-}
-unsigned flag_threads() {
-  return static_cast<unsigned>(bench::flags().get_int("threads", 1));
 }
 
 // The reconfiguration-heavy crypto/DSP mix (see bench_batch.cpp): enough
@@ -111,7 +105,6 @@ core::FleetStats run_fleet(const sim::FaultPlan& plan,
                            std::uint64_t* hung) {
   core::FleetConfig fc;
   fc.cards = flag_cards();
-  fc.threads = flag_threads();
   fc.policy = core::DispatchPolicy::kLeastQueued;
   fc.faults = plan;
   fc.retry.timeout = sim::SimTime::ms(10);

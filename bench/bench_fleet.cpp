@@ -13,12 +13,8 @@
 //
 // Flags (bench_util.h parser): `--json results.json` captures the headline
 // metrics machine-readably; `--cards N` caps the F1 scaling sweep
-// (default 8); `--threads N` (default 1) runs every fleet on the sharded
-// parallel engine; `--prefetch on` (+ optional `--predictor <conf>`)
-// layers speculative configuration prefetch onto every fleet.  The default is byte-identical to the classic engine;
-// with threads >= 2 these CLOSED-loop tables shift slightly (resubmissions
-// round-align, see core/fleet.h FleetConfig::threads) but deterministically
-// — the same thread count always reproduces the same numbers.
+// (default 8); `--prefetch on` (+ optional `--predictor <conf>`)
+// layers speculative configuration prefetch onto every fleet.
 #include "bench_util.h"
 
 #include <vector>
@@ -52,7 +48,6 @@ core::FleetStats run_fleet(unsigned cards, core::DispatchPolicy policy,
                            const workload::MultiClientTrace& trace) {
   core::FleetConfig fc;
   fc.cards = cards;
-  fc.threads = static_cast<unsigned>(bench::flags().get_int("threads", 1));
   fc.policy = policy;
   // `--prefetch on` / `--predictor <conf>` layer speculative prefetch onto
   // every table; the default (off) regenerates the documented numbers.

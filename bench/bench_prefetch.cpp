@@ -24,8 +24,7 @@
 //
 // Flags (bench_util.h parser): `--json <path>` captures the metrics;
 // `--clients N` (default 6) and `--requests N` (default 24, per phase /
-// chain walk) scale the traces; `--threads N` (default 1) runs the fleets
-// on the sharded parallel engine; `--predictor C` (default 0.35) sets the
+// chain walk) scale the traces; `--predictor C` (default 0.35) sets the
 // ON rows' confidence threshold — low on purpose: a mispredicted prefetch
 // costs only idle engine cycles and free frames, so speaking early beats
 // staying silent; `--prefetch off` skips the ON rows (baseline only).
@@ -131,7 +130,6 @@ core::FleetStats run_fleet(unsigned cards, bool prefetch, double confidence,
                            unsigned frames = 48) {
   core::FleetConfig fc;
   fc.cards = cards;
-  fc.threads = static_cast<unsigned>(bench::flags().get_int("threads", 1));
   fc.policy = core::DispatchPolicy::kResidencyAffinity;
   fc.server.prefetch.enabled = prefetch;
   fc.server.prefetch.predictor.min_confidence = confidence;

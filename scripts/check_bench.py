@@ -11,32 +11,25 @@ silently shipping the drift inside an uploaded artifact.
 
 Usage:
     check_bench.py BASELINE CANDIDATE [--rel-tol R] [--abs-tol A]
-                   [--ignore-keys PATTERNS]
 
-Comparison rules:
-  * numeric values pass when |cand - base| <= abs_tol + rel_tol * |base|
+Comparison rules, chosen by the JSON type of the BASELINE's value:
+  * floats pass when |cand - base| <= abs_tol + rel_tol * |base|
     (default rel-tol 0.02: the simulation is deterministic, but the trace
     generators draw exponentials through libm, so a different libm/compiler
     may move arrival times by a few ULPs; 2% absorbs that while any real
     behavioural regression — hit rates, hidden-reconfig time, makespan,
     batch amortization — moves metrics far more);
-  * string values must match exactly;
+  * integers and strings (counts, digests, labels) must match exactly,
+    type included: they do not pass through libm, so any change is real;
   * a key missing from the candidate, or present only in the candidate,
     FAILS: a bench gaining or losing metrics must regenerate its baseline
-    (see docs/BENCHMARKS.md, "Regenerating the baselines");
-  * keys matching --ignore-keys (comma-separated fnmatch patterns, flag
-    repeatable — e.g. `--ignore-keys '*host_ms*,*events_per_sec*'`) skip
-    the VALUE comparison only: host wall-clock metrics can ride inside a
-    gated artifact without tripping the tolerance, but the presence checks
-    still apply, so an ignored metric silently appearing or vanishing
-    fails the gate like any other.
+    (see docs/BENCHMARKS.md, "Regenerating the baselines").
 
 Exit status: 0 all metrics within tolerance, 1 drift detected, 2 usage or
 I/O error.  Only the Python standard library is used.
 """
 
 import argparse
-import fnmatch
 import json
 import sys
 
@@ -56,6 +49,10 @@ def load(path):
 
 def is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def same_exactly(base_value, cand_value):
+    return type(base_value) is type(cand_value) and base_value == cand_value
 
 
 def group_of(key):
@@ -79,59 +76,36 @@ def main():
         "--rel-tol",
         type=float,
         default=0.02,
-        help="relative tolerance for numeric metrics (default: %(default)s)",
+        help="relative tolerance for float metrics (default: %(default)s)",
     )
     parser.add_argument(
         "--abs-tol",
         type=float,
         default=1e-9,
-        help="absolute tolerance floor, for near-zero metrics (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--ignore-keys",
-        action="append",
-        default=[],
-        metavar="PATTERNS",
-        help=(
-            "comma-separated fnmatch patterns of keys whose VALUES are not "
-            "compared (presence is still checked); repeatable"
-        ),
+        help="absolute tolerance floor, for near-zero floats (default: %(default)s)",
     )
     args = parser.parse_args()
-
-    ignore_patterns = [
-        pattern.strip()
-        for group in args.ignore_keys
-        for pattern in group.split(",")
-        if pattern.strip()
-    ]
-
-    def ignored(key):
-        return any(fnmatch.fnmatchcase(key, p) for p in ignore_patterns)
 
     base = load(args.baseline)
     cand = load(args.candidate)
 
     failures = []
-    ignored_count = 0
     for key, base_value in base.items():
         if key not in cand:
             failures.append((key, base_value, "<missing>", "metric disappeared"))
             continue
-        if ignored(key):
-            ignored_count += 1
-            continue
         cand_value = cand[key]
-        if is_number(base_value) and is_number(cand_value):
-            bound = args.abs_tol + args.rel_tol * abs(base_value)
-            drift = abs(cand_value - base_value)
-            if drift > bound:
-                rel = drift / abs(base_value) if base_value else float("inf")
-                failures.append(
-                    (key, base_value, cand_value, f"drift {rel:+.1%} (> {args.rel_tol:.1%})")
-                )
-        elif base_value != cand_value:
-            failures.append((key, base_value, cand_value, "value changed"))
+        if not isinstance(base_value, float) or not is_number(cand_value):
+            if not same_exactly(base_value, cand_value):
+                failures.append((key, base_value, cand_value, "value changed"))
+            continue
+        bound = args.abs_tol + args.rel_tol * abs(base_value)
+        drift = abs(cand_value - base_value)
+        if drift > bound:
+            rel = drift / abs(base_value) if base_value else float("inf")
+            failures.append(
+                (key, base_value, cand_value, f"drift {rel:+.1%} (> {args.rel_tol:.1%})")
+            )
     for key, cand_value in cand.items():
         if key not in base:
             failures.append((key, "<missing>", cand_value, "new metric not in baseline"))
@@ -152,23 +126,16 @@ def main():
         )
         return 1
     # One PASS line per metric group so a green CI log still shows what was
-    # actually covered (and how much of a group rode through on ignore).
+    # actually covered.
     groups = {}
     for key in base:
-        compared, skipped = groups.setdefault(group_of(key), [0, 0])
-        if ignored(key):
-            groups[group_of(key)][1] = skipped + 1
-        else:
-            groups[group_of(key)][0] = compared + 1
+        groups[group_of(key)] = groups.get(group_of(key), 0) + 1
     width = max(len(g) for g in groups)
     for group in sorted(groups):
-        compared, skipped = groups[group]
-        note = f", {skipped} ignored" if skipped else ""
-        print(f"check_bench: PASS {group:<{width}}  {compared} metric(s){note}")
-    ignored_note = f" ({ignored_count} ignored)" if ignored_count else ""
+        print(f"check_bench: PASS {group:<{width}}  {groups[group]} metric(s)")
     print(
-        f"check_bench: OK — {checked} metric(s) within "
-        f"rel-tol {args.rel_tol} of {args.baseline}{ignored_note}"
+        f"check_bench: OK — {checked} metric(s) match {args.baseline} "
+        f"(integers and strings exactly, floats within rel-tol {args.rel_tol})"
     )
     return 0
 

@@ -5,8 +5,10 @@
 # the build directory (regenerating the bench's deterministic --json
 # artifact or --trace export), the gate command runs at the repo root
 # (diffing against bench/baselines/ via check_bench.py, or validating the
-# trace via check_trace.py).  CI used to carry one copy-pasted step pair
-# per bench; adding a gate is now one manifest line.
+# trace via check_trace.py).  Both see the build directory's absolute path
+# as $BUILD_DIR, so a gate always reads the artifact its own smoke just
+# wrote — never a stale one from some other build tree.  Adding a gate is
+# one manifest line.
 #
 # All entries run even after a failure so one drifted baseline does not
 # hide another; the exit status is non-zero when any smoke or gate failed.
@@ -22,13 +24,15 @@ if [ ! -d "$build" ]; then
   echo "run_bench_gates: build directory $build does not exist" >&2
   exit 2
 fi
+BUILD_DIR="$(cd "$build" && pwd)"
+export BUILD_DIR
 
 failed=()
 while IFS='|' read -r name smoke gate; do
   case "$name" in ''|\#*) continue ;; esac
   echo "::group::bench gate: $name"
   ok=1
-  if ! (cd "$build" && eval "$smoke"); then
+  if ! (cd "$BUILD_DIR" && eval "$smoke"); then
     echo "run_bench_gates: FAIL($name): smoke run" >&2
     ok=0
   elif ! (cd "$repo" && eval "$gate"); then

@@ -1,6 +1,5 @@
 #include "core/fleet.h"
 
-#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -18,22 +17,6 @@ const char* to_string(DispatchPolicy policy) {
   return "unknown";
 }
 
-namespace {
-
-/// Lookahead for the parallel engine when FleetConfig::lookahead is unset:
-/// the PCI command-setup cost (4 register writes — the same sequence every
-/// submission pays before anything card-visible happens), computed on a
-/// throwaway bus so no card's stats are disturbed.
-sim::SimTime derived_lookahead(const pci::PciTiming& timing) {
-  pci::PciBus probe(timing);
-  sim::SimTime total;
-  for (unsigned i = 0; i < 4; ++i) total += probe.register_write();
-  if (total <= sim::SimTime::zero()) total = sim::SimTime::ns(1);
-  return total;
-}
-
-}  // namespace
-
 CoprocessorFleet::CoprocessorFleet(const FleetConfig& config)
     : policy_(config.policy),
       cost_routing_(config.cost_routing),
@@ -50,6 +33,15 @@ CoprocessorFleet::CoprocessorFleet(const FleetConfig& config)
                 registry_.counter("fleet.timeouts"),
                 registry_.counter("fleet.failed")} {
   AAD_REQUIRE(config.cards >= 1, "a fleet needs at least one card");
+  AAD_REQUIRE(config.threads == 1,
+              "the fleet runs on one host thread (FleetConfig::threads "
+              "must be 1)");
+  for (const sim::CardDeath& death : faults_.deaths)
+    AAD_REQUIRE(death.card < config.cards,
+                "fault plan kills a card the fleet does not have");
+  for (const sim::RomCorruption& c : faults_.corruptions)
+    AAD_REQUIRE(c.card < config.cards,
+                "fault plan corrupts a card the fleet does not have");
   // Ticket tracking costs a map entry and a wrapped completion per request;
   // the fault-free configuration keeps the original zero-overhead path.
   fault_mode_ =
@@ -59,20 +51,10 @@ CoprocessorFleet::CoprocessorFleet(const FleetConfig& config)
   // are inert (and cost nothing) unless the server config enables prefetch.
   prefetch_enabled_ = config.server.prefetch.enabled;
   predictor_ = FunctionPredictor(config.server.prefetch.predictor);
-  if (config.threads >= 2) {
-    const sim::SimTime lookahead = config.lookahead > sim::SimTime::zero()
-                                       ? config.lookahead
-                                       : derived_lookahead(config.card.pci);
-    parallel_ = std::make_unique<sim::ParallelScheduler>(
-        config.cards, config.threads, lookahead);
-  }
   shards_.reserve(config.cards);
   for (unsigned i = 0; i < config.cards; ++i) {
     Shard shard;
-    // Parallel mode hands each card its own shard queue; card-local
-    // pipeline events never leave it.  Classic mode shares scheduler_.
-    sim::Scheduler& queue = parallel_ ? parallel_->shard(i) : scheduler_;
-    shard.card = std::make_unique<AgileCoprocessor>(config.card, queue);
+    shard.card = std::make_unique<AgileCoprocessor>(config.card, scheduler_);
     shard.server =
         std::make_unique<CoprocessorServer>(*shard.card, config.server);
     shards_.push_back(std::move(shard));
@@ -81,18 +63,18 @@ CoprocessorFleet::CoprocessorFleet(const FleetConfig& config)
 
 void CoprocessorFleet::download(algorithms::KernelId kernel,
                                 std::optional<compress::CodecId> codec) {
-  provision([&](Shard& shard) { shard.card->download(kernel, codec); });
+  for (Shard& shard : shards_) shard.card->download(kernel, codec);
 }
 
 void CoprocessorFleet::download_bitstream(
     memory::FunctionId id, const bitstream::Bitstream& bitstream,
     std::optional<compress::CodecId> codec) {
-  provision(
-      [&](Shard& shard) { shard.card->download_bitstream(id, bitstream, codec); });
+  for (Shard& shard : shards_)
+    shard.card->download_bitstream(id, bitstream, codec);
 }
 
 void CoprocessorFleet::download_all(std::optional<compress::CodecId> codec) {
-  provision([&](Shard& shard) { shard.card->download_all(codec); });
+  for (Shard& shard : shards_) shard.card->download_all(codec);
 }
 
 void CoprocessorFleet::attach_trace(telemetry::TraceSink& sink,
@@ -124,18 +106,7 @@ std::uint64_t CoprocessorFleet::submit_function_at(sim::SimTime when,
                                                    memory::FunctionId function,
                                                    Bytes input,
                                                    Completion done) {
-  if (parallel_) {
-    // A closed-loop completion hook resubmits at complete_time + think,
-    // but it runs on the coordination queue, which may already sit past
-    // that instant (the hook's delivery was clamped, or a sibling shard
-    // ran ahead inside the lookahead window).  Clamp to the coordination
-    // clock — this is exactly the round alignment FleetConfig::threads
-    // documents for closed-loop traffic; open-loop submissions all land
-    // before run() starts and are never moved.
-    when = std::max(when, sim_now());
-  } else {
-    AAD_REQUIRE(when >= now(), "cannot submit a request in the past");
-  }
+  AAD_REQUIRE(when >= now(), "cannot submit a request in the past");
   const std::uint64_t ticket = next_ticket_++;
   ++undispatched_;
   if (fault_mode_) {
@@ -150,13 +121,13 @@ std::uint64_t CoprocessorFleet::submit_function_at(sim::SimTime when,
     state.done = std::move(done);
     state.submit_time = when;
     tickets_.emplace(ticket, std::move(state));
-    coord().schedule_at(when, [this, ticket] { dispatch_ticket(ticket); });
+    scheduler_.schedule_at(when, [this, ticket] { dispatch_ticket(ticket); });
     return ticket;
   }
   // The card is chosen when the request ARRIVES, not now: pre-scheduled
   // open-loop arrivals and closed-loop resubmissions alike get routed
   // against the queue depths and residency of their arrival instant.
-  coord().schedule_at(
+  scheduler_.schedule_at(
       when, [this, client, function, input = std::move(input),
              done = std::move(done)]() mutable {
         dispatch(client, function, std::move(input), std::move(done));
@@ -171,28 +142,10 @@ void CoprocessorFleet::dispatch(unsigned client, memory::FunctionId function,
   Shard& shard = shards_[index];
   ++shard.dispatched;
   if (fleet_track_ != nullptr)
-    fleet_track_->instant("dispatch", "dispatch", sim_now(), /*request=*/-1,
+    fleet_track_->instant("dispatch", "dispatch", now(), /*request=*/-1,
                           client, function, index);
-  // Parallel mode: the card fires completions on a worker thread, so the
-  // submitter's hook is funneled back to the coordination queue as a
-  // message (with a COPY of the record — the reference aims into the
-  // card's reallocating completion log).  The card event itself lands at
-  // the dispatch instant, exactly as in classic mode: the coordinator only
-  // runs when every shard has burned down all earlier work, so sim_now()
-  // is never in the shard's past for an open-loop arrival.  Only a
-  // round-aligned closed-loop resubmission can trail a shard's clock; the
-  // clamp keeps its card time monotone.
-  Completion hook = std::move(done);
-  if (parallel_ && hook) {
-    hook = [this, index, done = std::move(hook)](const ServerRequest& r) {
-      parallel_->post_to_coord(index, shards_[index].card->now(),
-                               [done, record = r] { done(record); });
-    };
-  }
-  const sim::SimTime when =
-      parallel_ ? std::max(sim_now(), shard.card->now()) : now();
-  shard.server->submit_function_at(when, client, function, std::move(input),
-                                   std::move(hook));
+  shard.server->submit_function_at(now(), client, function, std::move(input),
+                                   std::move(done));
   if (prefetch_enabled_) maybe_cross_prefetch(client, function, index);
 }
 
@@ -207,16 +160,14 @@ void CoprocessorFleet::arm_faults() {
   faults_armed_ = true;
   const sim::SimTime base = now();
   for (const sim::CardDeath& death : faults_.deaths) {
-    if (death.card >= card_count()) continue;
-    coord().schedule_at(base + death.at,
-                        [this, card = death.card] { kill_card(card); });
+    scheduler_.schedule_at(base + death.at,
+                           [this, card = death.card] { kill_card(card); });
     if (death.recover_at > death.at)
-      coord().schedule_at(base + death.recover_at,
-                          [this, card = death.card] { revive_card(card); });
+      scheduler_.schedule_at(base + death.recover_at,
+                             [this, card = death.card] { revive_card(card); });
   }
   for (const sim::RomCorruption& c : faults_.corruptions) {
-    if (c.card >= card_count()) continue;
-    coord().schedule_at(base + c.at, [this, c] {
+    scheduler_.schedule_at(base + c.at, [this, c] {
       shards_[c.card].card->mcu().rom().corrupt_payload(c.function, c.seed,
                                                         c.bit_flips);
     });
@@ -236,7 +187,7 @@ void CoprocessorFleet::dispatch_ticket(std::uint64_t ticket) {
   Shard& shard = shards_[card];
   ++shard.dispatched;
   if (fleet_track_ != nullptr)
-    fleet_track_->instant("dispatch", "dispatch", sim_now(),
+    fleet_track_->instant("dispatch", "dispatch", now(),
                           static_cast<std::int64_t>(ticket), state.client,
                           state.function, card);
   ++state.attempts;
@@ -245,32 +196,14 @@ void CoprocessorFleet::dispatch_ticket(std::uint64_t ticket) {
   // The payload moves onto the card; try_cancel/power_off hand it back if
   // the request has to be pulled.  The fleet ALWAYS wraps the completion
   // freshly per dispatch — a refugee's old wrapper is never reused (it
-  // would fire the ticket bookkeeping twice).  Under the parallel engine
-  // the wrapper additionally funnels through the coordination queue: the
-  // card fires it on a worker thread, and on_card_complete touches
-  // coordinator-owned ticket state (and may cancel the watchdog), so it
-  // must run as a coordination event, with a COPY of the record.
-  Completion completion;
-  if (parallel_) {
-    completion = [this, ticket, card](const ServerRequest& r) {
-      parallel_->post_to_coord(
-          card, shards_[card].card->now(),
-          [this, ticket, record = r] { on_card_complete(ticket, record); });
-    };
-  } else {
-    completion = [this, ticket](const ServerRequest& r) {
-      on_card_complete(ticket, r);
-    };
-  }
-  const sim::SimTime when =
-      parallel_ ? std::max(sim_now(), shard.card->now()) : now();
+  // would fire the ticket bookkeeping twice).
   state.card_request = shard.server->submit_function_at(
-      when, state.client, state.function, std::move(state.input),
-      std::move(completion));
+      now(), state.client, state.function, std::move(state.input),
+      [this, ticket](const ServerRequest& r) { on_card_complete(ticket, r); });
   state.input = Bytes();
   if (retry_.timeout > sim::SimTime::zero())
-    state.timeout_event = coord().schedule_at(
-        sim_now() + retry_.timeout, [this, ticket] { on_timeout(ticket); });
+    state.timeout_event = scheduler_.schedule_at(
+        now() + retry_.timeout, [this, ticket] { on_timeout(ticket); });
   if (prefetch_enabled_)
     maybe_cross_prefetch(state.client, state.function, card);
 }
@@ -281,7 +214,7 @@ void CoprocessorFleet::on_card_complete(std::uint64_t ticket,
   AAD_CHECK(it != tickets_.end(), "completion for an unknown ticket");
   const Completion done = std::move(it->second.done);
   if (it->second.timeout_event)
-    coord().cancel(*it->second.timeout_event);
+    scheduler_.cancel(*it->second.timeout_event);
   tickets_.erase(it);
   // Card-level outcomes — success or failure (a CRC reject the MCU's
   // re-fetch could not repair) — are terminal: a corrupted ROM payload is
@@ -303,7 +236,7 @@ void CoprocessorFleet::on_timeout(std::uint64_t ticket) {
   }
   counters_.timeouts.add();
   if (fleet_track_ != nullptr)
-    fleet_track_->instant("fault", "timeout", sim_now(),
+    fleet_track_->instant("fault", "timeout", now(),
                           static_cast<std::int64_t>(ticket), state.client,
                           state.function, state.card);
   state.on_card = false;
@@ -318,8 +251,8 @@ void CoprocessorFleet::on_timeout(std::uint64_t ticket) {
       std::pow(retry_.backoff, static_cast<double>(state.attempts - 1));
   const sim::SimTime delay = sim::SimTime::ps(static_cast<std::int64_t>(
       static_cast<double>(retry_.backoff_base.picoseconds()) * scale));
-  coord().schedule_at(sim_now() + delay,
-                      [this, ticket] { dispatch_ticket(ticket); });
+  scheduler_.schedule_at(now() + delay,
+                         [this, ticket] { dispatch_ticket(ticket); });
 }
 
 void CoprocessorFleet::fail_ticket(std::uint64_t ticket, FailReason reason) {
@@ -327,10 +260,10 @@ void CoprocessorFleet::fail_ticket(std::uint64_t ticket, FailReason reason) {
   AAD_CHECK(it != tickets_.end(), "failing an unknown ticket");
   TicketState state = std::move(it->second);
   tickets_.erase(it);
-  if (state.timeout_event) coord().cancel(*state.timeout_event);
+  if (state.timeout_event) scheduler_.cancel(*state.timeout_event);
   counters_.failed.add();
   if (fleet_track_ != nullptr)
-    fleet_track_->instant("fault", "request-failed", sim_now(),
+    fleet_track_->instant("fault", "request-failed", now(),
                           static_cast<std::int64_t>(ticket), state.client,
                           state.function);
   ServerRequest failed;
@@ -338,7 +271,7 @@ void CoprocessorFleet::fail_ticket(std::uint64_t ticket, FailReason reason) {
   failed.client = state.client;
   failed.function = state.function;
   failed.submit_time = state.submit_time;
-  failed.complete_time = sim_now();
+  failed.complete_time = now();
   failed.failed = true;
   failed.fail_reason = reason;
   if (state.done) state.done(failed);
@@ -350,10 +283,10 @@ void CoprocessorFleet::kill_card(unsigned index) {
   if (!shard.alive) return;
   shard.alive = false;
   ++shard.deaths;
-  shard.death_time = sim_now();
+  shard.death_time = now();
   counters_.deaths.add();
   if (fleet_track_ != nullptr)
-    fleet_track_->instant("fault", "card-death", sim_now(), /*request=*/-1,
+    fleet_track_->instant("fault", "card-death", now(), /*request=*/-1,
                           /*client=*/-1, /*function=*/-1, index);
   std::vector<CoprocessorServer::CancelledRequest> refugees =
       shard.server->power_off();
@@ -379,7 +312,7 @@ void CoprocessorFleet::kill_card(unsigned index) {
       failed.client = refugee.client;
       failed.function = refugee.function;
       failed.submit_time = refugee.submit_time;
-      failed.complete_time = sim_now();
+      failed.complete_time = now();
       failed.failed = true;
       failed.fail_reason = FailReason::kCardDeath;
       if (refugee.done) refugee.done(failed);
@@ -387,7 +320,7 @@ void CoprocessorFleet::kill_card(unsigned index) {
     }
     TicketState& state = tickets_.at(ticket);
     if (state.timeout_event) {
-      coord().cancel(*state.timeout_event);
+      scheduler_.cancel(*state.timeout_event);
       state.timeout_event.reset();
     }
     state.on_card = false;
@@ -397,8 +330,8 @@ void CoprocessorFleet::kill_card(unsigned index) {
     if (survivors) {
       counters_.redispatched.add();
       ++undispatched_;
-      coord().schedule_at(sim_now(),
-                          [this, ticket] { dispatch_ticket(ticket); });
+      scheduler_.schedule_at(now(),
+                             [this, ticket] { dispatch_ticket(ticket); });
     } else {
       fail_ticket(ticket, FailReason::kCardDeath);
     }
@@ -411,7 +344,7 @@ void CoprocessorFleet::revive_card(unsigned index) {
   // The ROM — host-programmed flash — survived the outage.
   Shard& shard = shards_[index];
   if (!shard.alive && fleet_track_ != nullptr)
-    fleet_track_->span("fault", "dead", shard.death_time, sim_now(),
+    fleet_track_->span("fault", "dead", shard.death_time, now(),
                        /*request=*/-1, /*client=*/-1, /*function=*/-1, index);
   shard.alive = true;
 }
@@ -584,10 +517,7 @@ bool CoprocessorFleet::prefetch_placeable(unsigned card,
 void CoprocessorFleet::maybe_cross_prefetch(unsigned client,
                                             memory::FunctionId function,
                                             unsigned chosen) {
-  // Train on the routed stream.  This runs on the coordination queue at
-  // the dispatch instant — which pre-exists in the queue for open-loop
-  // traffic and bounds every shard's progress — so observations, and the
-  // prefetches they trigger, land identically under any thread count.
+  // Train on the routed stream, at the dispatch instant.
   predictor_.observe(client, function);
   if (card_count() < 2) return;  // nothing to hand the speculation to
   const auto prediction = predictor_.predict(client);
@@ -628,18 +558,13 @@ void CoprocessorFleet::maybe_cross_prefetch(unsigned client,
       return;
     }
   }
-  Shard& home = shards_[target];
-  const sim::SimTime when =
-      parallel_ ? std::max(sim_now(), home.card->now()) : now();
-  home.server->queue_prefetch_at(when, next);
+  shards_[target].server->queue_prefetch_at(now(), next);
 }
 
-std::size_t CoprocessorFleet::run() {
-  return parallel_ ? parallel_->run() : scheduler_.run();
-}
+std::size_t CoprocessorFleet::run() { return scheduler_.run(); }
 
 std::size_t CoprocessorFleet::run_until(sim::SimTime deadline) {
-  return parallel_ ? parallel_->run_until(deadline) : scheduler_.run_until(deadline);
+  return scheduler_.run_until(deadline);
 }
 
 AgileCoprocessor& CoprocessorFleet::card(unsigned index) {

@@ -8,15 +8,6 @@
 // cross-card overlap — four reconfigurations in flight at once, DMA on
 // four buses — is simulated faithfully on a single simulated clock.
 //
-// With FleetConfig::threads >= 2 the shared queue is replaced by a
-// sim::ParallelScheduler: each card's pipeline events run on a private
-// shard queue pumped by a worker pool, and everything cross-card (dispatch
-// + routing reads, fault plans, watchdog timers, refugee re-dispatch) runs
-// on the engine's coordination queue at globally synchronized instants —
-// see src/sim/parallel.h for the conservative-round protocol and
-// docs/ARCHITECTURE.md for the derivation.  threads == 1 (the default)
-// keeps the classic engine, bit-for-bit.
-//
 //   host application
 //     └─ CoprocessorFleet ── dispatch policy (round-robin / least-queued /
 //         │                  residency-affinity)
@@ -56,7 +47,7 @@
 
 #include "core/server.h"
 #include "sim/fault.h"
-#include "sim/parallel.h"
+#include "sim/scheduler.h"
 
 namespace aad::core {
 
@@ -117,27 +108,17 @@ struct FleetConfig {
   /// ROM corruptions.  Armed lazily at the FIRST fleet submission — plan
   /// times are relative to that instant, so provisioning time (which varies
   /// with the function set) never shifts the schedule.  An empty plan adds
-  /// no events and changes nothing.
+  /// no events and changes nothing; a plan naming a card the fleet does not
+  /// have is rejected at construction.
   sim::FaultPlan faults;
   /// Timeout + bounded-retry watchdog (see RetryConfig).  Disabled (zero
   /// timeout) by default.
   RetryConfig retry;
-  /// Host threads driving the simulation.  1 (default): the classic shared
-  /// single-queue engine — bit-identical to every earlier build.  >= 2:
-  /// the sharded conservative-parallel engine (sim/parallel.h) — each card
-  /// simulates on its own event queue, cross-card work runs on a
-  /// coordination queue at synchronized instants.  For a fixed thread
-  /// count, seed and OPEN-LOOP trace the outcome digest matches threads=1
-  /// exactly (tests/test_parallel.cpp holds that line); closed-loop
-  /// resubmissions are round-aligned (deterministic, documented in
-  /// docs/ARCHITECTURE.md) and may diverge from the classic interleaving.
+  /// Host threads driving the simulation.  The fleet runs on one
+  /// single-threaded event queue, so 1 is the only accepted value (the
+  /// constructor rejects anything else); the field is kept only so existing
+  /// configurations that spell it out still compile.
   unsigned threads = 1;
-  /// threads >= 2 only: conservative-sync lookahead — how far card shards
-  /// may run past the earliest card event in one round when no
-  /// coordination event bounds it.  Zero (default) derives it from the
-  /// card's PCI command-setup cost, the minimum latency between a routing
-  /// decision and its first card-visible event.
-  sim::SimTime lookahead;
 };
 
 /// One card's view of the fleet, captured by CoprocessorFleet::stats().
@@ -273,17 +254,11 @@ class CoprocessorFleet {
 
   // --- introspection -------------------------------------------------------
 
-  sim::SimTime now() const noexcept {
-    return parallel_ ? parallel_->now() : scheduler_.now();
-  }
+  sim::SimTime now() const noexcept { return scheduler_.now(); }
   unsigned card_count() const noexcept {
     return static_cast<unsigned>(shards_.size());
   }
   DispatchPolicy policy() const noexcept { return policy_; }
-  /// Host threads driving the simulation (FleetConfig::threads, clamped).
-  unsigned threads() const noexcept {
-    return parallel_ ? parallel_->threads() : 1;
-  }
   /// Direct access to one shard.  Inspection (mcu(), stats(), bus()) is
   /// always safe; the card's SYNCHRONOUS paths (invoke, preload, evict,
   /// defragment — and provisioning) advance the fleet-shared clock and
@@ -292,27 +267,11 @@ class CoprocessorFleet {
   AgileCoprocessor& card(unsigned index);
   CoprocessorServer& server(unsigned index);
   const CoprocessorServer& server(unsigned index) const;
-  /// The queue cross-card work runs on: the classic shared scheduler, or
-  /// the coordination queue under threads >= 2.  Card-local pipeline
-  /// events live on the card's own shard in parallel mode, so host code
-  /// that needs whole-simulation facts (quiescence, live event counts)
-  /// must use sim_idle()/sim_pending() instead of scheduler().idle().
-  sim::Scheduler& scheduler() noexcept {
-    return parallel_ ? parallel_->coord() : scheduler_;
-  }
-  /// Engine-wide quiescence / live-event count, across the coordination
-  /// queue and every card shard (equals scheduler().idle()/pending() in
-  /// classic mode).
-  bool sim_idle() const noexcept {
-    return parallel_ ? parallel_->idle() : scheduler_.idle();
-  }
-  std::size_t sim_pending() const noexcept {
-    return parallel_ ? parallel_->pending() : scheduler_.pending();
-  }
-  /// The parallel engine, or nullptr in classic mode (round telemetry).
-  const sim::ParallelScheduler* parallel_engine() const noexcept {
-    return parallel_.get();
-  }
+  /// The one event queue every card and the fleet's own dispatch, fault
+  /// and watchdog events share.
+  sim::Scheduler& scheduler() noexcept { return scheduler_; }
+  /// Live pending events on the shared queue (scheduler().pending()).
+  std::size_t sim_pending() const noexcept { return scheduler_.pending(); }
   /// Submitted but not yet completed, fleet-wide (dispatched or not).
   std::uint64_t in_flight() const;
   /// Fleet-wide totals plus the per-card breakdown.
@@ -376,32 +335,6 @@ class CoprocessorFleet {
     std::optional<sim::EventId> timeout_event;
   };
 
-  /// The queue cross-card bookkeeping schedules on (classic queue, or the
-  /// parallel engine's coordination queue) and its clock.  In classic mode
-  /// sim_now() == now(); in parallel mode now() is the global frontier
-  /// while sim_now() is the coordination clock — always <= every shard.
-  sim::Scheduler& coord() noexcept {
-    return parallel_ ? parallel_->coord() : scheduler_;
-  }
-  sim::SimTime sim_now() const noexcept {
-    return parallel_ ? parallel_->coord().now() : scheduler_.now();
-  }
-  /// Serialize per-card provisioning on one timeline (card i starts where
-  /// card i-1 finished) regardless of engine, then re-align every clock.
-  template <typename PerCard>
-  void provision(PerCard&& per_card) {
-    if (!parallel_) {
-      for (Shard& shard : shards_) per_card(shard);
-      return;
-    }
-    for (Shard& shard : shards_) {
-      sim::Scheduler& queue = shard.card->scheduler();
-      const sim::SimTime frontier = parallel_->now();
-      if (frontier > queue.now()) queue.run_until(frontier);
-      per_card(shard);
-    }
-    parallel_->sync_clocks();
-  }
   unsigned least_queued() const;
   unsigned choose(memory::FunctionId function, bool& prefetch_hit,
                   bool& affinity_hit, bool& delta_hit) const;
@@ -412,8 +345,7 @@ class CoprocessorFleet {
   bool prefetch_placeable(unsigned card, memory::FunctionId function) const;
   /// Train the fleet predictor on the dispatch stream and, when the card
   /// the demand went to cannot hold the predicted NEXT function, hand the
-  /// speculation to a cold sibling.  Runs at dispatch (coordination) time,
-  /// so the trigger is thread-count-invariant.
+  /// speculation to a cold sibling.
   void maybe_cross_prefetch(unsigned client, memory::FunctionId function,
                             unsigned chosen);
   void dispatch(unsigned client, memory::FunctionId function, Bytes input,
@@ -430,11 +362,9 @@ class CoprocessorFleet {
 
   DispatchPolicy policy_;
   bool cost_routing_;
-  /// Classic engine (threads == 1); idle/unused when parallel_ is set.
+  /// Shared by every card; declared before shards_ so the cards (which
+  /// hold references to it) are destroyed first.
   sim::Scheduler scheduler_;
-  /// Sharded engine (threads >= 2); declared before shards_ so the cards
-  /// (which hold references into its shard queues) are destroyed first.
-  std::unique_ptr<sim::ParallelScheduler> parallel_;
   std::vector<Shard> shards_;
   std::uint64_t next_ticket_ = 0;
   std::uint64_t undispatched_ = 0;  ///< scheduled arrivals not yet routed
@@ -454,8 +384,7 @@ class CoprocessorFleet {
   std::map<std::uint64_t, TicketState> tickets_;
 
   /// Fleet-level counter registry (the cards each own their own — see
-  /// AgileCoprocessor::registry()).  Coordination-thread-owned, like every
-  /// other fleet member.
+  /// AgileCoprocessor::registry()).
   telemetry::Registry registry_;
   // Registry handles — the `fleet.*` counter block; FleetStats snapshots
   // them (registered at construction, bumped on the dispatch/fault paths).

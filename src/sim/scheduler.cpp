@@ -111,37 +111,6 @@ std::size_t Scheduler::run_until(SimTime deadline) {
   return executed;
 }
 
-std::size_t Scheduler::run_before(SimTime horizon) {
-  std::size_t executed = 0;
-  while (!heap_.empty() && heap_.front().when < horizon) {
-    const EventKey key = heap_.front();
-    pop_top();
-    const auto it = actions_.find(key.sequence);
-    if (it == actions_.end()) {  // cancelled: skip, no time advance
-      if (tombstones_ > 0) --tombstones_;
-      continue;
-    }
-    Action action = std::move(it->second);
-    actions_.erase(it);
-    now_ = key.when;
-    action();
-    ++executed;
-  }
-  return executed;
-}
-
-std::optional<SimTime> Scheduler::next_time() {
-  // Dead keys on top carry no information; shed them so the reported next
-  // timestamp is a live event the caller can actually wait for.
-  while (!heap_.empty() &&
-         actions_.find(heap_.front().sequence) == actions_.end()) {
-    pop_top();
-    if (tombstones_ > 0) --tombstones_;
-  }
-  if (heap_.empty()) return std::nullopt;
-  return heap_.front().when;
-}
-
 void Scheduler::clear() {
   heap_.clear();
   actions_.clear();

@@ -20,15 +20,12 @@
 // tombstones outnumber live events (and exceed a small floor), keeping the
 // heap O(live events) regardless of cancel churn.
 //
-// One Scheduler is single-owner state: it is either driven directly
-// (classic single-threaded mode) or owned by one shard of a
-// sim::ParallelScheduler, which guarantees at most one thread touches it
-// at a time.  There is no internal locking.
+// A Scheduler is single-threaded state with no internal locking: a
+// CoprocessorFleet drives every card on one shared instance.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -72,17 +69,6 @@ class Scheduler {
   /// Run events with timestamp <= `deadline`; time ends at
   /// max(now, deadline) even if the queue drained earlier.
   std::size_t run_until(SimTime deadline);
-
-  /// Run events with timestamp strictly < `horizon`, leaving `now()` at the
-  /// last executed event (NOT advanced to the horizon).  This is the
-  /// bounded-round primitive of the parallel engine: a shard may only burn
-  /// down work it provably owns, and its clock must keep reporting real
-  /// progress so the coordinator can compute the next safe horizon.
-  std::size_t run_before(SimTime horizon);
-
-  /// Timestamp of the earliest live event, or nullopt when idle.  Pops any
-  /// dead keys sitting on top of the heap as a side effect.
-  std::optional<SimTime> next_time();
 
   bool idle() const noexcept { return actions_.empty(); }
   /// Live (not cancelled) pending events.

@@ -18,11 +18,9 @@
 //   * Gauge   — instantaneous i64 level with a high-water mark (queue
 //     depths).  set()/adjust() move the level; the high-water only rises.
 //
-// Threading follows the simulator's ownership discipline (sim/scheduler.h):
-// a registry is single-owner state — a card's registry is only touched by
-// whichever thread is running that card's shard, the fleet's only by the
-// coordination thread — so there is no internal locking, and reset()/
-// snapshot() are only legal while the owning engine is quiescent.
+// Single-threaded like the simulator's event queue (sim/scheduler.h): there
+// is no internal locking, and reset()/snapshot() are only legal while the
+// simulation is quiescent.
 #pragma once
 
 #include <cstdint>

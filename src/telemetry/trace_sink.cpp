@@ -73,7 +73,7 @@ std::vector<TraceEvent> TraceSink::merged() const {
     all.insert(all.end(), t.track->events_.begin(), t.track->events_.end());
   // (ts, process, track, seq) is a total order: seq is unique per track, so
   // no comparator tie survives — the merge is identical however the
-  // per-shard buffers were filled.
+  // per-track buffers were filled.
   std::sort(all.begin(), all.end(),
             [](const TraceEvent& a, const TraceEvent& b) {
               return std::tie(a.ts_ps, a.process, a.track, a.seq) <

@@ -9,16 +9,11 @@
 // track; begin/end pairs never cross the process boundary, so a track's
 // spans mirror exactly the occupancy windows the simulator booked.
 //
-// Concurrency contract (the same single-owner discipline as sim/scheduler.h
-// and telemetry/registry.h): a track is only ever appended to by the thread
-// currently running its card's shard (card lanes) or the coordination
-// thread (fleet lanes), so recording takes no lock.  Under the
-// ParallelScheduler each card's lanes are its private per-shard buffers;
-// merged()/write_chrome_trace() merge them AFTER the run by the total
-// order (timestamp, process, track, per-track sequence), which no thread
-// interleaving can perturb — threads=1 and threads=N runs of the same
-// open-loop workload emit identical sorted span sets
-// (tests/test_parallel.cpp holds that line).
+// Single-threaded like sim/scheduler.h and telemetry/registry.h: recording
+// takes no lock.  Each track keeps its own buffer; merged()/
+// write_chrome_trace() merge them AFTER the run by the total order
+// (timestamp, process, track, per-track sequence), which has no ties, so
+// the merged span set does not depend on recording order.
 //
 // Everything is pointer-gated: a component without an attached track skips
 // recording on a single branch, so the off path costs nothing and the

@@ -40,26 +40,11 @@
 
 namespace aad::harness {
 
-/// Host threads for harness fleets: the AAD_INVARIANT_THREADS environment
-/// variable (the TSan job and the nightly sweep set it to exercise the
-/// sharded parallel engine) or `fallback` (1 = classic engine).
-inline unsigned invariant_thread_count(unsigned fallback = 1) {
-  if (const char* env = std::getenv("AAD_INVARIANT_THREADS")) {
-    const long n = std::strtol(env, nullptr, 10);
-    if (n > 0) return static_cast<unsigned>(n);
-  }
-  return fallback;
-}
-
 struct HarnessConfig {
   std::uint64_t seed = 1;
 
   // Fleet shape.
   unsigned cards = 4;
-  /// Simulation engine threads (FleetConfig::threads).  Defaults to the
-  /// AAD_INVARIANT_THREADS environment override so the existing sweeps
-  /// re-run unchanged against the parallel engine; 1 = classic engine.
-  unsigned threads = invariant_thread_count();
   core::DispatchPolicy dispatch = core::DispatchPolicy::kResidencyAffinity;
   core::DevicePolicy device = core::DevicePolicy::kFifo;
   core::BatchConfig batch;  ///< kNone default: batches of one
@@ -88,44 +73,6 @@ struct HarnessConfig {
   std::size_t burst_size = 4;
   double zipf_s = 0.9;
 };
-
-/// FNV-1a fingerprint of a drained fleet's outcome: headline stats plus
-/// every completed record's identity and timeline, per card.  Shared by
-/// InvariantHarness::digest() (invariant 5) and bench_parallel's digest
-/// column, and THE equality tests/test_parallel.cpp holds across thread
-/// counts: digest(threads=N) == digest(threads=1) for open-loop traces.
-inline std::uint64_t fleet_digest(const core::CoprocessorFleet& fleet,
-                                  std::uint64_t h = 1469598103934665603ull) {
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ull;
-    }
-  };
-  const core::FleetStats stats = fleet.stats();
-  mix(stats.submitted);
-  mix(stats.completed);
-  mix(stats.failed);
-  mix(stats.deaths);
-  mix(stats.redispatched);
-  mix(stats.retries);
-  mix(stats.timeouts);
-  mix(stats.crc_rejects);
-  mix(stats.refetches);
-  mix(static_cast<std::uint64_t>(stats.makespan.picoseconds()));
-  for (unsigned i = 0; i < fleet.card_count(); ++i) {
-    for (const core::ServerRequest& r : fleet.server(i).completed()) {
-      mix(r.id);
-      mix(r.client);
-      mix(r.function);
-      mix(static_cast<std::uint64_t>(r.submit_time.picoseconds()));
-      mix(static_cast<std::uint64_t>(r.complete_time.picoseconds()));
-      mix(r.output.size());
-      mix(r.failed ? 1 : 0);
-    }
-  }
-  return h;
-}
 
 class InvariantHarness {
  public:
@@ -167,17 +114,39 @@ class InvariantHarness {
     return violations;
   }
 
-  /// Deterministic fingerprint of the whole outcome (stats + every
-  /// completed record's identity and timeline) — invariant 5 compares it
-  /// across two runs of the same seed.
+  /// FNV-1a fingerprint of the whole outcome (headline stats + every
+  /// completed record's identity and timeline, per card) — invariant 5
+  /// compares it across two runs of the same seed.
   std::uint64_t digest() const {
-    std::uint64_t h = fleet_digest(fleet_);
+    std::uint64_t h = 1469598103934665603ull;
     const auto mix = [&h](std::uint64_t v) {
       for (int i = 0; i < 8; ++i) {
         h ^= (v >> (8 * i)) & 0xff;
         h *= 1099511628211ull;
       }
     };
+    const core::FleetStats stats = fleet_.stats();
+    mix(stats.submitted);
+    mix(stats.completed);
+    mix(stats.failed);
+    mix(stats.deaths);
+    mix(stats.redispatched);
+    mix(stats.retries);
+    mix(stats.timeouts);
+    mix(stats.crc_rejects);
+    mix(stats.refetches);
+    mix(static_cast<std::uint64_t>(stats.makespan.picoseconds()));
+    for (unsigned i = 0; i < fleet_.card_count(); ++i) {
+      for (const core::ServerRequest& r : fleet_.server(i).completed()) {
+        mix(r.id);
+        mix(r.client);
+        mix(r.function);
+        mix(static_cast<std::uint64_t>(r.submit_time.picoseconds()));
+        mix(static_cast<std::uint64_t>(r.complete_time.picoseconds()));
+        mix(r.output.size());
+        mix(r.failed ? 1 : 0);
+      }
+    }
     mix(ok_);
     mix(failed_);
     return h;
@@ -216,7 +185,6 @@ class InvariantHarness {
     fc.faults = plan;
     fc.retry.timeout = config.timeout;
     fc.retry.max_retries = config.max_retries;
-    fc.threads = config.threads;
     fc.server.prefetch.enabled = config.prefetch;
     fc.server.prefetch.predictor.min_confidence = config.prefetch_confidence;
     return fc;
@@ -251,11 +219,9 @@ class InvariantHarness {
       violations.push_back("conservation: fleet still has " +
                            std::to_string(fleet_.in_flight()) +
                            " requests in flight after the drain");
-    // sim_idle/sim_pending span the coordination queue AND every card
-    // shard under the parallel engine (== scheduler() in classic mode).
-    if (!fleet_.sim_idle())
+    if (!fleet_.scheduler().idle())
       violations.push_back("conservation: scheduler still holds " +
-                           std::to_string(fleet_.sim_pending()) +
+                           std::to_string(fleet_.scheduler().pending()) +
                            " live events after the drain");
   }
 

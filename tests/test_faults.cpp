@@ -318,6 +318,25 @@ TEST(FaultRecoveryTest, NoSurvivorFailsCleanly) {
   EXPECT_FALSE(fleet.card_alive(0));
 }
 
+// A plan naming a card the fleet does not have is a configuration error,
+// not a fault to skip: the constructor rejects it loudly.
+TEST(FaultRecoveryTest, PlanNamingAMissingCardThrows) {
+  FleetConfig dies;
+  dies.cards = 2;
+  dies.faults.deaths = {{2, sim::SimTime::us(200), sim::SimTime::zero()}};
+  EXPECT_THROW(CoprocessorFleet{dies}, Error);
+
+  FleetConfig corrupts;
+  corrupts.cards = 2;
+  corrupts.faults.corruptions = {
+      {5, algorithms::function_bank().front(), sim::SimTime::us(10)}};
+  EXPECT_THROW(CoprocessorFleet{corrupts}, Error);
+
+  FleetConfig last_card = dies;
+  last_card.faults.deaths.front().card = 1;
+  EXPECT_NO_THROW(CoprocessorFleet{last_card});
+}
+
 // --- corrupted bitstreams ---------------------------------------------------
 
 // A corrupted ROM image is rejected by the CRC check before any frame is

@@ -440,5 +440,11 @@ TEST(CoprocessorFleetTest, SubmitInThePastThrows) {
       Error);
 }
 
+TEST(CoprocessorFleetTest, MoreThanOneThreadThrows) {
+  FleetConfig fc;
+  fc.threads = 2;
+  EXPECT_THROW(CoprocessorFleet{fc}, Error);
+}
+
 }  // namespace
 }  // namespace aad::core

@@ -278,38 +278,6 @@ TEST(SchedulerCancelTest, CompactionKeepsPopOrderAndLiveEvents) {
   EXPECT_EQ(order, expected);
 }
 
-TEST(SchedulerTest, NextTimeReportsEarliestLiveEvent) {
-  Scheduler s;
-  EXPECT_FALSE(s.next_time().has_value());
-  const EventId early = s.schedule_at(SimTime::ns(5), [] {});
-  s.schedule_at(SimTime::ns(9), [] {});
-  EXPECT_EQ(s.next_time(), SimTime::ns(5));
-  // Cancelling the front must expose the next LIVE timestamp, not the
-  // tombstone's.
-  EXPECT_TRUE(s.cancel(early));
-  EXPECT_EQ(s.next_time(), SimTime::ns(9));
-  s.run();
-  EXPECT_FALSE(s.next_time().has_value());
-}
-
-TEST(SchedulerTest, RunBeforeStopsShortAndLeavesTimeAtLastEvent) {
-  // run_before is the parallel engine's bounded-round primitive: events
-  // strictly below the horizon run, the clock is NOT dragged forward to
-  // the horizon (the shard must keep reporting real progress).
-  Scheduler s;
-  std::vector<int> order;
-  s.schedule_at(SimTime::ns(5), [&] { order.push_back(5); });
-  s.schedule_at(SimTime::ns(10), [&] { order.push_back(10); });
-  s.schedule_at(SimTime::ns(15), [&] { order.push_back(15); });
-  EXPECT_EQ(s.run_before(SimTime::ns(10)), 1u);  // 10 is NOT < 10
-  EXPECT_EQ(s.now(), SimTime::ns(5));
-  EXPECT_EQ(s.run_before(SimTime::ns(16)), 2u);
-  EXPECT_EQ(order, (std::vector<int>{5, 10, 15}));
-  EXPECT_EQ(s.now(), SimTime::ns(15));
-  EXPECT_EQ(s.run_before(SimTime::ns(100)), 0u);  // drained: time holds
-  EXPECT_EQ(s.now(), SimTime::ns(15));
-}
-
 TEST(TraceTest, StageTotalsAccumulate) {
   Trace t;
   t.record(Stage::kRom, "a", SimTime::ns(0), SimTime::ns(10));
