@@ -1,10 +1,22 @@
-// Minimal unsigned big-integer arithmetic for the modular-exponentiation
-// kernel (RSA-style workloads — the algorithm-agile crypto co-processors the
-// paper builds on, refs [1][2], were motivated by exactly this).
+// Unsigned big-integer arithmetic for the modular-exponentiation kernel
+// (RSA-style workloads — the algorithm-agile crypto co-processors the paper
+// builds on, refs [1][2], were motivated by exactly this).
 //
-// Little-endian 32-bit limbs; schoolbook multiplication and binary long
-// division — small and obviously correct rather than fast, since the golden
-// path only has to validate the hardware model.
+// Little-endian 64-bit limbs, word-level throughout:
+//  - `mod` is Knuth's Algorithm D (TAOCP vol. 2, 4.3.1): normalize so the
+//    divisor's top bit is set, estimate each quotient word from the top two
+//    dividend words, correct the estimate, multiply-subtract, add back on
+//    the rare overshoot.
+//  - `mod_exp` splits on the modulus's parity.  An odd modulus (every
+//    RSA-shaped input, and everything `make_input` produces) runs
+//    square-and-multiply in Montgomery form: CIOS multiplication on
+//    fixed-width limb arrays sized to the modulus, all scratch allocated
+//    once per call, R^2 mod m taken with one `mod`.  An even modulus has no
+//    Montgomery inverse and falls to square-and-multiply over `mul` + `mod`.
+// The pre-word-level bit-serial `mod` / `mod_exp` live on in
+// tests/bignum_oracle.h as the slow differential-test oracle.  Simulated
+// timing never depends on this code: the kernel's fabric and host costs are
+// analytic (algorithms/kernels.cpp).
 #pragma once
 
 #include <cstdint>
@@ -35,17 +47,18 @@ class BigUint {
   /// a - b; requires a >= b.
   static BigUint sub(const BigUint& a, const BigUint& b);
   static BigUint mul(const BigUint& a, const BigUint& b);
-  /// a mod m; m must be nonzero.
+  /// a mod m (Knuth Algorithm D); m must be nonzero.
   static BigUint mod(const BigUint& a, const BigUint& m);
   BigUint shifted_left(std::size_t bits) const;
 
-  /// base^exponent mod modulus (square-and-multiply); modulus > 1.
+  /// base^exponent mod modulus, fully reduced; modulus > 1.  Montgomery
+  /// for an odd modulus, `mul` + `mod` for an even one.
   static BigUint mod_exp(const BigUint& base, const BigUint& exponent,
                          const BigUint& modulus);
 
  private:
   void trim();
-  std::vector<std::uint32_t> limbs_;  // little-endian, no trailing zeros
+  std::vector<std::uint64_t> limbs_;  // little-endian, no trailing zeros
 };
 
 /// Behavioral-kernel byte contract: input = base || exponent || modulus,

@@ -77,6 +77,7 @@ double decompress_cycles_per_byte(CodecId id) noexcept {
     case CodecId::kGolomb: return 6.0;      // bit-serial
     case CodecId::kHuffman: return 8.0;     // bit-serial + table walk
     case CodecId::kDeltaGolomb: return 7.0; // bit-serial + XOR history
+    case CodecId::kAuto: break;             // a selection policy, not a codec
   }
   return 1.0;
 }

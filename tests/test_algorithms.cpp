@@ -1,5 +1,6 @@
 // Tests for the golden software implementations: published test vectors for
-// the crypto/hash kernels, algebraic self-checks for the numeric kernels.
+// the crypto/hash kernels, algebraic self-checks for the numeric kernels, and
+// differential tests of the word-level bignum against its bit-serial oracle.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,11 +10,13 @@
 #include "algorithms/des.h"
 #include "algorithms/fft.h"
 #include "algorithms/fir.h"
+#include "algorithms/kernels.h"
 #include "algorithms/matmul.h"
 #include "algorithms/md5.h"
 #include "algorithms/sha1.h"
 #include "algorithms/sha256.h"
 #include "algorithms/xtea.h"
+#include "bignum_oracle.h"
 #include "common/prng.h"
 
 namespace aad::algorithms {
@@ -372,6 +375,160 @@ TEST(ModexpBytesTest, ContractAndValidation) {
   EXPECT_THROW(modexp_bytes(Bytes(10, 1)), Error);
   Bytes bad(96, 0);  // modulus 0
   EXPECT_THROW(modexp_bytes(bad), Error);
+}
+
+// --- differential tests against the bit-serial oracle (bignum_oracle.h), in
+// the style of PuTTY's cryptsuite: scattered operand sizes, every width, and
+// the edge values where word-level carries and corrections live.
+
+BigUint random_big(Prng& rng, std::size_t bytes) {
+  Bytes raw(bytes);
+  for (auto& b : raw) b = static_cast<Byte>(rng.next());
+  return BigUint::from_bytes(raw);
+}
+
+BigUint from_limbs(const std::vector<std::uint64_t>& limbs) {
+  Bytes raw;
+  for (const std::uint64_t limb : limbs)
+    for (int i = 0; i < 8; ++i)
+      raw.push_back(static_cast<Byte>(limb >> (8 * i)));
+  return BigUint::from_bytes(raw);
+}
+
+BigUint pow2(std::size_t k) { return BigUint{1}.shifted_left(k); }
+
+/// F_0 and F_(2^i) for i < n, cryptsuite's fibonacci_scattered: operands
+/// whose bit lengths roughly double from one to the next.
+std::vector<BigUint> fibonacci_scattered(int n) {
+  std::vector<BigUint> out{BigUint{}};
+  BigUint a{}, b{1}, c{1};  // F_(k-1), F_k, F_(k+1), doubling k each step
+  for (int i = 0; i < n; ++i) {
+    out.push_back(b);
+    const BigUint a2 = BigUint::add(BigUint::mul(a, a), BigUint::mul(b, b));
+    const BigUint b2 = BigUint::mul(b, BigUint::add(a, c));
+    const BigUint c2 = BigUint::add(BigUint::mul(b, b), BigUint::mul(c, c));
+    a = a2;
+    b = b2;
+    c = c2;
+  }
+  return out;
+}
+
+void expect_mod_matches(const BigUint& a, const BigUint& m) {
+  const BigUint r = BigUint::mod(a, m);
+  ASSERT_EQ(r, oracle::mod(a, m));
+  // And a = q*m + r round-trips through mul/add for a scattered q.
+  const BigUint q = BigUint::add(a, BigUint{3});
+  EXPECT_EQ(BigUint::mod(BigUint::add(BigUint::mul(q, m), r), m), r);
+}
+
+TEST(BigUintOracleTest, ModMatchesOnFibonacciScatteredSizes) {
+  // Values from 0 to F_2048 (1422 bits): dividends shorter and longer than
+  // the divisor, one-limb divisors, divisor == dividend.
+  const auto fibs = fibonacci_scattered(12);
+  EXPECT_EQ(fibs[4], BigUint{21});  // F_8
+  for (const BigUint& a : fibs)
+    for (const BigUint& m : fibs)
+      if (!m.is_zero()) expect_mod_matches(a, m);
+
+  // Random operands of Fibonacci byte lengths, each against each.
+  Prng rng(17);
+  const std::size_t sizes[] = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89};
+  for (const std::size_t a_bytes : sizes)
+    for (const std::size_t m_bytes : sizes) {
+      const BigUint a = random_big(rng, a_bytes);
+      const BigUint m = BigUint::add(random_big(rng, m_bytes), BigUint{1});
+      expect_mod_matches(a, m);
+    }
+}
+
+TEST(BigUintOracleTest, ModMatchesOnEdgeLimbPatterns) {
+  // Every 3-limb dividend and 2-limb divisor over the limbs where quotient
+  // estimates go wrong: all-zero, one, just below and at the top bit,
+  // all-ones.  Plus the 64-bit-limb form of Hacker's Delight's add-back
+  // case, where the corrected estimate is still one too large.
+  const std::uint64_t edge[] = {0, 1, 0x7fffffffffffffffull,
+                                0x8000000000000000ull, ~0ull};
+  for (const auto u0 : edge)
+    for (const auto u1 : edge)
+      for (const auto u2 : edge)
+        for (const auto v0 : edge)
+          for (const auto v1 : edge)
+            if (v1 != 0) expect_mod_matches(from_limbs({u0, u1, u2}),
+                                            from_limbs({v0, v1}));
+  expect_mod_matches(
+      from_limbs({0, 0, 0x8000000000000000ull, 0x7fffffffffffffffull}),
+      from_limbs({1, 0, 0x8000000000000000ull}));
+}
+
+TEST(BigUintOracleTest, ModExpMatchesAtEveryByteWidth) {
+  // Widths 1..48 bytes through the kernel's byte contract, odd and even
+  // moduli so both the Montgomery and the plain path run.
+  Prng rng(23);
+  for (std::size_t width = 1; width <= 48; ++width) {
+    for (const bool odd : {true, false}) {
+      Bytes in(3 * width);
+      for (auto& b : in) b = static_cast<Byte>(rng.next());
+      in[2 * width] = static_cast<Byte>((in[2 * width] & 0xfe) | odd);
+      if (width == 1 && in[2] < 2) in[2] = odd ? 3 : 2;
+      const BigUint base = BigUint::from_bytes(ByteSpan(in).subspan(0, width));
+      const BigUint exp =
+          BigUint::from_bytes(ByteSpan(in).subspan(width, width));
+      const BigUint m =
+          BigUint::from_bytes(ByteSpan(in).subspan(2 * width, width));
+      ASSERT_EQ(modexp_bytes(in),
+                oracle::mod_exp(base, exp, m).to_bytes(width))
+          << "width " << width << (odd ? " odd" : " even");
+    }
+  }
+}
+
+TEST(BigUintOracleTest, ModExpMatchesOnEdgeModuli) {
+  std::vector<BigUint> moduli{BigUint{2}, BigUint{3}};
+  for (const std::size_t k : {7, 32, 64, 65, 128, 191}) {
+    moduli.push_back(BigUint::sub(pow2(k), BigUint{1}));  // all ones
+    moduli.push_back(BigUint::add(pow2(k), BigUint{1}));
+    moduli.push_back(pow2(k));                            // top bit only
+  }
+  Prng rng(29);
+  for (const BigUint& m : moduli) {
+    const std::size_t bits = m.bit_length();
+    const BigUint all_ones = BigUint::sub(pow2(bits), BigUint{1});
+    const std::vector<BigUint> bases{
+        BigUint{},
+        BigUint{1},
+        BigUint::sub(m, BigUint{1}),
+        m,  // base == modulus
+        BigUint::add(m, BigUint{1}),
+        BigUint::add(m, random_big(rng, bits / 8 + 9))};  // base > modulus
+    const std::vector<BigUint> exponents{
+        BigUint{}, BigUint{1}, BigUint{65537}, all_ones,
+        random_big(rng, (bits + 7) / 8)};
+    for (const BigUint& base : bases)
+      for (const BigUint& exp : exponents) {
+        const BigUint got = BigUint::mod_exp(base, exp, m);
+        ASSERT_EQ(got, oracle::mod_exp(base, exp, m))
+            << "modulus bits " << bits << ", exponent bits "
+            << exp.bit_length();
+        EXPECT_LT(BigUint::compare(got, m), 0);
+      }
+  }
+}
+
+TEST(BigUintOracleTest, KernelInputsMatchForEveryBlockCount) {
+  // The payloads the simulator actually runs: odd, top-bit-set moduli of
+  // 256 to 1536 bits.
+  const KernelSpec& modexp = spec(KernelId::kModExp);
+  for (std::size_t blocks = 1; blocks <= 6; ++blocks) {
+    const Bytes in = modexp.make_input(blocks, 100 + blocks);
+    const std::size_t width = in.size() / 3;
+    const ByteSpan span(in);
+    const BigUint expected = oracle::mod_exp(
+        BigUint::from_bytes(span.subspan(0, width)),
+        BigUint::from_bytes(span.subspan(width, width)),
+        BigUint::from_bytes(span.subspan(2 * width, width)));
+    EXPECT_EQ(modexp_bytes(in), expected.to_bytes(width)) << blocks;
+  }
 }
 
 // --- FIR -------------------------------------------------------------------------

@@ -440,6 +440,12 @@ TEST(CoprocessorFleetTest, SubmitInThePastThrows) {
       Error);
 }
 
+TEST(CoprocessorFleetTest, ZeroCardsThrows) {
+  FleetConfig fc;
+  fc.cards = 0;
+  EXPECT_THROW(CoprocessorFleet{fc}, Error);
+}
+
 TEST(CoprocessorFleetTest, MoreThanOneThreadThrows) {
   FleetConfig fc;
   fc.threads = 2;
