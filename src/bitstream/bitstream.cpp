@@ -101,8 +101,14 @@ Bytes pack_frame_payloads(const Bitstream& bitstream) {
 std::vector<fabric::Word> bytes_to_words(ByteSpan data) {
   AAD_REQUIRE(data.size() % 4 == 0, "word stream length not word-aligned");
   std::vector<fabric::Word> words(data.size() / 4);
-  ByteReader r(data);
-  for (auto& word : words) word = r.u32();
+  const Byte* p = data.data();
+  for (auto& word : words) {
+    word = static_cast<fabric::Word>(p[0]) |
+           static_cast<fabric::Word>(p[1]) << 8 |
+           static_cast<fabric::Word>(p[2]) << 16 |
+           static_cast<fabric::Word>(p[3]) << 24;
+    p += 4;
+  }
   return words;
 }
 

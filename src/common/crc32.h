@@ -3,7 +3,9 @@
 // Used in three roles: (1) integrity field of the bitstream format, (2) the
 // golden software reference for the CRC32 hardware kernel, and (3) checksum
 // of ROM records.  Incremental interface so streams can be checksummed
-// window by window.
+// window by window.  Spans are folded slice-by-8: eight 256-entry tables
+// consume eight bytes per step, in portable C++ (the x86 `crc32`
+// instruction computes CRC-32C, a different polynomial).
 #pragma once
 
 #include <cstdint>

@@ -129,7 +129,8 @@ class DeltaGolombCodec final : public Codec {
     const std::size_t raw_size = r.u32();
     const std::size_t frame_bytes = r.u32();
     const unsigned k = r.u8();
-    if (frame_bytes == 0 || k > 30)
+    // frame_bytes sizes the history buffer, so it must be the codec's own.
+    if (frame_bytes != frame_bytes_ || k > 30)
       AAD_FAIL(ErrorCode::kCorruptData, "delta-golomb header invalid");
     return std::make_unique<DeltaGolombStream>(compressed.subspan(9),
                                                raw_size, frame_bytes, k);

@@ -26,12 +26,21 @@ class FrameDeltaStream final : public DecompressStream {
   std::size_t read(std::span<Byte> out) override {
     const std::size_t want = std::min(out.size(), raw_size_ - produced_);
     const std::size_t got = decoder_.read(out.subspan(0, want));
-    for (std::size_t i = 0; i < got; ++i) {
-      const Byte reconstructed =
-          static_cast<Byte>(out[i] ^ history_[history_pos_]);
-      out[i] = reconstructed;
-      history_[history_pos_] = reconstructed;
-      if (++history_pos_ == history_.size()) history_pos_ = 0;
+    // XOR against the history frame one contiguous span at a time, up to
+    // the wrap point, so the inner loop has no branch and vectorizes.
+    for (std::size_t done = 0; done < got;) {
+      const std::size_t n =
+          std::min(got - done, history_.size() - history_pos_);
+      Byte* o = out.data() + done;
+      Byte* h = history_.data() + history_pos_;
+      for (std::size_t i = 0; i < n; ++i) {
+        const Byte reconstructed = static_cast<Byte>(o[i] ^ h[i]);
+        o[i] = reconstructed;
+        h[i] = reconstructed;
+      }
+      done += n;
+      history_pos_ += n;
+      if (history_pos_ == history_.size()) history_pos_ = 0;
     }
     produced_ += got;
     return got;
@@ -75,8 +84,11 @@ class FrameDeltaCodec final : public Codec {
     ByteReader r(compressed);
     const std::size_t raw_size = r.u32();
     const std::size_t frame_bytes = r.u32();
-    if (frame_bytes == 0)
-      AAD_FAIL(ErrorCode::kCorruptData, "frame-delta frame_bytes is zero");
+    // The history buffer is sized from this field, so a corrupt header
+    // must not choose it: it has to be the frame size this codec encodes.
+    if (frame_bytes != frame_bytes_)
+      AAD_FAIL(ErrorCode::kCorruptData,
+               "frame-delta frame_bytes disagrees with the codec");
     return std::make_unique<FrameDeltaStream>(compressed.subspan(8),
                                               raw_size, frame_bytes);
   }

@@ -46,7 +46,7 @@ memory::RomRecord AgileCoprocessor::download_bitstream(
   sim::SimTime pci = pci_command_overhead(4);
   pci += bus_.dma_to_device(record.compressed_size);
   scheduler_.advance(pci);
-  trace_.record(sim::Stage::kHostPci, record.name + "/download", begin,
+  trace_.record(sim::Stage::kHostPci, record.name, "/download", begin,
                 scheduler_.now());
   return record;
 }

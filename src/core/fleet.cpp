@@ -1,5 +1,6 @@
 #include "core/fleet.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -107,6 +108,11 @@ std::uint64_t CoprocessorFleet::submit_function_at(sim::SimTime when,
                                                    Bytes input,
                                                    Completion done) {
   AAD_REQUIRE(when >= now(), "cannot submit a request in the past");
+  if (std::none_of(shards_.begin(), shards_.end(), [function](const Shard& s) {
+        return s.card->mcu().rom().contains(function);
+      }))
+    AAD_FAIL(ErrorCode::kNotFound, "function " + std::to_string(function) +
+                                       " not provisioned in any card's ROM");
   const std::uint64_t ticket = next_ticket_++;
   ++undispatched_;
   if (fault_mode_) {

@@ -227,7 +227,8 @@ class CoprocessorFleet {
   // Same surface as CoprocessorServer, so workload::replay drives a fleet
   // unchanged.  The returned id is a fleet-wide ticket (dense submission
   // order), NOT the per-card ServerRequest::id — the card is not chosen
-  // until the request arrives.
+  // until the request arrives.  A function no card's ROM holds throws
+  // kNotFound at submit, before a ticket or event exists.
 
   std::uint64_t submit(unsigned client, algorithms::KernelId kernel,
                        Bytes input, Completion done = {});

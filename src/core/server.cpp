@@ -108,6 +108,9 @@ std::uint64_t CoprocessorServer::submit_function_at(sim::SimTime when,
                                                     Bytes input,
                                                     Completion done) {
   AAD_REQUIRE(when >= now(), "cannot submit a request in the past");
+  if (!card_.mcu().rom().contains(function))
+    AAD_FAIL(ErrorCode::kNotFound, "function " + std::to_string(function) +
+                                       " not provisioned in ROM");
   const std::uint64_t id = next_id_++;
   Pending p;
   p.request.id = id;

@@ -261,7 +261,8 @@ class CoprocessorServer {
   std::uint64_t submit_function(unsigned client, memory::FunctionId function,
                                 Bytes input, Completion done = {});
   /// Queue an invocation arriving at absolute time `when` (>= now) —
-  /// open-loop traffic.
+  /// open-loop traffic.  Every submit throws kNotFound, before queueing
+  /// anything, when `function` is not provisioned in the card's ROM.
   std::uint64_t submit_function_at(sim::SimTime when, unsigned client,
                                    memory::FunctionId function, Bytes input,
                                    Completion done = {});

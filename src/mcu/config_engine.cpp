@@ -149,13 +149,12 @@ ConfigureResult ConfigEngine::configure(
     result.config_bound += this_cfg_t;
 
     if (trace) {
-      trace->record(sim::Stage::kRom, record.name + "/rom", rom_begin,
+      trace->record(sim::Stage::kRom, record.name, "/rom", rom_begin,
                     rom_done);
-      trace->record(sim::Stage::kDecompress, record.name + "/dec", dec_begin,
+      trace->record(sim::Stage::kDecompress, record.name, "/dec", dec_begin,
                     dec_done);
-      trace->record(sim::Stage::kConfigure,
-                    record.name + "/frame" + std::to_string(targets[w]),
-                    cfg_begin, cfg_done);
+      trace->record(sim::Stage::kConfigure, record.name, "/frame", cfg_begin,
+                    cfg_done, targets[w]);
     }
   }
 

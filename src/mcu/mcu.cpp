@@ -144,7 +144,7 @@ memory::RomRecord Mcu::store_function(memory::FunctionId id,
   const sim::SimTime begin = scheduler_.now();
   scheduler_.advance(config_.rom_timing.write_time(compressed.size() +
                                                    memory::kRecordBytes));
-  trace_.record(sim::Stage::kRom, bs.info.name + "/program", begin,
+  trace_.record(sim::Stage::kRom, bs.info.name, "/program", begin,
                 scheduler_.now());
 
   // Host-driver recovery metadata: the decoded-image CRC every load is
@@ -551,7 +551,7 @@ LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
       counters_.refetches.add();
       const sim::SimTime d =
           config_.rom_timing.write_time(pristine->second.size());
-      trace_.record(sim::Stage::kRom, record->name + "/refetch", t, t + d);
+      trace_.record(sim::Stage::kRom, record->name, "/refetch", t, t + d);
       t += d;
     }
   }
@@ -628,7 +628,7 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input,
   {
     // The data-input module streams from RAM to the fabric as it reads.
     const sim::SimTime d = config_.ram_timing.access_time(input.size());
-    trace_.record(sim::Stage::kDataIn, fn.record.name + "/in", t, t + d);
+    trace_.record(sim::Stage::kDataIn, fn.record.name, "/in", t, t + d);
     t += d;
     run.io_time += d;
   }
@@ -651,7 +651,7 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input,
   }
   {
     const sim::SimTime d = fabric_.execution_time(hw.cycles);
-    trace_.record(sim::Stage::kExecute, fn.record.name + "/exec", t, t + d);
+    trace_.record(sim::Stage::kExecute, fn.record.name, "/exec", t, t + d);
     t += d;
     run.exec_time = d;
   }
@@ -662,7 +662,7 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input,
   ram_.write(out_off, hw.output);
   {
     const sim::SimTime d = config_.ram_timing.access_time(hw.output.size());
-    trace_.record(sim::Stage::kDataOut, fn.record.name + "/out", t, t + d);
+    trace_.record(sim::Stage::kDataOut, fn.record.name, "/out", t, t + d);
     t += d;
     run.io_time += d;
   }

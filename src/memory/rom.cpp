@@ -108,6 +108,12 @@ std::optional<RomRecord> RomImage::lookup(FunctionId id) const {
   return std::nullopt;
 }
 
+bool RomImage::contains(FunctionId id) const noexcept {
+  for (const RomRecord& rec : records_)
+    if (rec.function_id == id) return true;
+  return false;
+}
+
 ByteSpan RomImage::payload(const RomRecord& record) const {
   AAD_REQUIRE(record.start + record.compressed_size <= data_end_,
               "record payload outside ROM data region");

@@ -61,6 +61,8 @@ class RomImage {
   RomRecord store(RomRecord record, ByteSpan compressed);
 
   std::optional<RomRecord> lookup(FunctionId id) const;
+  /// Whether `id` has a record; unlike lookup, copies nothing.
+  bool contains(FunctionId id) const noexcept;
   const std::vector<RomRecord>& records() const noexcept { return records_; }
 
   /// Borrow the compressed stream of a record.

@@ -24,6 +24,16 @@ void Trace::record(Stage stage, std::string label, SimTime begin, SimTime end) {
   spans_.push_back(Span{stage, std::move(label), begin, end});
 }
 
+void Trace::record(Stage stage, std::string_view name, std::string_view suffix,
+                   SimTime begin, SimTime end,
+                   std::optional<std::uint64_t> index) {
+  if (!enabled_) return;
+  std::string label(name);
+  label += suffix;
+  if (index) label += std::to_string(*index);
+  spans_.push_back(Span{stage, std::move(label), begin, end});
+}
+
 std::map<Stage, SimTime> Trace::stage_totals() const {
   std::map<Stage, SimTime> totals;
   for (const Span& span : spans_) totals[span.stage] += span.duration();

@@ -5,7 +5,9 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.h"
@@ -39,6 +41,12 @@ struct Span {
 class Trace {
  public:
   void record(Stage stage, std::string label, SimTime begin, SimTime end);
+  /// Records a span labelled `name` + `suffix`, with `index` appended when
+  /// given.  The label is built only when the trace is enabled, so a
+  /// disabled trace costs no allocation.
+  void record(Stage stage, std::string_view name, std::string_view suffix,
+              SimTime begin, SimTime end,
+              std::optional<std::uint64_t> index = std::nullopt);
 
   const std::vector<Span>& spans() const noexcept { return spans_; }
   void clear() noexcept { spans_.clear(); }

@@ -179,6 +179,76 @@ TEST(Crc32Test, ResetRestoresSeed) {
   EXPECT_EQ(crc.value(), Crc32::compute(ByteSpan{}));
 }
 
+// Bit-at-a-time reference: the reflected polynomial loop with no table, so
+// it shares nothing with the slice-by-8 implementation it checks.
+std::uint32_t reference_crc32(ByteSpan data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const Byte b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k)
+      c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+Bytes random_bytes(std::size_t n, std::uint64_t seed) {
+  Bytes data(n);
+  Prng rng(seed);
+  for (auto& b : data) b = static_cast<Byte>(rng.next());
+  return data;
+}
+
+TEST(Crc32Test, ReferenceAgreesOnCheckValue) {
+  const std::string s = "123456789";
+  EXPECT_EQ(reference_crc32(ByteSpan(
+                reinterpret_cast<const Byte*>(s.data()), s.size())),
+            0xCBF43926u);
+}
+
+// Every length 0-72 from every start offset 0-7: covers 0-9 whole 8-byte
+// steps, every tail length and every alignment of the input pointer.
+TEST(Crc32Test, MatchesReferenceAtEveryLengthAndOffset) {
+  const Bytes data = random_bytes(80, 0xC3C3);
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t len = 0; len <= 72; ++len) {
+      const ByteSpan span(data.data() + offset, len);
+      EXPECT_EQ(Crc32::compute(span), reference_crc32(span))
+          << "offset=" << offset << " len=" << len;
+    }
+}
+
+TEST(Crc32Test, MatchesReferenceOnRomSizedPayload) {
+  const Bytes data = random_bytes(6300, 424242);
+  EXPECT_EQ(Crc32::compute(data), reference_crc32(data));
+}
+
+// Every split point of a 67-byte buffer, with the halves fed as spans, as
+// single bytes, and mixed: the running state must carry across any call
+// boundary, whichever overload consumed the bytes before it.
+TEST(Crc32Test, IncrementalMatchesReferenceAtEverySplit) {
+  const Bytes data = random_bytes(67, 99);
+  const std::uint32_t want = reference_crc32(data);
+  const ByteSpan all(data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    const ByteSpan head = all.first(split);
+    const ByteSpan tail = all.subspan(split);
+    Crc32 spans;
+    spans.update(head);
+    spans.update(tail);
+    EXPECT_EQ(spans.value(), want) << "split=" << split;
+
+    Crc32 bytes_then_span;
+    for (const Byte b : head) bytes_then_span.update(b);
+    bytes_then_span.update(tail);
+    EXPECT_EQ(bytes_then_span.value(), want) << "split=" << split;
+
+    Crc32 span_then_bytes;
+    span_then_bytes.update(head);
+    for (const Byte b : tail) span_then_bytes.update(b);
+    EXPECT_EQ(span_then_bytes.value(), want) << "split=" << split;
+  }
+}
+
 // --- PRNG ---------------------------------------------------------------------
 
 TEST(PrngTest, DeterministicForSeed) {

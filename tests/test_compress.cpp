@@ -115,10 +115,12 @@ TEST_P(CodecRoundtrip, StreamingWindowedRoundtrip) {
   const Bytes raw = make_shape(shape);
   const Bytes compressed = codec->compress(raw);
 
-  // Pull in awkward window sizes (prime, tiny, frame-sized) to stress the
-  // incremental paths.
+  // Pull in awkward window sizes (prime, tiny, frame-sized, and sizes that
+  // cross the frame-delta history wrap partway through a read) to stress
+  // the incremental paths.
   for (const std::size_t window :
-       {std::size_t{1}, std::size_t{7}, std::size_t{193}, kFrameBytes}) {
+       {std::size_t{1}, std::size_t{7}, std::size_t{193}, kFrameBytes,
+        kFrameBytes - 1, kFrameBytes + 1, 2 * kFrameBytes + 3}) {
     auto stream = codec->decompress_stream(compressed);
     ASSERT_EQ(stream->raw_size(), raw.size());
     Bytes got;

@@ -1,0 +1,171 @@
+// Corrupted-stream sweep: seeded bit flips and truncations of a catalog
+// bitstream's compressed stream, fed to every codec's streaming decoder and
+// to the configuration engine.  A corrupt input must end in a clean finish
+// or an aad::Error — never in undefined behaviour, which the sanitizer
+// build of this suite turns into a failure — and a load of a corrupted ROM
+// payload must be rejected before it touches the fabric.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
+
+#include "algorithms/kernels.h"
+#include "bitstream/bitstream.h"
+#include "common/prng.h"
+#include "compress/codec.h"
+#include "fabric/fabric.h"
+#include "mcu/config_engine.h"
+#include "memory/rom.h"
+
+namespace aad {
+namespace {
+
+using compress::CodecId;
+
+Bytes catalog_image(const fabric::FrameGeometry& geometry) {
+  const auto& spec = algorithms::spec(algorithms::KernelId::kCrc32);
+  return bitstream::pack_frame_payloads(spec.make_bitstream(geometry));
+}
+
+// Pull `stream` to its end, `window` bytes per read.  configure() never reads
+// past the record's footprint plus one probe byte, so stop once the stream
+// has produced a frame more than the pristine image: a corrupt raw_size
+// header may promise gigabytes.
+void drain(compress::DecompressStream& stream, std::size_t limit,
+           std::size_t window) {
+  Bytes buf(window);
+  std::size_t total = 0;
+  while (total <= limit) {
+    const std::size_t n = stream.read(buf);
+    if (n == 0) return;
+    total += n;
+  }
+}
+
+// Decoding must finish or throw aad::Error; anything else escapes the test.
+void decode_or_error(const compress::Codec& codec, ByteSpan compressed,
+                     std::size_t limit, std::size_t window) {
+  try {
+    const auto stream = codec.decompress_stream(compressed);
+    drain(*stream, limit, window);
+  } catch (const Error&) {
+  }
+}
+
+TEST(CorruptStreamSweep, EveryCodecSurvivesBitFlipsAndTruncation) {
+  const fabric::FrameGeometry geometry;
+  const std::size_t frame_bytes = geometry.frame_bytes();
+  const Bytes raw = catalog_image(geometry);
+  const std::size_t limit = raw.size() + frame_bytes;
+  for (const CodecId id : compress::all_codec_ids()) {
+    SCOPED_TRACE(compress::to_string(id));
+    const auto codec = compress::make_codec(id, frame_bytes);
+    const Bytes compressed = codec->compress(raw);
+    ASSERT_EQ(codec->decompress(compressed), raw);
+
+    // Every single-bit flip of the header, whose sizes the decoders trust
+    // most, then seeded multi-bit flips anywhere.
+    for (std::size_t bit = 0; bit < 16 * 8; ++bit) {
+      Bytes flipped = compressed;
+      flipped[bit / 8] ^= static_cast<Byte>(1u << (bit % 8));
+      decode_or_error(*codec, flipped, limit, frame_bytes);
+    }
+    Prng rng(0xF1F1 + static_cast<std::uint64_t>(id));
+    for (int trial = 0; trial < 400; ++trial) {
+      Bytes flipped = compressed;
+      const unsigned flips = 1 + static_cast<unsigned>(rng.next_below(8));
+      for (unsigned f = 0; f < flips; ++f) {
+        const std::size_t bit = rng.next_below(flipped.size() * 8);
+        flipped[bit / 8] ^= static_cast<Byte>(1u << (bit % 8));
+      }
+      decode_or_error(*codec, flipped, limit, frame_bytes);
+    }
+    // Every cut inside the header, then seeded cuts through the body.
+    for (std::size_t cut = 0; cut < 16 && cut < compressed.size(); ++cut)
+      decode_or_error(*codec, ByteSpan(compressed).first(cut), limit,
+                      frame_bytes);
+    for (int trial = 0; trial < 100; ++trial) {
+      const std::size_t cut = rng.next_below(compressed.size());
+      decode_or_error(*codec, ByteSpan(compressed).first(cut), limit,
+                      1 + rng.next_below(2 * frame_bytes));
+    }
+  }
+}
+
+std::vector<std::vector<fabric::Word>> snapshot(const fabric::Fabric& fabric) {
+  std::vector<std::vector<fabric::Word>> frames;
+  for (fabric::FrameIndex f = 0; f < fabric.geometry().frame_count; ++f) {
+    const auto words = fabric.memory().read_frame(f);
+    frames.emplace_back(words.begin(), words.end());
+  }
+  return frames;
+}
+
+std::vector<std::uint64_t> hashes(const mcu::ConfigEngine& engine,
+                                  const fabric::FrameGeometry& geometry) {
+  std::vector<std::uint64_t> out;
+  for (fabric::FrameIndex f = 0; f < geometry.frame_count; ++f)
+    out.push_back(engine.frame_hash(f));
+  return out;
+}
+
+TEST(CorruptStreamSweep, ConfigureRejectsCorruptPayloadWithoutSideEffects) {
+  fabric::Fabric fabric;
+  const auto& geometry = fabric.geometry();
+  const Bytes raw = catalog_image(geometry);
+  const auto frames =
+      static_cast<unsigned>(raw.size() / geometry.frame_bytes());
+  memory::RomImage rom(1u << 20);
+  mcu::ConfigEngineConfig config;
+  config.delta_reconfig = true;  // so the frame-hash tracker is live
+  mcu::ConfigEngine engine(config);
+  const memory::RomTiming timing;
+
+  memory::FunctionId next_id = 1;
+  for (const CodecId id : compress::all_codec_ids()) {
+    SCOPED_TRACE(compress::to_string(id));
+    const Bytes compressed =
+        compress::make_codec(id, geometry.frame_bytes())->compress(raw);
+    memory::RomRecord record;
+    record.function_id = next_id++;
+    record.name = "sweep";
+    record.codec = id;
+    record.raw_size = static_cast<std::uint32_t>(raw.size());
+    record.frames = static_cast<std::uint16_t>(frames);
+    record.clb_rows = geometry.clb_rows;
+    record = rom.store(record, compressed);
+
+    // Each codec's image goes to its own frames, loaded once cleanly so the
+    // fabric and the tracker hold state a bad load could damage.
+    std::vector<fabric::FrameIndex> targets;
+    for (unsigned w = 0; w < frames; ++w)
+      targets.push_back(
+          static_cast<fabric::FrameIndex>((record.function_id * frames + w) %
+                                          geometry.frame_count));
+    engine.configure(rom, record, targets, fabric, timing, nullptr,
+                     sim::SimTime::zero());
+    const auto frames_before = snapshot(fabric);
+    const auto hashes_before = hashes(engine, geometry);
+
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      const unsigned flips = 1 + static_cast<unsigned>(seed % 8);
+      ASSERT_TRUE(rom.corrupt_payload(record.function_id, seed, flips));
+      const ByteSpan stored = rom.payload(record);
+      if (std::equal(stored.begin(), stored.end(), compressed.begin()))
+        continue;  // the flips cancelled out
+      try {
+        engine.configure(rom, record, targets, fabric, timing, nullptr,
+                         sim::SimTime::zero());
+        ADD_FAILURE() << "seed " << seed << " loaded a corrupt payload";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kCorruptData) << "seed " << seed;
+      }
+      EXPECT_EQ(snapshot(fabric), frames_before) << "seed " << seed;
+      EXPECT_EQ(hashes(engine, geometry), hashes_before) << "seed " << seed;
+      rom.rewrite_payload(record.function_id, compressed);
+    }
+  }
+}
+
+}  // namespace
+}  // namespace aad

@@ -440,6 +440,30 @@ TEST(CoprocessorFleetTest, SubmitInThePastThrows) {
       Error);
 }
 
+TEST(CoprocessorFleetTest, UnknownFunctionThrowsAtSubmit) {
+  FleetConfig fc;
+  fc.cards = 2;
+  CoprocessorFleet fleet(fc);
+  fleet.download_all();
+  const auto fn = algorithms::function_id(KernelId::kXtea);
+  const std::uint64_t first = fleet.submit(0, KernelId::kXtea,
+                                           request_input(fn, 1, 1));
+  const std::size_t pending = fleet.sim_pending();
+  const std::uint64_t in_flight = fleet.in_flight();
+  try {
+    fleet.submit_function(0, 9999, request_input(fn, 1, 2));
+    FAIL() << "expected NotFound";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kNotFound);
+  }
+  EXPECT_EQ(fleet.sim_pending(), pending);
+  EXPECT_EQ(fleet.in_flight(), in_flight);
+  EXPECT_EQ(fleet.submit(0, KernelId::kXtea, request_input(fn, 1, 3)),
+            first + 1);
+  fleet.run();
+  EXPECT_EQ(fleet.stats().completed, 2u);
+}
+
 TEST(CoprocessorFleetTest, ZeroCardsThrows) {
   FleetConfig fc;
   fc.cards = 0;

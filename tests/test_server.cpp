@@ -565,5 +565,29 @@ TEST(CoprocessorServerTest, SubmitInThePastThrows) {
                Error);
 }
 
+TEST(CoprocessorServerTest, UnknownFunctionThrowsAtSubmit) {
+  AgileCoprocessor card;
+  card.download_all();
+  CoprocessorServer server(card);
+  const std::uint64_t first =
+      server.submit(0, KernelId::kXtea, kernel_input(KernelId::kXtea, 1, 1));
+  const std::size_t pending = card.scheduler().pending();
+  try {
+    server.submit_function_at(server.now(), 0, 9999,
+                              kernel_input(KernelId::kXtea, 1, 2));
+    FAIL() << "expected NotFound";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kNotFound);
+  }
+  EXPECT_EQ(card.scheduler().pending(), pending);
+  EXPECT_EQ(server.in_flight(), 1u);
+  EXPECT_EQ(server.submit(0, KernelId::kXtea,
+                          kernel_input(KernelId::kXtea, 1, 3)),
+            first + 1);
+  server.run();
+  EXPECT_EQ(server.stats().completed, 2u);
+  EXPECT_EQ(server.stats().submitted, 2u);
+}
+
 }  // namespace
 }  // namespace aad::core
