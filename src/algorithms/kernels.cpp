@@ -665,17 +665,15 @@ std::vector<KernelSpec> build_catalog() {
 
 mcu::HardwareResult crc32_driver(netlist::LutExecutor& executor,
                                  ByteSpan input) {
-  std::vector<bool> bus(9, false);
+  Byte bus[2] = {0, 1};  // byte[8] + valid[1]
   for (Byte byte : input) {
-    for (unsigned i = 0; i < 8; ++i) bus[i] = (byte >> i) & 1u;
-    bus[8] = true;  // valid
-    executor.step(bus);
+    bus[0] = byte;
+    executor.step(bus, {});
   }
-  std::fill(bus.begin(), bus.end(), false);  // drain cycle, valid = 0
-  const auto out_bits = executor.step(bus);
-  return mcu::HardwareResult{
-      mcu::bits_to_bytes(out_bits),
-      static_cast<std::int64_t>(input.size()) + 1};
+  mcu::HardwareResult hw{Bytes(executor.output_bytes()),
+                         static_cast<std::int64_t>(input.size()) + 1};
+  executor.step({}, hw.output);  // drain cycle, valid = 0
+  return hw;
 }
 
 mcu::HardwareResult lfsr32_driver(netlist::LutExecutor& executor,
@@ -684,18 +682,13 @@ mcu::HardwareResult lfsr32_driver(netlist::LutExecutor& executor,
   const std::uint32_t steps = load_le32(input, 4);
   AAD_REQUIRE(steps <= 1u << 16, "lfsr32 steps capped at 65536");
 
-  std::vector<bool> bus(33, false);
-  for (unsigned i = 0; i < 32; ++i)
-    bus[i] = (input[i / 8] >> (i % 8)) & 1u;
-  bus[32] = true;  // load
-  executor.step(bus);
-
-  std::fill(bus.begin(), bus.end(), false);
-  for (std::uint32_t i = 0; i < steps; ++i) executor.step(bus);
-  const auto out_bits = executor.step(bus);  // pre-latch read
-  return mcu::HardwareResult{
-      mcu::bits_to_bytes(out_bits),
-      static_cast<std::int64_t>(steps) + 2};
+  const Byte load[5] = {input[0], input[1], input[2], input[3], 1};
+  executor.step(load, {});  // init[32] + load[1]
+  for (std::uint32_t i = 0; i < steps; ++i) executor.step({}, {});
+  mcu::HardwareResult hw{Bytes(executor.output_bytes()),
+                         static_cast<std::int64_t>(steps) + 2};
+  executor.step({}, hw.output);  // pre-latch read
+  return hw;
 }
 
 }  // namespace

@@ -300,7 +300,6 @@ DefragResult Mcu::defragment_at(sim::SimTime start) {
     counters_.bytes_streamed.add(cfg.bytes_streamed);
 
     fn.frames = target;
-    fn.network.reset();
     fn.executor.reset();
     table_.at(id).frames = target;
     ++result.functions_moved;
@@ -584,12 +583,10 @@ LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
 }
 
 netlist::LutExecutor& Mcu::executor_for(LoadedFunction& fn) {
-  if (!fn.executor) {
-    fn.network = std::make_unique<netlist::LutNetwork>(fabric_.extract_network(
-        fn.frames, fn.record.name, fn.record.input_width,
-        fn.record.output_width));
-    fn.executor = std::make_unique<netlist::LutExecutor>(*fn.network);
-  }
+  if (!fn.executor)
+    fn.executor.emplace(fabric_.extract_network(fn.frames, fn.record.name,
+                                                fn.record.input_width,
+                                                fn.record.output_width));
   return *fn.executor;
 }
 
@@ -638,12 +635,10 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input,
   if (fn.record.kind == bitstream::FunctionKind::kNetlist) {
     auto& executor = executor_for(fn);
     executor.reset();
-    if (runtime_.has_netlist_driver(fn.record.kernel_id)) {
-      hw = runtime_.netlist_driver(fn.record.kernel_id)(executor, input);
-    } else {
-      hw = RuntimeRegistry::run_combinational(
-          executor, input, fn.record.input_width, fn.record.output_width);
-    }
+    const NetlistDriver* driver =
+        runtime_.find_netlist_driver(fn.record.kernel_id);
+    hw = driver ? (*driver)(executor, input)
+                : RuntimeRegistry::run_combinational(executor, input);
   } else {
     const BehavioralModel& model = runtime_.behavioral(fn.record.kernel_id);
     hw.output = model.compute(input);

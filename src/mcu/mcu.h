@@ -324,10 +324,9 @@ class Mcu {
   struct LoadedFunction {
     memory::RomRecord record;
     std::vector<fabric::FrameIndex> frames;
-    // Netlist functions: the executable network, rebuilt from the
+    // Netlist functions: the compiled network, re-extracted from the
     // configuration plane on first use after (re)configuration.
-    std::unique_ptr<netlist::LutNetwork> network;
-    std::unique_ptr<netlist::LutExecutor> executor;
+    std::optional<netlist::LutExecutor> executor;
   };
 
   /// Placement prediction under delta reconfiguration: either the frames

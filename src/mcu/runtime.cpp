@@ -21,16 +21,10 @@ void RuntimeRegistry::register_behavioral(std::uint32_t kernel_id,
   AAD_REQUIRE(inserted, "behavioral model already registered");
 }
 
-bool RuntimeRegistry::has_netlist_driver(std::uint32_t kernel_id) const {
-  return netlist_.contains(kernel_id);
-}
-
-const NetlistDriver& RuntimeRegistry::netlist_driver(
+const NetlistDriver* RuntimeRegistry::find_netlist_driver(
     std::uint32_t kernel_id) const {
   const auto it = netlist_.find(kernel_id);
-  AAD_REQUIRE(it != netlist_.end(),
-              "no netlist driver for kernel " + std::to_string(kernel_id));
-  return it->second;
+  return it == netlist_.end() ? nullptr : &it->second;
 }
 
 const BehavioralModel& RuntimeRegistry::behavioral(
@@ -41,31 +35,11 @@ const BehavioralModel& RuntimeRegistry::behavioral(
   return it->second;
 }
 
-std::vector<bool> bytes_to_bits(ByteSpan bytes, std::size_t bit_count) {
-  std::vector<bool> bits(bit_count, false);
-  for (std::size_t i = 0; i < bit_count; ++i) {
-    const std::size_t byte = i / 8;
-    if (byte < bytes.size()) bits[i] = (bytes[byte] >> (i % 8)) & 1u;
-  }
-  return bits;
-}
-
-Bytes bits_to_bytes(const std::vector<bool>& bits) {
-  Bytes out((bits.size() + 7) / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i)
-    if (bits[i]) out[i / 8] = static_cast<Byte>(out[i / 8] | (1u << (i % 8)));
-  return out;
-}
-
 HardwareResult RuntimeRegistry::run_combinational(
-    netlist::LutExecutor& executor, ByteSpan input, std::size_t input_width,
-    std::size_t output_width) {
-  AAD_REQUIRE(input.size() * 8 <= ((input_width + 7) / 8) * 8,
-              "input larger than the function's input bus");
-  const auto in_bits = bytes_to_bits(input, input_width);
-  const auto out_bits = executor.step(in_bits);
-  AAD_CHECK(out_bits.size() == output_width, "output bus width drifted");
-  return HardwareResult{bits_to_bytes(out_bits), 1};
+    netlist::LutExecutor& executor, ByteSpan input) {
+  HardwareResult hw{Bytes(executor.output_bytes()), 1};
+  executor.step(input, hw.output);
+  return hw;
 }
 
 }  // namespace aad::mcu

@@ -1,8 +1,12 @@
 // Function runtime registry: how the microcontroller turns input bytes into
 // output bytes once a function is resident on the fabric.
 //
-// Netlist functions execute *from the configuration plane*: the MCU extracts
-// the LUT network out of the configured frames and steps it.  A per-kernel
+// Netlist functions execute *from the configuration plane*: after every
+// (re)configuration the MCU extracts the LUT network out of the configured
+// frames and compiles it into a netlist::LutExecutor, which it then steps.
+// Buses cross that boundary packed: input bus bit i is bit i % 8 of byte
+// i / 8 (LSB-first, short inputs zero-padded), and the output bus comes back
+// as ceil(output_width / 8) bytes framed the same way.  A per-kernel
 // NetlistDriver describes the data framing (how bytes map to input-bus beats
 // and output bits back to bytes); kernels without a registered driver get
 // the default single-shot combinational contract.
@@ -44,25 +48,20 @@ class RuntimeRegistry {
   void register_netlist_driver(std::uint32_t kernel_id, NetlistDriver driver);
   void register_behavioral(std::uint32_t kernel_id, BehavioralModel model);
 
-  bool has_netlist_driver(std::uint32_t kernel_id) const;
-  const NetlistDriver& netlist_driver(std::uint32_t kernel_id) const;
+  /// The kernel's custom driver, or nullptr when it runs the default
+  /// combinational contract.
+  const NetlistDriver* find_netlist_driver(std::uint32_t kernel_id) const;
   const BehavioralModel& behavioral(std::uint32_t kernel_id) const;
 
-  /// Default framing for unregistered netlist kernels: pack the input bytes
-  /// onto the input bus LSB-first (zero-padded), run a single combinational
-  /// step, and pack the output bus back into ceil(output_width/8) bytes.
+  /// Default framing for unregistered netlist kernels: the input bytes are
+  /// the packed input bus (zero-padded; more bytes than the bus holds is an
+  /// error), one combinational step, and the packed output bus back.
   static HardwareResult run_combinational(netlist::LutExecutor& executor,
-                                          ByteSpan input,
-                                          std::size_t input_width,
-                                          std::size_t output_width);
+                                          ByteSpan input);
 
  private:
   std::map<std::uint32_t, NetlistDriver> netlist_;
   std::map<std::uint32_t, BehavioralModel> behavioral_;
 };
-
-/// Bit packing helpers shared by drivers (LSB-first within each byte).
-std::vector<bool> bytes_to_bits(ByteSpan bytes, std::size_t bit_count);
-Bytes bits_to_bytes(const std::vector<bool>& bits);
 
 }  // namespace aad::mcu

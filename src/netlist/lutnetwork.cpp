@@ -60,70 +60,119 @@ void LutNetwork::validate() const {
 }
 
 LutExecutor::LutExecutor(const LutNetwork& network)
-    : network_(network),
-      comb_(network.slots().size(), false),
-      regs_(network.slots().size(), false) {
+    : input_width_(network.input_width()),
+      output_width_(network.output_width()) {
   network.validate();
+  const auto& slots = network.slots();
+  const std::size_t ff_count = network.ff_count();
+  const std::size_t nets =
+      kFirstInput + input_width_ + slots.size() + ff_count;
+  AAD_REQUIRE(nets <= UINT32_MAX, "network too large to compile");
+  comb_base_ = static_cast<Net>(kFirstInput + input_width_);
+  q_base_ = static_cast<Net>(comb_base_ + slots.size());
+
+  // Slot -> its Q net; FF slots take consecutive Qs in slot order.
+  std::vector<Net> q_of(slots.size(), kConst0);
+  ff_slots_.reserve(ff_count);
+  for (std::uint32_t i = 0; i < slots.size(); ++i) {
+    if (!slots[i].has_ff) continue;
+    q_of[i] = static_cast<Net>(q_base_ + ff_slots_.size());
+    ff_slots_.push_back(i);
+  }
+
+  // validate() has bounded every index, so each net lands in the array.
+  const auto net_of = [&](const NetRef& ref) -> Net {
+    switch (ref.kind) {
+      case NetKind::kUnused:
+      case NetKind::kConst0:
+        return kConst0;
+      case NetKind::kConst1:
+        return kConst1;
+      case NetKind::kPrimary:
+        return kFirstInput + ref.index;
+      case NetKind::kLutComb:
+        return comb_base_ + ref.index;
+      case NetKind::kLutReg:
+        return q_of[ref.index];
+    }
+    AAD_FAIL(ErrorCode::kCorruptData, "invalid pin selector kind");
+  };
+  ops_.reserve(slots.size());
+  outputs_.assign(output_width_, kConst0);
+  for (std::uint32_t i = 0; i < slots.size(); ++i) {
+    const LutSlot& s = slots[i];
+    Op op;
+    op.truth = s.truth;
+    for (unsigned p = 0; p < 4; ++p) op.pin[p] = net_of(s.pins[p]);
+    ops_.push_back(op);
+    if (s.is_output)
+      outputs_[s.output_bit] = s.has_ff ? q_of[i] : comb_base_ + i;
+  }
+  state_.assign(nets, 0);
+  state_[kConst1] = 1;
+  next_q_.assign(ff_count, 0);
 }
 
 void LutExecutor::reset() {
-  std::fill(comb_.begin(), comb_.end(), false);
-  std::fill(regs_.begin(), regs_.end(), false);
+  std::fill(state_.begin(), state_.end(), 0);
+  state_[kConst1] = 1;
   cycles_ = 0;
 }
 
-bool LutExecutor::resolve(const NetRef& ref,
-                          const std::vector<bool>& inputs) const {
-  switch (ref.kind) {
-    case NetKind::kUnused:
-    case NetKind::kConst0:
-      return false;
-    case NetKind::kConst1:
-      return true;
-    case NetKind::kPrimary:
-      return inputs[ref.index];
-    case NetKind::kLutComb:
-      return comb_[ref.index];
-    case NetKind::kLutReg:
-      return regs_[ref.index];
+void LutExecutor::settle() noexcept {
+  const State state(state_);
+  const std::span<const Op> ops(ops_);
+  const State comb = state.subspan(comb_base_, ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) comb[i] = eval(ops[i], state);
+}
+
+// FF slots re-evaluate their LUT post-settle (legalizes forward D-path
+// references); every FF reads the pre-latch Qs, then all latch at once.
+void LutExecutor::latch() noexcept {
+  const State state(state_);
+  const std::span<const Op> ops(ops_);
+  const std::span<const std::uint32_t> ff_slots(ff_slots_);
+  const State next_q(next_q_);
+  for (std::size_t k = 0; k < ff_slots.size(); ++k)
+    next_q[k] = eval(ops[ff_slots[k]], state);
+  std::copy(next_q.begin(), next_q.end(),
+            state.subspan(q_base_, next_q.size()).begin());
+  ++cycles_;
+}
+
+void LutExecutor::step(ByteSpan in, std::span<Byte> out) {
+  AAD_REQUIRE(in.size() <= input_bytes(),
+              "input larger than the function's input bus");
+  AAD_REQUIRE(out.empty() || out.size() == output_bytes(),
+              "output buffer does not match the output bus");
+  const State state(state_);
+  const State primary = state.subspan(kFirstInput, input_width_);
+  for (std::size_t i = 0; i < input_width_; ++i) {
+    const std::size_t byte = i / 8;
+    primary[i] = byte < in.size()
+                     ? static_cast<std::uint8_t>((in[byte] >> (i % 8)) & 1u)
+                     : 0;
   }
-  return false;
+  settle();
+  if (!out.empty()) {
+    std::fill(out.begin(), out.end(), 0);
+    const std::span<const Net> outputs(outputs_);
+    for (std::size_t b = 0; b < outputs.size(); ++b)
+      out[b / 8] =
+          static_cast<Byte>(out[b / 8] | (state[outputs[b]] << (b % 8)));
+  }
+  latch();
 }
 
 std::vector<bool> LutExecutor::step(const std::vector<bool>& inputs) {
-  AAD_REQUIRE(inputs.size() == network_.input_width(),
-              "executor input width mismatch");
-  const auto& slots = network_.slots();
-
-  // Phase 1: combinational settle in slot order.
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    const LutSlot& s = slots[i];
-    comb_[i] = eval_truth(s.truth, resolve(s.pins[0], inputs),
-                          resolve(s.pins[1], inputs),
-                          resolve(s.pins[2], inputs),
-                          resolve(s.pins[3], inputs));
-  }
-  // Phase 2: sample the output bus *pre-latch* — registered outputs read the
-  // current state, matching the gate-level Simulator's semantics.
-  std::vector<bool> outputs(network_.output_width(), false);
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    const LutSlot& s = slots[i];
-    if (s.is_output) outputs[s.output_bit] = s.has_ff ? regs_[i] : comb_[i];
-  }
-
-  // Phase 3: FF slots re-evaluate their LUT post-settle (legalizes forward
-  // D-path references) and latch.
-  std::vector<bool> next_regs = regs_;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    const LutSlot& s = slots[i];
-    if (!s.has_ff) continue;
-    next_regs[i] = eval_truth(s.truth, resolve(s.pins[0], inputs),
-                              resolve(s.pins[1], inputs),
-                              resolve(s.pins[2], inputs),
-                              resolve(s.pins[3], inputs));
-  }
-  regs_.swap(next_regs);
-  ++cycles_;
+  AAD_REQUIRE(inputs.size() == input_width_, "executor input width mismatch");
+  for (std::size_t i = 0; i < input_width_; ++i)
+    state_[kFirstInput + i] = inputs[i] ? 1 : 0;
+  settle();
+  std::vector<bool> outputs(output_width_);
+  for (std::size_t b = 0; b < output_width_; ++b)
+    outputs[b] = state_[outputs_[b]] != 0;
+  latch();
   return outputs;
 }
 

@@ -14,9 +14,11 @@
 
 #include <cstdint>
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/bytebuffer.h"
 #include "common/error.h"
 
 namespace aad::netlist {
@@ -48,11 +50,7 @@ struct LutSlot {
   bool operator==(const LutSlot&) const = default;
 };
 
-/// Executable LUT4 network with a defined cycle semantics:
-///   step(): settle combinational slots in slot order, sample outputs
-///   (registered outputs read the *current* state, i.e. pre-latch), then
-///   latch all FFs.  Sequential kernels therefore expose a `valid` enable
-///   and the host samples results on the cycle after the last data beat.
+/// LUT4 network with a defined cycle semantics; LutExecutor runs it.
 class LutNetwork {
  public:
   LutNetwork() = default;
@@ -88,23 +86,81 @@ class LutNetwork {
   std::vector<LutSlot> slots_;
 };
 
-/// Cycle-accurate executor for a LutNetwork.
+/// Cycle-accurate executor for a LutNetwork, compiled once at construction.
+///
+/// The constructor validates the network and lowers it to a flat program
+/// over one byte-per-net state array laid out as
+///   [const0, const1, primary inputs..., slot comb outputs..., slot FF Qs...]
+/// (one Q per FF slot, in slot order).  Each slot becomes one op — its truth
+/// table plus four pin indices into that array; unused pins read const0.
+/// The output bus is a precomputed list of net indices (registered outputs
+/// point at the Q net), and the FF slots are a precomputed list with one
+/// next-state buffer allocated up front.  A cycle therefore resolves no
+/// NetKind and allocates nothing.  The executor owns its program: the
+/// network it was built from may go away.
+///
+/// Cycle semantics: settle every slot in slot order, sample the outputs
+/// *pre-latch* (registered outputs read the current Q), then re-evaluate
+/// the FF slots post-settle and latch them all at once.  Sequential kernels
+/// therefore expose a `valid` enable and the host samples results on the
+/// cycle after the last data beat.
 class LutExecutor {
  public:
   explicit LutExecutor(const LutNetwork& network);
 
-  /// One clock cycle; returns the output bus.
+  /// Bytes that hold the input / output bus packed LSB-first.
+  std::size_t input_bytes() const noexcept { return (input_width_ + 7) / 8; }
+  std::size_t output_bytes() const noexcept { return (output_width_ + 7) / 8; }
+
+  /// One clock cycle on packed buses.  Input bus bit i is bit i % 8 of
+  /// in[i / 8] (LSB-first); `in` may be shorter than input_bytes() — the
+  /// missing bytes read as zero — and bits past the input bus are ignored.
+  /// An empty `out` skips sampling; otherwise it must hold exactly
+  /// output_bytes() bytes and receives the output bus packed the same way,
+  /// padding bits zero.
+  void step(ByteSpan in, std::span<Byte> out);
+
+  /// One clock cycle on unpacked buses (one bool per bus bit in and out): an
+  /// adapter over the same evaluator for gate-level tests.
   std::vector<bool> step(const std::vector<bool>& inputs);
+
+  /// Clear every input, comb output and FF, and the cycle count.
   void reset();
 
   std::size_t cycle_count() const noexcept { return cycles_; }
 
  private:
-  bool resolve(const NetRef& ref, const std::vector<bool>& inputs) const;
+  using Net = std::uint32_t;
+  static constexpr Net kConst0 = 0;
+  static constexpr Net kConst1 = 1;
+  static constexpr Net kFirstInput = 2;
 
-  const LutNetwork& network_;
-  std::vector<bool> comb_;  // per-slot settled LUT output
-  std::vector<bool> regs_;  // per-slot FF state (unused when !has_ff)
+  struct Op {
+    std::uint16_t truth = 0;
+    Net pin[4] = {};
+  };
+
+  // The cycle loops index the state through a local span, not the vector:
+  // a byte store may alias the vector's own pointers, which would force a
+  // reload per access.  Under _GLIBCXX_ASSERTIONS span indexing is checked.
+  using State = std::span<std::uint8_t>;
+  static std::uint8_t eval(const Op& op, State state) noexcept {
+    const unsigned idx = state[op.pin[0]] | (state[op.pin[1]] << 1) |
+                         (state[op.pin[2]] << 2) | (state[op.pin[3]] << 3);
+    return static_cast<std::uint8_t>((op.truth >> idx) & 1u);
+  }
+  void settle() noexcept;
+  void latch() noexcept;
+
+  std::size_t input_width_ = 0;
+  std::size_t output_width_ = 0;
+  Net comb_base_ = 0;         ///< state index of slot 0's comb output
+  Net q_base_ = 0;            ///< state index of the first FF's Q
+  std::vector<Op> ops_;       ///< one per slot, in slot order
+  std::vector<Net> outputs_;  ///< output bus bit -> net
+  std::vector<std::uint32_t> ff_slots_;  ///< slots with an FF, in order
+  std::vector<std::uint8_t> state_;      ///< one 0/1 byte per net
+  std::vector<std::uint8_t> next_q_;     ///< post-settle FF inputs
   std::size_t cycles_ = 0;
 };
 

@@ -1,12 +1,16 @@
 // Corrupted-stream sweep: seeded bit flips and truncations of a catalog
 // bitstream's compressed stream, fed to every codec's streaming decoder and
-// to the configuration engine.  A corrupt input must end in a clean finish
-// or an aad::Error — never in undefined behaviour, which the sanitizer
-// build of this suite turns into a failure — and a load of a corrupted ROM
-// payload must be rejected before it touches the fabric.
+// to the configuration engine; bit flips in a configured netlist kernel's
+// frames, fed to network extraction and the executor's compiler; and bit
+// flips and wrong-size slices of a serialized ROM record, fed to
+// memory::parse_record.  A corrupt input must end in a clean finish or an
+// aad::Error — never in undefined behaviour, which the sanitizer build of
+// this suite turns into a failure — and a load of a corrupted ROM payload
+// must be rejected before it touches the fabric.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "algorithms/kernels.h"
@@ -16,6 +20,7 @@
 #include "fabric/fabric.h"
 #include "mcu/config_engine.h"
 #include "memory/rom.h"
+#include "netlist/lutnetwork.h"
 
 namespace aad {
 namespace {
@@ -163,6 +168,140 @@ TEST(CorruptStreamSweep, ConfigureRejectsCorruptPayloadWithoutSideEffects) {
       EXPECT_EQ(snapshot(fabric), frames_before) << "seed " << seed;
       EXPECT_EQ(hashes(engine, geometry), hashes_before) << "seed " << seed;
       rom.rewrite_payload(record.function_id, compressed);
+    }
+  }
+}
+
+// Extract and compile the function from the configuration plane, then clock
+// the result twice: a network that compiles must only ever index its own
+// state array (the sanitizer build checks every access).  Returns whether
+// it compiled.
+bool extract_or_error(const fabric::Fabric& fabric,
+                      std::span<const fabric::FrameIndex> frames,
+                      const algorithms::KernelSpec& spec) {
+  try {
+    netlist::LutExecutor executor(fabric.extract_network(
+        frames, spec.name, spec.input_width, spec.output_width));
+    const Bytes in(executor.input_bytes(), 0xA5);
+    Bytes out(executor.output_bytes());
+    executor.step(in, out);
+    executor.step(in, out);
+    return true;
+  } catch (const Error&) {
+    return false;
+  }
+}
+
+TEST(CorruptFrameSweep, ExtractAndCompileFinishOrThrow) {
+  const auto& spec = algorithms::spec(algorithms::KernelId::kCrc32);
+  fabric::Fabric fabric;
+  const auto bs = spec.make_bitstream(fabric.geometry());
+  ASSERT_GE(bs.frames.size(), 2u);
+  std::vector<fabric::FrameIndex> frames;
+  for (std::size_t i = 0; i < bs.frames.size(); ++i) {
+    frames.push_back(static_cast<fabric::FrameIndex>(3 + 5 * i));
+    fabric.configure_frame(frames.back(), bs.frames[i]);
+  }
+  ASSERT_TRUE(extract_or_error(fabric, frames, spec));  // pristine load
+
+  // Every single-bit flip of the first frame (LUT truth tables, flags,
+  // output bindings, pin selectors and switch words alike).
+  // Truth-table flips leave the network well-formed, so some compile.
+  const std::vector<fabric::Word>& first = bs.frames[0];
+  std::size_t compiled = 0;
+  for (std::size_t bit = 0; bit < first.size() * 32; ++bit) {
+    std::vector<fabric::Word> flipped = first;
+    flipped[bit / 32] ^= fabric::Word{1} << (bit % 32);
+    fabric.configure_frame(frames[0], flipped);
+    compiled += extract_or_error(fabric, frames, spec) ? 1 : 0;
+  }
+  EXPECT_GT(compiled, 0u);
+  fabric.configure_frame(frames[0], first);
+
+  // Seeded multi-bit flips spread over every frame of the function.
+  Prng rng(0xF7A3E);
+  for (int trial = 0; trial < 200; ++trial) {
+    auto payloads = bs.frames;
+    const unsigned flips = 2 + static_cast<unsigned>(rng.next_below(7));
+    for (unsigned f = 0; f < flips; ++f) {
+      auto& frame = payloads[rng.next_below(payloads.size())];
+      const std::size_t bit = rng.next_below(frame.size() * 32);
+      frame[bit / 32] ^= fabric::Word{1} << (bit % 32);
+    }
+    for (std::size_t i = 0; i < frames.size(); ++i)
+      fabric.configure_frame(frames[i], payloads[i]);
+    extract_or_error(fabric, frames, spec);
+  }
+}
+
+std::vector<memory::RomRecord> sample_records() {
+  std::vector<memory::RomRecord> records;
+  std::uint32_t start = 0;
+  for (const algorithms::KernelSpec& spec : algorithms::catalog()) {
+    memory::RomRecord r;
+    r.function_id = algorithms::function_id(spec.id);
+    r.name = spec.name;
+    r.kind = spec.kind;
+    r.codec = compress::CodecId::kFrameDelta;
+    r.start = start;
+    r.compressed_size = 1000 + 37 * r.function_id;
+    r.raw_size = 6144 * spec.nominal_frames;
+    r.frames = static_cast<std::uint16_t>(spec.nominal_frames);
+    r.clb_rows = 16;
+    r.input_width = spec.input_width;
+    r.output_width = spec.output_width;
+    r.kernel_id = r.function_id;
+    r.payload_crc = 0x9E3779B9u * r.function_id;
+    start += r.compressed_size;
+    records.push_back(r);
+  }
+  return records;
+}
+
+TEST(CorruptRecordSweep, EverySingleBitFlipIsCaught) {
+  for (const memory::RomRecord& record : sample_records()) {
+    SCOPED_TRACE(record.name);
+    const Bytes slot = memory::serialize_record(record);
+    ASSERT_EQ(slot.size(), memory::kRecordBytes);
+    ASSERT_EQ(memory::parse_record(slot), record);
+    for (std::size_t bit = 0; bit < slot.size() * 8; ++bit) {
+      Bytes flipped = slot;
+      flipped[bit / 8] ^= static_cast<Byte>(1u << (bit % 8));
+      try {
+        memory::parse_record(flipped);
+        ADD_FAILURE() << "bit " << bit << " flip parsed";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kCorruptData) << "bit " << bit;
+      }
+    }
+  }
+}
+
+TEST(CorruptRecordSweep, WrongSizeSlicesThrow) {
+  const Bytes slot = memory::serialize_record(sample_records().front());
+  Bytes doubled = slot;
+  doubled.insert(doubled.end(), slot.begin(), slot.end());
+  for (std::size_t size = 0; size <= doubled.size(); ++size) {
+    if (size == memory::kRecordBytes) continue;
+    EXPECT_THROW(memory::parse_record(ByteSpan(doubled).first(size)), Error)
+        << "size " << size;
+  }
+}
+
+TEST(CorruptRecordSweep, MultiBitFlipsFinishOrThrow) {
+  const auto records = sample_records();
+  Prng rng(0x2EC0D);
+  for (int trial = 0; trial < 400; ++trial) {
+    Bytes slot =
+        memory::serialize_record(records[rng.next_below(records.size())]);
+    const unsigned flips = 2 + static_cast<unsigned>(rng.next_below(15));
+    for (unsigned f = 0; f < flips; ++f) {
+      const std::size_t bit = rng.next_below(slot.size() * 8);
+      slot[bit / 8] ^= static_cast<Byte>(1u << (bit % 8));
+    }
+    try {
+      memory::parse_record(slot);
+    } catch (const Error&) {
     }
   }
 }

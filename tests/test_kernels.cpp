@@ -113,9 +113,12 @@ TEST(CatalogTest, BehavioralStreamsLookRealistic) {
 TEST(RuntimeRegistryTest, RegistersWithoutDuplicates) {
   mcu::RuntimeRegistry registry;
   register_runtimes(registry);
-  EXPECT_TRUE(registry.has_netlist_driver(function_id(KernelId::kCrc32)));
-  EXPECT_TRUE(registry.has_netlist_driver(function_id(KernelId::kLfsr32)));
-  EXPECT_FALSE(registry.has_netlist_driver(function_id(KernelId::kAdder32)));
+  EXPECT_NE(registry.find_netlist_driver(function_id(KernelId::kCrc32)),
+            nullptr);
+  EXPECT_NE(registry.find_netlist_driver(function_id(KernelId::kLfsr32)),
+            nullptr);
+  EXPECT_EQ(registry.find_netlist_driver(function_id(KernelId::kAdder32)),
+            nullptr);
   EXPECT_NO_THROW(registry.behavioral(function_id(KernelId::kAes128)));
   EXPECT_THROW(registry.behavioral(function_id(KernelId::kAdder32)), Error);
   // Double registration is a programming error.
