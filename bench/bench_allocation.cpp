@@ -150,26 +150,6 @@ void fragmentation_microbench() {
   }
 }
 
-void BM_AllocateRelease(benchmark::State& state) {
-  const auto strategy = static_cast<mcu::AllocationStrategy>(state.range(0));
-  mcu::FreeFrameList ffl(48);
-  Prng rng(1);
-  std::vector<std::vector<fabric::FrameIndex>> held;
-  for (auto _ : state) {
-    if (rng.next_bool(0.5) || held.empty()) {
-      auto got = ffl.allocate(1 + static_cast<unsigned>(rng.next_below(8)),
-                              strategy);
-      if (got) held.push_back(std::move(*got));
-    } else {
-      ffl.release(held.back());
-      held.pop_back();
-    }
-    benchmark::DoNotOptimize(ffl.free_count());
-  }
-  state.SetLabel(to_string(strategy));
-}
-BENCHMARK(BM_AllocateRelease)->DenseRange(0, 2);
-
 }  // namespace
 
 void run_experiment() {

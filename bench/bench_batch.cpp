@@ -312,35 +312,6 @@ void fleet_composition() {
   }
 }
 
-void BM_BatchedBurstyPipeline(benchmark::State& state) {
-  // Simulator wall-clock cost per request with greedy batching on the
-  // bursty trace (batch formation is on the hot path of every pump).
-  workload::BurstyConfig bc;
-  bc.clients = 4;
-  bc.bursts = 4;
-  bc.burst_size = 8;
-  bc.functions = algorithms::function_bank();
-  bc.seed = 3;
-  bc.payload_blocks = 8;
-  const auto trace = workload::make_bursty(bc);
-  for (auto _ : state) {
-    state.PauseTiming();
-    core::AgileCoprocessor card;
-    card.download_all();
-    state.ResumeTiming();
-    core::ServerConfig sc;
-    sc.batch.mode = core::BatchMode::kGreedy;
-    core::CoprocessorServer server(card, sc);
-    workload::replay(server, trace, request_input);
-    server.run();
-    benchmark::DoNotOptimize(server.stats().completed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.total_requests()));
-  state.SetLabel("requests through the batching device stage");
-}
-BENCHMARK(BM_BatchedBurstyPipeline)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 void run_experiment() {

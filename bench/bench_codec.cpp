@@ -393,32 +393,6 @@ void fleet_cost_routing() {
   }
 }
 
-// Wall-clock cost of the simulator under delta tracking (not the modeled
-// device): the hash-and-compare per window must stay cheap.
-void BM_IncrementalReplayDelta(benchmark::State& state) {
-  const auto chains = make_chains(4);
-  workload::IncrementalConfig ic;
-  ic.clients = 2;
-  ic.requests_per_client = 8;
-  for (unsigned g = 0; g < kChains; ++g) {
-    std::vector<workload::FunctionId> chain;
-    for (std::size_t v = 0; v < 4; ++v) chain.push_back(chain_function(g, v));
-    ic.groups.push_back(std::move(chain));
-  }
-  ic.seed = 3;
-  ic.mode = workload::ArrivalMode::kClosedLoop;
-  const auto trace = workload::make_incremental(ic);
-  for (auto _ : state) {
-    const auto r = run_case(true, compress::CodecId::kFrameDelta,
-                            core::DevicePolicy::kFifo, chains, trace);
-    benchmark::DoNotOptimize(r.server.completed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.total_requests()));
-  state.SetLabel("requests through the delta-tracked pipeline");
-}
-BENCHMARK(BM_IncrementalReplayDelta)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 void run_experiment() {

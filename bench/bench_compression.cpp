@@ -76,44 +76,6 @@ void throughput_table() {
       "huffman keeps the config port saturated (pipeline overlap, E1b).");
 }
 
-// --- wall-clock codec performance (host-side reality check) --------------------
-
-Bytes sample_stream() {
-  const fabric::FrameGeometry geometry;
-  const auto bs =
-      algorithms::spec(algorithms::KernelId::kAes128).make_bitstream(geometry);
-  return bitstream::pack_frame_payloads(bs);
-}
-
-void BM_Compress(benchmark::State& state) {
-  const auto id = static_cast<compress::CodecId>(state.range(0));
-  const Bytes raw = sample_stream();
-  const auto codec = compress::make_codec(id, 1536);
-  for (auto _ : state) {
-    auto out = codec->compress(raw);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(raw.size()));
-  state.SetLabel(to_string(id));
-}
-BENCHMARK(BM_Compress)->DenseRange(0, 6);
-
-void BM_Decompress(benchmark::State& state) {
-  const auto id = static_cast<compress::CodecId>(state.range(0));
-  const Bytes raw = sample_stream();
-  const auto codec = compress::make_codec(id, 1536);
-  const Bytes compressed = codec->compress(raw);
-  for (auto _ : state) {
-    auto out = codec->decompress(compressed);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(raw.size()));
-  state.SetLabel(to_string(id));
-}
-BENCHMARK(BM_Decompress)->DenseRange(0, 6);
-
 }  // namespace
 
 void run_experiment() {

@@ -44,21 +44,27 @@ void per_kernel_table() {
 
 void stage_breakdown() {
   std::puts("\n=== F1b: where a cold AES-128 invocation spends its time ===");
-  core::CoprocessorConfig config;
-  config.trace_enabled = true;
-  core::AgileCoprocessor cp(config);
+  core::AgileCoprocessor cp;
   cp.download(KernelId::kAes128);
-  cp.trace().clear();
   const auto& spec = algorithms::spec(KernelId::kAes128);
   const Bytes input = spec.make_input(16, 3);
   const auto cold = cp.invoke(KernelId::kAes128, input);
-  const auto totals = cp.trace().stage_totals();
+  const mcu::InvokeResult& device = cold.device;
+  const std::pair<const char*, sim::SimTime> stages[] = {
+      {"host-pci", cold.pci_time},
+      {"rom", device.load_stages.rom},
+      {"decompress", device.load_stages.decompress},
+      {"configure", device.load_stages.configure},
+      {"data-in/out", device.io_time},
+      {"execute", device.exec_time},
+      {"firmware", device.firmware_time + device.load_stages.firmware},
+  };
   const std::vector<int> widths = {14, 12, 10};
   bench::print_row({"stage", "time(us)", "share"}, widths);
   bench::print_rule(widths);
-  for (const auto& [stage, time] : totals) {
+  for (const auto& [stage, time] : stages) {
     bench::print_row(
-        {to_string(stage), bench::fmt("%.1f", time.microseconds()),
+        {stage, bench::fmt("%.1f", time.microseconds()),
          bench::fmt("%.1f%%", 100.0 * time.microseconds() /
                                   cold.latency.microseconds())},
         widths);
@@ -104,36 +110,6 @@ void mixed_service_run() {
   std::printf("  PCI payload: %zu B   bus busy: %.2f ms\n", bytes_moved,
               stats.bus.bus_time.milliseconds());
 }
-
-void BM_EndToEndWarm(benchmark::State& state) {
-  core::AgileCoprocessor cp;
-  cp.download(KernelId::kSha256);
-  const auto& spec = algorithms::spec(KernelId::kSha256);
-  const Bytes input = spec.make_input(4, 1);
-  cp.invoke(KernelId::kSha256, input);
-  for (auto _ : state) {
-    auto out = cp.invoke(KernelId::kSha256, input);
-    benchmark::DoNotOptimize(out.output);
-  }
-  state.SetLabel("simulator wall-clock per warm invocation");
-}
-BENCHMARK(BM_EndToEndWarm);
-
-void BM_EndToEndColdReconfig(benchmark::State& state) {
-  core::AgileCoprocessor cp;
-  cp.download(KernelId::kSha256);
-  const auto& spec = algorithms::spec(KernelId::kSha256);
-  const Bytes input = spec.make_input(4, 1);
-  for (auto _ : state) {
-    auto out = cp.invoke(KernelId::kSha256, input);
-    benchmark::DoNotOptimize(out.output);
-    state.PauseTiming();
-    cp.evict(KernelId::kSha256);
-    state.ResumeTiming();
-  }
-  state.SetLabel("simulator wall-clock per cold invocation");
-}
-BENCHMARK(BM_EndToEndColdReconfig);
 
 }  // namespace
 

@@ -1,17 +1,13 @@
-// Experiment E8 — fabric/netlist substrate throughput (sanity check that the
-// simulation substrate is fast enough to carry the other experiments, and a
-// profile of where simulator time goes).
+// Experiment E8 — the fabric/netlist substrate: what each netlist kernel
+// costs on the device once technology-mapped.
 //
-// Reports LUT-network evaluation rates for each netlist kernel, the cost of
-// extracting a network from the configuration plane, and the technology
-// mapper's throughput.
+// Reports gate, LUT and flip-flop counts per netlist kernel and the frames
+// and configuration bytes its encoded bitstream occupies.
 #include "bench_util.h"
 
 #include "fabric/clbcodec.h"
-#include "fabric/fabric.h"
 #include "netlist/generators.h"
 #include "netlist/lutmap.h"
-#include "netlist/simulate.h"
 
 namespace {
 
@@ -51,71 +47,6 @@ void network_size_table() {
         widths);
   }
 }
-
-void BM_LutExecutorStep(benchmark::State& state) {
-  const auto mapped = netlist::map_to_luts(netlist::make_crc32_datapath());
-  netlist::LutExecutor ex(mapped);
-  std::vector<bool> in(9, false);
-  in[8] = true;
-  std::size_t byte = 0;
-  for (auto _ : state) {
-    for (unsigned i = 0; i < 8; ++i) in[i] = (byte >> i) & 1;
-    auto out = ex.step(in);
-    benchmark::DoNotOptimize(out);
-    ++byte;
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel("crc32 bytes/s through the simulated fabric");
-}
-BENCHMARK(BM_LutExecutorStep);
-
-void BM_GateSimulatorStep(benchmark::State& state) {
-  const auto nl = netlist::make_crc32_datapath();
-  netlist::Simulator sim(nl);
-  std::vector<bool> in(9, false);
-  in[8] = true;
-  for (auto _ : state) {
-    auto out = sim.step(in);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetLabel("gate-level reference simulator");
-}
-BENCHMARK(BM_GateSimulatorStep);
-
-void BM_TechnologyMap(benchmark::State& state) {
-  const auto nl = netlist::make_crc32_datapath();
-  for (auto _ : state) {
-    auto mapped = netlist::map_to_luts(nl);
-    benchmark::DoNotOptimize(mapped);
-  }
-}
-BENCHMARK(BM_TechnologyMap);
-
-void BM_ExtractNetworkFromPlane(benchmark::State& state) {
-  fabric::Fabric fabric;
-  const auto mapped = netlist::map_to_luts(netlist::make_crc32_datapath());
-  const auto frames = fabric::encode_frames(mapped, fabric.geometry());
-  std::vector<fabric::FrameIndex> targets;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    targets.push_back(static_cast<fabric::FrameIndex>(i));
-    fabric.configure_frame(targets.back(), frames[i]);
-  }
-  for (auto _ : state) {
-    auto network = fabric.extract_network(targets, "crc32", 9, 32);
-    benchmark::DoNotOptimize(network);
-  }
-}
-BENCHMARK(BM_ExtractNetworkFromPlane);
-
-void BM_EncodeFrames(benchmark::State& state) {
-  const fabric::FrameGeometry geometry;
-  const auto mapped = netlist::map_to_luts(netlist::make_crc32_datapath());
-  for (auto _ : state) {
-    auto frames = fabric::encode_frames(mapped, geometry);
-    benchmark::DoNotOptimize(frames);
-  }
-}
-BENCHMARK(BM_EncodeFrames);
 
 }  // namespace
 

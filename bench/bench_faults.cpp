@@ -205,41 +205,6 @@ void corruption_sweep() {
   }
 }
 
-// Wall-clock companion: the simulator's own cost of running a faulty
-// fleet, for catching host-side slowdowns in the recovery machinery.
-void BM_FaultyFleetPipeline(benchmark::State& state) {
-  workload::BurstyConfig bc;
-  bc.clients = 4;
-  bc.bursts = 4;
-  bc.burst_size = 4;
-  bc.functions = heavy_bank();
-  bc.seed = 3;
-  bc.payload_blocks = 4;
-  const auto trace = workload::make_bursty(bc);
-  sim::RandomFaultConfig fcfg;
-  fcfg.seed = 11;
-  fcfg.cards = 2;
-  fcfg.horizon = sim::SimTime::ms(5);
-  fcfg.death_rate_per_ms = 0.02;
-  fcfg.mean_downtime = sim::SimTime::us(500);
-  const sim::FaultPlan plan = sim::make_random_fault_plan(fcfg);
-  for (auto _ : state) {
-    core::FleetConfig fc;
-    fc.cards = 2;
-    fc.faults = plan;
-    fc.retry.timeout = sim::SimTime::ms(2);
-    core::CoprocessorFleet fleet(fc);
-    fleet.download_all();
-    workload::replay(fleet, trace, request_input);
-    fleet.run();
-    benchmark::DoNotOptimize(fleet.stats().completed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.total_requests()));
-  state.SetLabel("requests through a fleet with an armed fault plan");
-}
-BENCHMARK(BM_FaultyFleetPipeline)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 void run_experiment() {

@@ -185,27 +185,6 @@ void skew_sweep() {
   }
 }
 
-void BM_FleetSaturatedDispatch(benchmark::State& state) {
-  // Simulator wall-clock cost per request through a 4-card fleet.
-  const auto trace = saturation_trace(1.1, 3, 8, 8);
-  for (auto _ : state) {
-    state.PauseTiming();
-    core::FleetConfig fc;
-    fc.cards = 4;
-    fc.policy = core::DispatchPolicy::kResidencyAffinity;
-    core::CoprocessorFleet fleet(fc);
-    fleet.download_all();
-    state.ResumeTiming();
-    workload::replay(fleet, trace, request_input);
-    fleet.run();
-    benchmark::DoNotOptimize(fleet.stats().completed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.total_requests()));
-  state.SetLabel("requests through 4 sharded pipelines");
-}
-BENCHMARK(BM_FleetSaturatedDispatch)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 void run_experiment() {

@@ -205,33 +205,6 @@ void policy_shootout() {
   }
 }
 
-void BM_OverlappedMissHeavyPipeline(benchmark::State& state) {
-  // Simulator wall-clock cost per request with the two-resource device
-  // stage and overlap enabled.
-  workload::MultiClientConfig wc;
-  wc.clients = 4;
-  wc.requests_per_client = 8;
-  wc.functions = algorithms::function_bank();
-  wc.seed = 3;
-  wc.payload_blocks = 16;
-  wc.mode = workload::ArrivalMode::kClosedLoop;
-  const auto trace = workload::make_multi_client(wc);
-  for (auto _ : state) {
-    state.PauseTiming();
-    core::AgileCoprocessor card;
-    card.download_all();
-    state.ResumeTiming();
-    core::CoprocessorServer server(card);
-    workload::replay(server, trace, request_input);
-    server.run();
-    benchmark::DoNotOptimize(server.stats().completed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.total_requests()));
-  state.SetLabel("requests through the split device stage");
-}
-BENCHMARK(BM_OverlappedMissHeavyPipeline)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 void run_experiment() {

@@ -67,16 +67,6 @@ void bus_variant_table() {
   }
 }
 
-void BM_DmaTimeModel(benchmark::State& state) {
-  pci::PciBus bus;
-  const auto bytes = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    auto t = bus.dma_time(bytes);
-    benchmark::DoNotOptimize(t);
-  }
-}
-BENCHMARK(BM_DmaTimeModel)->Arg(64)->Arg(65536);
-
 }  // namespace
 
 void run_experiment() {

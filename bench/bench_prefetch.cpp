@@ -235,30 +235,6 @@ void card_sweep(const bench::PrefetchFlags& pf) {
   }
 }
 
-void BM_PrefetchPhasedFleet(benchmark::State& state) {
-  // Simulator wall-clock cost of the prefetch machinery itself: the phased
-  // trace through a 2-card fleet with the predictor on.
-  const auto trace = phased_trace(31);
-  for (auto _ : state) {
-    state.PauseTiming();
-    core::FleetConfig fc;
-    fc.cards = 2;
-    fc.policy = core::DispatchPolicy::kResidencyAffinity;
-    fc.server.prefetch.enabled = true;
-    fc.server.prefetch.predictor.min_confidence = 0.35;
-    core::CoprocessorFleet fleet(fc);
-    fleet.download_all();
-    state.ResumeTiming();
-    workload::replay(fleet, trace, request_input);
-    fleet.run();
-    benchmark::DoNotOptimize(fleet.stats().completed);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.total_requests()));
-  state.SetLabel("requests with the prefetch pump armed");
-}
-BENCHMARK(BM_PrefetchPhasedFleet)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 void run_experiment() {

@@ -68,7 +68,7 @@ void end_to_end_reconfig_by_codec() {
     fabric::Fabric scratch;
     const auto result = engine.configure(
         cp.mcu().rom(), record, targets, scratch, memory::RomTiming{},
-        nullptr, sim::SimTime::zero());
+        sim::SimTime::zero());
     bench::print_row(
         {to_string(record.codec),
          bench::fmt("%.1f", result.total.microseconds()),
@@ -110,37 +110,6 @@ void difference_based_ablation() {
   std::puts("(difference-based pays only ROM + decompress + compare on a "
             "re-load; content that differs is still written — see tests)");
 }
-
-// Wall-clock cost of the simulator itself (not the modeled device).
-void BM_ConfigureFrame(benchmark::State& state) {
-  fabric::Fabric fabric;
-  std::vector<fabric::Word> payload(fabric.geometry().words_per_frame(), 7);
-  fabric::FrameIndex f = 0;
-  for (auto _ : state) {
-    fabric.configure_frame(f, payload);
-    f = (f + 1) % fabric.geometry().frame_count;
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(payload.size() * 4));
-}
-BENCHMARK(BM_ConfigureFrame);
-
-void BM_StreamingConfigure12Frames(benchmark::State& state) {
-  core::AgileCoprocessor cp;
-  const auto record = cp.download(algorithms::KernelId::kAes128,
-                                  compress::CodecId::kFrameDelta);
-  mcu::ConfigEngine engine;
-  std::vector<fabric::FrameIndex> targets;
-  for (unsigned i = 0; i < record.frames; ++i) targets.push_back(i);
-  fabric::Fabric scratch;
-  for (auto _ : state) {
-    const auto result = engine.configure(
-        cp.mcu().rom(), record, targets, scratch, memory::RomTiming{},
-        nullptr, sim::SimTime::zero());
-    benchmark::DoNotOptimize(result.total);
-  }
-}
-BENCHMARK(BM_StreamingConfigure12Frames);
 
 }  // namespace
 

@@ -100,28 +100,6 @@ void run_experiment_tables() {
   }
 }
 
-void BM_InvokeUnderZipfPressure(benchmark::State& state) {
-  const auto kind = static_cast<mcu::PolicyKind>(state.range(0));
-  core::CoprocessorConfig config;
-  config.mcu.policy = kind;
-  core::AgileCoprocessor cp(config);
-  for (KernelId id : kBank) cp.download(id);
-  const auto trace = workload::make_zipf(bank_config(4096, 9), 1.2);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& request = trace[i++ % trace.size()];
-    const auto& spec =
-        algorithms::spec(static_cast<KernelId>(request.function));
-    const Bytes input = spec.make_input(1, 1);
-    auto out = cp.invoke_function(request.function, input);
-    benchmark::DoNotOptimize(out.latency);
-  }
-  state.SetLabel(to_string(kind));
-}
-BENCHMARK(BM_InvokeUnderZipfPressure)
-    ->Arg(static_cast<int>(mcu::PolicyKind::kLru))
-    ->Arg(static_cast<int>(mcu::PolicyKind::kRandom));
-
 }  // namespace
 
 void run_experiment() { run_experiment_tables(); }

@@ -77,51 +77,6 @@ void provisioning_time_table() {
   }
 }
 
-void BM_RomStore(benchmark::State& state) {
-  const fabric::FrameGeometry geometry;
-  const auto bs =
-      algorithms::spec(algorithms::KernelId::kXtea).make_bitstream(geometry);
-  const Bytes raw = bitstream::pack_frame_payloads(bs);
-  const auto codec =
-      compress::make_codec(compress::CodecId::kFrameDelta,
-                           geometry.frame_bytes());
-  const Bytes compressed = codec->compress(raw);
-  std::uint32_t id = 0;
-  memory::RomImage rom(16 * 1024 * 1024);
-  for (auto _ : state) {
-    if (rom.free_bytes() < compressed.size() + 2 * memory::kRecordBytes) {
-      state.PauseTiming();
-      rom.clear();
-      id = 0;
-      state.ResumeTiming();
-    }
-    memory::RomRecord rec;
-    rec.function_id = id++;
-    rec.name = "xtea";
-    rec.raw_size = static_cast<std::uint32_t>(raw.size());
-    rec.frames = static_cast<std::uint16_t>(bs.frame_count());
-    rec.clb_rows = 16;
-    benchmark::DoNotOptimize(rom.store(rec, compressed));
-  }
-}
-BENCHMARK(BM_RomStore);
-
-void BM_RomLookup(benchmark::State& state) {
-  memory::RomImage rom(1024 * 1024);
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    memory::RomRecord rec;
-    rec.function_id = i;
-    rec.name = "f";
-    rec.clb_rows = 16;
-    rom.store(rec, Bytes(64, 1));
-  }
-  std::uint32_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rom.lookup(i++ % 100));
-  }
-}
-BENCHMARK(BM_RomLookup);
-
 }  // namespace
 
 void run_experiment() {

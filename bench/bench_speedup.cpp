@@ -91,33 +91,6 @@ void run_netlist_reality_check() {
   }
 }
 
-void BM_WarmInvokeAes(benchmark::State& state) {
-  core::AgileCoprocessor cp;
-  cp.download(KernelId::kAes128);
-  const auto& spec = algorithms::spec(KernelId::kAes128);
-  const Bytes input = spec.make_input(static_cast<std::size_t>(state.range(0)), 1);
-  cp.invoke(KernelId::kAes128, input);
-  for (auto _ : state) {
-    auto out = cp.invoke(KernelId::kAes128, input);
-    benchmark::DoNotOptimize(out.output);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(input.size()));
-}
-BENCHMARK(BM_WarmInvokeAes)->Arg(16)->Arg(256);
-
-void BM_HostAes(benchmark::State& state) {
-  core::AgileCoprocessor cp;
-  cp.download(KernelId::kAes128);
-  const auto& spec = algorithms::spec(KernelId::kAes128);
-  const Bytes input = spec.make_input(256, 1);
-  for (auto _ : state) {
-    auto out = cp.run_on_host(KernelId::kAes128, input);
-    benchmark::DoNotOptimize(out.output);
-  }
-}
-BENCHMARK(BM_HostAes);
-
 }  // namespace
 
 void run_experiment() {

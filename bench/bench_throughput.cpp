@@ -208,32 +208,6 @@ void open_loop_sweep() {
   }
 }
 
-void BM_ServerSaturatedThroughput(benchmark::State& state) {
-  // Simulator wall-clock cost of one request through the staged pipeline.
-  workload::MultiClientConfig wc;
-  wc.clients = 4;
-  wc.requests_per_client = 8;
-  wc.functions = algorithms::function_bank();
-  wc.seed = 3;
-  wc.zipf_s = 1.0;
-  wc.mode = workload::ArrivalMode::kClosedLoop;
-  const auto trace = workload::make_multi_client(wc);
-  for (auto _ : state) {
-    state.PauseTiming();
-    core::AgileCoprocessor card;
-    card.download_all();
-    state.ResumeTiming();
-    core::CoprocessorServer server(card);
-    workload::replay(server, trace, request_input);
-    server.run();
-    benchmark::DoNotOptimize(server.completed().size());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.total_requests()));
-  state.SetLabel("requests through the event pipeline");
-}
-BENCHMARK(BM_ServerSaturatedThroughput)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 void run_experiment() {

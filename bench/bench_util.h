@@ -1,12 +1,10 @@
 // Shared helpers for the experiment benches: table printing, a JSON results
-// emitter (`--json <path>` captures the deterministic numbers for the perf
-// trajectory across PRs), a shared `--flag value` parser, and a common
-// main() that first emits the experiment's deterministic result table (the
-// "paper row" regeneration) and then runs the google-benchmark wall-clock
-// measurements.
+// emitter (`--json <path>` captures the deterministic numbers for the
+// simulated-metric baselines), a shared `--flag value` parser, and a common
+// main() that emits the experiment's deterministic result tables (the
+// "paper row" regeneration).  Host wall-clock speed is measured by
+// perfbench/, not here.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -138,9 +136,7 @@ inline JsonResults& json() {
 
 /// Shared command-line flags for the experiment benches.
 ///
-/// The common main() strips every `--name value` / `--name=value` pair
-/// whose name does not belong to google-benchmark (`--benchmark_*`,
-/// `--help`, `--v`) before ::benchmark::Initialize sees the arguments, and
+/// The common main() parses every `--name value` / `--name=value` pair, and
 /// a bench's run_experiment() reads them with typed accessors and
 /// defaults:
 ///
@@ -152,15 +148,15 @@ inline JsonResults& json() {
 /// the documented tables; `--json <path>` rides the same mechanism.
 class Flags {
  public:
-  /// Strip our flags out of argv (in place); returns the new argc, or -1
-  /// after printing a diagnostic when a flag is missing its value.
-  int parse(int argc, char** argv) {
-    int kept = 1;
+  /// Reads every argument as a flag; returns false after printing a
+  /// diagnostic when an argument is not a flag or a flag is missing its
+  /// value.
+  bool parse(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0 || is_benchmark_flag(arg)) {
-        argv[kept++] = argv[i];
-        continue;
+      if (arg.rfind("--", 0) != 0) {
+        std::fprintf(stderr, "unexpected argument \"%s\"\n", arg.c_str());
+        return false;
       }
       std::string name = arg.substr(2);
       std::string value;
@@ -172,13 +168,13 @@ class Flags {
         if (i + 1 >= argc || std::string(argv[i + 1]).rfind("--", 0) == 0) {
           std::fprintf(stderr, "--%s requires a value argument\n",
                        name.c_str());
-          return -1;
+          return false;
         }
         value = argv[++i];
       }
       values_[name] = value;
     }
-    return kept;
+    return true;
   }
 
   bool has(const std::string& name) const {
@@ -237,11 +233,6 @@ class Flags {
   }
 
  private:
-  static bool is_benchmark_flag(const std::string& arg) {
-    return arg.rfind("--benchmark", 0) == 0 || arg == "--help" ||
-           arg.rfind("--v=", 0) == 0 || arg == "--v";
-  }
-
   [[noreturn]] static void die_bad_value(const std::string& name,
                                          const std::string& value,
                                          const char* expected) {
@@ -324,10 +315,7 @@ inline PrefetchFlags prefetch_flags(bool default_enabled = false,
 void run_experiment();
 
 int main(int argc, char** argv) {
-  // Strip every bench flag (including `--json <path>`) before
-  // google-benchmark sees the args.
-  argc = aad::bench::flags().parse(argc, argv);
-  if (argc < 0) return 2;
+  if (!aad::bench::flags().parse(argc, argv)) return 2;
 
   const std::string json_path = aad::bench::flags().get("json", "");
   const std::string trace_path = aad::bench::flags().get("trace", "");
@@ -357,7 +345,5 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wrote %zu trace events to %s\n",
                  sink->event_count(), trace_path.c_str());
   }
-  ::benchmark::Initialize(&argc, argv);
-  ::benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

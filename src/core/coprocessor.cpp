@@ -9,8 +9,7 @@ AgileCoprocessor::AgileCoprocessor(const CoprocessorConfig& config,
       scheduler_(shared != nullptr ? *shared : *owned_scheduler_),
       fabric_(config.fabric),
       bus_(config.pci),
-      mcu_(fabric_, scheduler_, trace_, registry_, runtime_, config.mcu) {
-  trace_.set_enabled(config.trace_enabled);
+      mcu_(fabric_, scheduler_, registry_, runtime_, config.mcu) {
   algorithms::register_runtimes(runtime_);
 }
 
@@ -42,12 +41,9 @@ memory::RomRecord AgileCoprocessor::download_bitstream(
   // call performs compression + ROM programming (and advances time for the
   // ROM); we then charge the PCI for the compressed payload it carried.
   const memory::RomRecord record = mcu_.store_function(id, bitstream, codec);
-  const sim::SimTime begin = scheduler_.now();
   sim::SimTime pci = pci_command_overhead(4);
   pci += bus_.dma_to_device(record.compressed_size);
   scheduler_.advance(pci);
-  trace_.record(sim::Stage::kHostPci, record.name, "/download", begin,
-                scheduler_.now());
   return record;
 }
 
@@ -62,11 +58,9 @@ InvokeOutcome AgileCoprocessor::invoke_function(memory::FunctionId id,
 
   // Command setup + input DMA into local RAM.
   {
-    const sim::SimTime t0 = scheduler_.now();
     sim::SimTime pci = pci_command_overhead(4);
     pci += bus_.dma_to_device(input.size());
     scheduler_.advance(pci);
-    trace_.record(sim::Stage::kHostPci, "invoke/in", t0, scheduler_.now());
     outcome.pci_time += pci;
   }
 
@@ -74,11 +68,9 @@ InvokeOutcome AgileCoprocessor::invoke_function(memory::FunctionId id,
 
   // Output DMA + completion status.
   {
-    const sim::SimTime t0 = scheduler_.now();
     sim::SimTime pci = bus_.dma_from_device(outcome.device.output.size());
     pci += bus_.register_read();
     scheduler_.advance(pci);
-    trace_.record(sim::Stage::kHostPci, "invoke/out", t0, scheduler_.now());
     outcome.pci_time += pci;
   }
 

@@ -14,8 +14,8 @@
 //   // r.output    — the function result (bit-exact with software)
 //   // r.latency   — simulated end-to-end time, reconfiguration included
 //
-// Every method advances the embedded discrete-event clock; stats() and
-// trace() expose where the time went.
+// Every method advances the embedded discrete-event clock; stats() and the
+// returned outcomes expose where the time went.
 #pragma once
 
 #include <memory>
@@ -26,7 +26,6 @@
 #include "mcu/mcu.h"
 #include "pci/pci.h"
 #include "sim/scheduler.h"
-#include "sim/trace.h"
 #include "telemetry/registry.h"
 
 namespace aad::core {
@@ -35,7 +34,6 @@ struct CoprocessorConfig {
   fabric::Fabric::Config fabric;
   mcu::McuConfig mcu;
   pci::PciTiming pci;
-  bool trace_enabled = false;  ///< span tracing costs memory on long runs
 };
 
 struct InvokeOutcome {
@@ -110,8 +108,6 @@ class AgileCoprocessor {
   CoprocessorStats stats() const;
   sim::SimTime now() const noexcept { return scheduler_.now(); }
   sim::Scheduler& scheduler() noexcept { return scheduler_; }
-  const sim::Trace& trace() const noexcept { return trace_; }
-  sim::Trace& trace() noexcept { return trace_; }
   /// This card's perf-counter registry: every `mcu.*` / `server.*` counter
   /// the card's subsystems registered, enumerable via snapshot().
   telemetry::Registry& registry() noexcept { return registry_; }
@@ -128,7 +124,6 @@ class AgileCoprocessor {
 
   std::unique_ptr<sim::Scheduler> owned_scheduler_;  ///< null when shared
   sim::Scheduler& scheduler_;
-  sim::Trace trace_;
   telemetry::Registry registry_;  ///< before mcu_: subsystems register here
   fabric::Fabric fabric_;
   pci::PciBus bus_;

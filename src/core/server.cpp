@@ -239,8 +239,6 @@ void CoprocessorServer::begin_pci_in(std::uint64_t id) {
   p.request.pci_in_start = grant.start;
   p.request.pci_in_time = duration;
   p.request.bus_wait += grant.queue_delay;
-  card_.trace().record(sim::Stage::kHostPci, "server/in", grant.start,
-                       grant.end);
   if (pci_track_ != nullptr)
     pci_track_->span("pci", "pci-in", grant.start, grant.end, id,
                      p.request.client, p.request.function);
@@ -482,7 +480,7 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
   p.request.engine_wait = engine_start - p.request.device_ready;
   p.request.device_start = engine_start;
 
-  p.request.decode_time = mcu.decode_invoke(engine_start);
+  p.request.decode_time = mcu.decode_invoke();
   const sim::SimTime load_start = engine_start + p.request.decode_time;
   sim::SimTime load_elapsed;
   {
@@ -532,7 +530,7 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
   p.request.device_wait = p.request.engine_wait + p.request.fabric_wait;
 
   mcu::ExecutedInvoke run =
-      mcu.execute_invoke(p.request.function, p.input, fabric_start);
+      mcu.execute_invoke(p.request.function, p.input);
   p.request.execute_time = run.time;
   p.request.exec_cycles = run.exec_cycles;
   p.request.output = std::move(run.output);
@@ -584,7 +582,7 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
     q.request.device_wait = q.request.engine_wait + q.request.fabric_wait;
 
     mcu::ExecutedInvoke member_run =
-        mcu.execute_invoke(function, q.input, member_start);
+        mcu.execute_invoke(function, q.input);
     q.request.execute_time = member_run.time;
     q.request.exec_cycles = member_run.exec_cycles;
     q.request.output = std::move(member_run.output);
@@ -638,8 +636,6 @@ void CoprocessorServer::begin_pci_out(std::uint64_t id) {
   p.request.pci_out_start = grant.start;
   p.request.pci_out_time = duration;
   p.request.bus_wait += grant.queue_delay;
-  card_.trace().record(sim::Stage::kHostPci, "server/out", grant.start,
-                       grant.end);
   if (pci_track_ != nullptr)
     pci_track_->span("pci", "pci-out", grant.start, grant.end, id,
                      p.request.client, p.request.function);

@@ -18,8 +18,8 @@ std::uint64_t window_content_hash(ByteSpan window) noexcept {
 ConfigureResult ConfigEngine::configure(
     const memory::RomImage& rom, const memory::RomRecord& record,
     std::span<const fabric::FrameIndex> targets, fabric::Fabric& fabric,
-    const memory::RomTiming& rom_timing, sim::Trace* trace,
-    sim::SimTime start, std::uint32_t expected_raw_crc) {
+    const memory::RomTiming& rom_timing, sim::SimTime start,
+    std::uint32_t expected_raw_crc) {
   const auto& geometry = fabric.geometry();
   AAD_REQUIRE(record.frames == targets.size(),
               "target frame count does not match the record footprint");
@@ -137,25 +137,13 @@ ConfigureResult ConfigEngine::configure(
     if (delta) frame_hashes_[targets[w]] = wh;
 
     // Timing: stage chaining.
-    const sim::SimTime rom_begin = rom_done;
     rom_done = rom_done + this_rom_t;
-    const sim::SimTime dec_begin = std::max(rom_done, dec_done);
-    dec_done = dec_begin + this_dec_t;
-    const sim::SimTime cfg_begin = std::max(dec_done, cfg_done);
-    cfg_done = cfg_begin + this_cfg_t;
+    dec_done = std::max(rom_done, dec_done) + this_dec_t;
+    cfg_done = std::max(dec_done, cfg_done) + this_cfg_t;
 
     result.rom_bound += this_rom_t;
     result.decompress_bound += this_dec_t;
     result.config_bound += this_cfg_t;
-
-    if (trace) {
-      trace->record(sim::Stage::kRom, record.name, "/rom", rom_begin,
-                    rom_done);
-      trace->record(sim::Stage::kDecompress, record.name, "/dec", dec_begin,
-                    dec_done);
-      trace->record(sim::Stage::kConfigure, record.name, "/frame", cfg_begin,
-                    cfg_done, targets[w]);
-    }
   }
 
   result.total = cfg_done - start;

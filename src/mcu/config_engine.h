@@ -20,7 +20,6 @@
 #include "fabric/fabric.h"
 #include "memory/rom.h"
 #include "sim/time.h"
-#include "sim/trace.h"
 
 namespace aad::mcu {
 
@@ -92,7 +91,7 @@ class ConfigEngine {
                             std::span<const fabric::FrameIndex> targets,
                             fabric::Fabric& fabric,
                             const memory::RomTiming& rom_timing,
-                            sim::Trace* trace, sim::SimTime start,
+                            sim::SimTime start,
                             std::uint32_t expected_raw_crc = 0);
 
   const ConfigEngineConfig& config() const noexcept { return config_; }

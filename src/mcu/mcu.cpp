@@ -13,12 +13,11 @@ constexpr double kAutoCodecSlack = 0.05;
 
 }  // namespace
 
-Mcu::Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler, sim::Trace& trace,
+Mcu::Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler,
          telemetry::Registry& registry, const RuntimeRegistry& runtime,
          const McuConfig& config)
     : fabric_(fabric),
       scheduler_(scheduler),
-      trace_(trace),
       runtime_(runtime),
       config_(config),
       rom_(config.rom_capacity),
@@ -57,10 +56,8 @@ McuStats Mcu::stats() const {
   return s;
 }
 
-sim::SimTime Mcu::firmware_cost(unsigned cycles, sim::SimTime start) {
-  const sim::SimTime t = config_.mcu_clock.cycles(cycles);
-  trace_.record(sim::Stage::kFirmware, "firmware", start, start + t);
-  return t;
+sim::SimTime Mcu::firmware_cost(unsigned cycles) const {
+  return config_.mcu_clock.cycles(cycles);
 }
 
 memory::RomRecord Mcu::store_function(memory::FunctionId id,
@@ -141,11 +138,8 @@ memory::RomRecord Mcu::store_function(memory::FunctionId id,
 
   const memory::RomRecord stored = rom_.store(record, compressed);
 
-  const sim::SimTime begin = scheduler_.now();
   scheduler_.advance(config_.rom_timing.write_time(compressed.size() +
                                                    memory::kRecordBytes));
-  trace_.record(sim::Stage::kRom, bs.info.name, "/program", begin,
-                scheduler_.now());
 
   // Host-driver recovery metadata: the decoded-image CRC every load is
   // verified against, and the pristine stream the re-fetch path restores
@@ -236,7 +230,7 @@ bool Mcu::prefetch_feasible(memory::FunctionId id, sim::SimTime now,
   return placement_possible(record->frames, config_.allocation, blocked);
 }
 
-sim::SimTime Mcu::evict_cost(memory::FunctionId id, sim::SimTime start) {
+sim::SimTime Mcu::evict_cost(memory::FunctionId id) {
   const auto it = loaded_.find(id);
   AAD_CHECK(it != loaded_.end(), "evicting a non-resident function");
   free_list_.release(it->second.frames);
@@ -245,13 +239,13 @@ sim::SimTime Mcu::evict_cost(memory::FunctionId id, sim::SimTime start) {
   loaded_.erase(it);
   speculative_.erase(id);
   counters_.evictions.add();
-  return firmware_cost(config_.eviction_overhead_cycles, start);
+  return firmware_cost(config_.eviction_overhead_cycles);
 }
 
 void Mcu::evict(memory::FunctionId id) {
   AAD_REQUIRE(loaded_.contains(id), "function not resident");
   AAD_REQUIRE(!pinned_.contains(id), "evicting a pinned function");
-  scheduler_.advance(evict_cost(id, scheduler_.now()));
+  scheduler_.advance(evict_cost(id));
 }
 
 DefragResult Mcu::defragment() {
@@ -292,7 +286,7 @@ DefragResult Mcu::defragment_at(sim::SimTime start) {
     free_list_.claim(target);
     const ConfigureResult cfg =
         engine_.configure(rom_, fn.record, target, fabric_, config_.rom_timing,
-                          &trace_, t, raw_crc_of(id));
+                          t, raw_crc_of(id));
     t += cfg.total;
     counters_.frames_configured.add(cfg.frames_written);
     counters_.frames_skipped.add(cfg.frames_skipped);
@@ -304,7 +298,7 @@ DefragResult Mcu::defragment_at(sim::SimTime start) {
     table_.at(id).frames = target;
     ++result.functions_moved;
     result.frames_reconfigured += cfg.frames_written;
-    t += firmware_cost(config_.eviction_overhead_cycles, t);
+    t += firmware_cost(config_.eviction_overhead_cycles);
     next += fn.record.frames;
   }
   result.time = t - start;
@@ -437,7 +431,7 @@ LoadResult Mcu::ensure_loaded(memory::FunctionId id) {
 }
 
 LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
-                        sim::SimTime* elapsed) {
+                        sim::SimTime* elapsed, LoadStages* stages) {
   LoadResult result;
   sim::SimTime t = start;
   *elapsed = sim::SimTime::zero();
@@ -468,7 +462,7 @@ LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
   std::optional<std::vector<fabric::FrameIndex>> frames;
   if (config_.engine.delta_reconfig) {
     if (auto plan = plan_placement(*record); plan && plan->upgrade_victim) {
-      t += evict_cost(*plan->upgrade_victim, t);
+      t += evict_cost(*plan->upgrade_victim);
       ++result.evictions;
       free_list_.claim(plan->frames);
       frames = std::move(plan->frames);
@@ -519,7 +513,7 @@ LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
       }
     }
     if (!stole_speculative) victim = policy_->choose_victim(resident, table_);
-    t += evict_cost(victim, t);
+    t += evict_cost(victim);
     ++result.evictions;
   }
 
@@ -532,7 +526,7 @@ LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
   for (unsigned attempt = 0;; ++attempt) {
     try {
       cfg = engine_.configure(rom_, *record, *frames, fabric_,
-                              config_.rom_timing, &trace_, t, raw_crc_of(id));
+                              config_.rom_timing, t, raw_crc_of(id));
       break;
     } catch (const Error& error) {
       if (error.code() != ErrorCode::kCorruptData) {
@@ -548,10 +542,7 @@ LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
       }
       rom_.rewrite_payload(id, pristine->second);
       counters_.refetches.add();
-      const sim::SimTime d =
-          config_.rom_timing.write_time(pristine->second.size());
-      trace_.record(sim::Stage::kRom, record->name, "/refetch", t, t + d);
-      t += d;
+      t += config_.rom_timing.write_time(pristine->second.size());
     }
   }
   t += cfg.total;
@@ -575,7 +566,10 @@ LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
   policy_->on_load(id, t);
   policy_->on_access(id, t);
 
-  t += firmware_cost(config_.command_overhead_cycles, t);
+  const sim::SimTime firmware = firmware_cost(config_.command_overhead_cycles);
+  t += firmware;
+  if (stages)
+    *stages = {cfg.rom_bound, cfg.decompress_bound, cfg.config_bound, firmware};
   result.frames_configured = static_cast<unsigned>(cfg.frames_written);
   result.reconfig_time = t - begin;
   *elapsed = t - start;
@@ -590,9 +584,9 @@ netlist::LutExecutor& Mcu::executor_for(LoadedFunction& fn) {
   return *fn.executor;
 }
 
-sim::SimTime Mcu::decode_invoke(sim::SimTime start) {
+sim::SimTime Mcu::decode_invoke() {
   counters_.invocations.add();
-  return firmware_cost(config_.command_overhead_cycles, start);
+  return firmware_cost(config_.command_overhead_cycles);
 }
 
 LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
@@ -602,33 +596,27 @@ LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
 
 PreparedInvoke Mcu::prepare_invoke(memory::FunctionId id, sim::SimTime start) {
   PreparedInvoke prep;
-  prep.firmware_time = decode_invoke(start);
+  prep.firmware_time = decode_invoke();
   sim::SimTime load_elapsed;
-  prep.load = load_invoke(id, start + prep.firmware_time, &load_elapsed);
+  prep.load = load_at(id, start + prep.firmware_time, &load_elapsed,
+                      &prep.load_stages);
   prep.time = prep.firmware_time + load_elapsed;
   return prep;
 }
 
-ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input,
-                                   sim::SimTime start) {
+ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input) {
   const auto it = loaded_.find(id);
   AAD_CHECK(it != loaded_.end(), "execute_invoke on a non-resident function");
   auto& fn = it->second;
   ExecutedInvoke run;
-  sim::SimTime t = start;
 
   // Data-input module: host payload is already in local RAM (PCI layer);
-  // stage it to the fabric.
+  // stage it to the fabric.  The module streams from RAM to the fabric as
+  // it reads.
   ram_.reset_allocation();
   const std::size_t in_off = ram_.allocate(input.size());
   ram_.write(in_off, input);
-  {
-    // The data-input module streams from RAM to the fabric as it reads.
-    const sim::SimTime d = config_.ram_timing.access_time(input.size());
-    trace_.record(sim::Stage::kDataIn, fn.record.name, "/in", t, t + d);
-    t += d;
-    run.io_time += d;
-  }
+  run.io_time = config_.ram_timing.access_time(input.size());
 
   // Execute.
   HardwareResult hw;
@@ -644,38 +632,29 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input,
     hw.output = model.compute(input);
     hw.cycles = model.cycles(input.size());
   }
-  {
-    const sim::SimTime d = fabric_.execution_time(hw.cycles);
-    trace_.record(sim::Stage::kExecute, fn.record.name, "/exec", t, t + d);
-    t += d;
-    run.exec_time = d;
-  }
+  run.exec_time = fabric_.execution_time(hw.cycles);
   run.exec_cycles = hw.cycles;
 
   // Output-collection module: stage result through local RAM.
   const std::size_t out_off = ram_.allocate(hw.output.size());
   ram_.write(out_off, hw.output);
-  {
-    const sim::SimTime d = config_.ram_timing.access_time(hw.output.size());
-    trace_.record(sim::Stage::kDataOut, fn.record.name, "/out", t, t + d);
-    t += d;
-    run.io_time += d;
-  }
+  run.io_time += config_.ram_timing.access_time(hw.output.size());
 
   run.output = std::move(hw.output);
-  run.time = t - start;
+  run.time = run.io_time + run.exec_time;
   return run;
 }
 
 InvokeResult Mcu::invoke(memory::FunctionId id, ByteSpan input) {
   const sim::SimTime start = scheduler_.now();
   const PreparedInvoke prep = prepare_invoke(id, start);
-  ExecutedInvoke run = execute_invoke(id, input, start + prep.time);
+  ExecutedInvoke run = execute_invoke(id, input);
   scheduler_.advance(prep.time + run.time);
 
   InvokeResult result;
   result.output = std::move(run.output);
   result.load = prep.load;
+  result.load_stages = prep.load_stages;
   result.exec_cycles = run.exec_cycles;
   result.exec_time = run.exec_time;
   result.io_time = run.io_time;

@@ -28,7 +28,6 @@
 #include "memory/ram.h"
 #include "memory/rom.h"
 #include "sim/scheduler.h"
-#include "sim/trace.h"
 #include "telemetry/registry.h"
 
 namespace aad::mcu {
@@ -64,9 +63,22 @@ struct LoadResult {
   sim::SimTime reconfig_time;       ///< zero on hit
 };
 
+/// Where a load's reconfig_time went: the configuration pipeline's
+/// per-stage sums (ConfigureResult's bounds; the stages overlap, so they add
+/// up to more than the pipelined load) and the firmware table update after
+/// it.  Zero on hit.  Kept out of LoadResult, which every retained server
+/// request embeds.
+struct LoadStages {
+  sim::SimTime rom;
+  sim::SimTime decompress;
+  sim::SimTime configure;
+  sim::SimTime firmware;
+};
+
 struct InvokeResult {
   Bytes output;
   LoadResult load;
+  LoadStages load_stages;
   std::int64_t exec_cycles = 0;
   sim::SimTime exec_time;
   sim::SimTime io_time;             ///< data-in + data-out staging
@@ -78,6 +90,7 @@ struct InvokeResult {
 /// on-demand load (§2.5), as if it began at a caller-chosen start time.
 struct PreparedInvoke {
   LoadResult load;
+  LoadStages load_stages;
   sim::SimTime firmware_time;  ///< command decode
   sim::SimTime time;           ///< firmware + evictions + reconfiguration
 };
@@ -145,7 +158,7 @@ class Mcu {
   /// `registry` is the card's counter registry; the MCU registers its
   /// `mcu.*` counters there at construction and bumps the handles on the
   /// hot path.  Must outlive the Mcu.
-  Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler, sim::Trace& trace,
+  Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler,
       telemetry::Registry& registry, const RuntimeRegistry& runtime,
       const McuConfig& config = {});
 
@@ -176,19 +189,18 @@ class Mcu {
   // The CoprocessorServer drives invocations as discrete events, so stages
   // of different requests can overlap (request B's PCI transfer during
   // request A's reconfiguration).  These methods mutate device state
-  // immediately — the caller has already reserved the device for a window
-  // beginning at `start` — but return simulated durations instead of
-  // advancing the scheduler; trace spans are stamped at `start`-relative
-  // virtual times.  Calls for the same request must be issued in service
+  // immediately — the caller has already reserved the device for the
+  // window — but return simulated durations instead of advancing the
+  // scheduler.  Calls for the same request must be issued in service
   // order; the configuration-engine stages (decode_invoke + load_invoke)
   // and the fabric stage (execute_invoke) are separable, so the server may
   // stream request B's configuration while request A still owns the fabric
   // — provided every function with an outstanding fabric window is pinned
   // (see pin()) so B's load cannot evict or overwrite its frames.
 
-  /// Firmware command decode as of `start` — the fixed per-command cost the
+  /// Firmware command decode — the fixed per-command cost the
   /// microcontroller pays before the on-demand load.  Counts the invocation.
-  sim::SimTime decode_invoke(sim::SimTime start);
+  sim::SimTime decode_invoke();
 
   /// The on-demand load (§2.5) as of `start`: hit check, allocation,
   /// eviction loop (pinned functions are never chosen as victims), streaming
@@ -201,10 +213,9 @@ class Mcu {
   /// server path stay bit-exact with the split primitives.
   PreparedInvoke prepare_invoke(memory::FunctionId id, sim::SimTime start);
 
-  /// Data-in, fabric execution, output collection as of `start`.
+  /// Data-in, fabric execution, output collection.
   /// Requires `id` resident (load_invoke/prepare_invoke was called).
-  ExecutedInvoke execute_invoke(memory::FunctionId id, ByteSpan input,
-                                sim::SimTime start);
+  ExecutedInvoke execute_invoke(memory::FunctionId id, ByteSpan input);
 
   // --- pinning (overlapped reconfiguration + batching) ---------------------
   // While the fabric executes function A, the server streams function B's
@@ -348,19 +359,17 @@ class Mcu {
                                     unsigned* count) const;
 
   // Duration-returning primitives shared by the synchronous shims and the
-  // staged path: mutate state, stamp trace spans at virtual times, never
-  // touch the scheduler.
-  sim::SimTime firmware_cost(unsigned cycles, sim::SimTime start);
-  sim::SimTime evict_cost(memory::FunctionId id, sim::SimTime start);
+  // staged path: mutate state, never touch the scheduler.
+  sim::SimTime firmware_cost(unsigned cycles) const;
+  sim::SimTime evict_cost(memory::FunctionId id);
   LoadResult load_at(memory::FunctionId id, sim::SimTime start,
-                     sim::SimTime* elapsed);
+                     sim::SimTime* elapsed, LoadStages* stages = nullptr);
   DefragResult defragment_at(sim::SimTime start);
 
   netlist::LutExecutor& executor_for(LoadedFunction& fn);
 
   fabric::Fabric& fabric_;
   sim::Scheduler& scheduler_;
-  sim::Trace& trace_;
   const RuntimeRegistry& runtime_;
   McuConfig config_;
 

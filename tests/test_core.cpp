@@ -92,18 +92,34 @@ TEST(CoprocessorApi, StatsAndTimeAdvance) {
   EXPECT_EQ(stats.uptime, cp.now());
 }
 
-TEST(CoprocessorApi, TraceCapturesPipelineStages) {
-  CoprocessorConfig config;
-  config.trace_enabled = true;
-  AgileCoprocessor cp(config);
-  cp.download(KernelId::kParity32);
-  cp.invoke(KernelId::kParity32,
-            algorithms::spec(KernelId::kParity32).make_input(1, 1));
-  const auto totals = cp.trace().stage_totals();
-  EXPECT_TRUE(totals.contains(sim::Stage::kHostPci));
-  EXPECT_TRUE(totals.contains(sim::Stage::kConfigure));
-  EXPECT_TRUE(totals.contains(sim::Stage::kDecompress));
-  EXPECT_TRUE(totals.contains(sim::Stage::kExecute));
+TEST(CoprocessorApi, InvokeStagesSumExactlyToLatency) {
+  // The synchronous path's breakdown is exact: PCI, firmware decode, load,
+  // execution and RAM staging add up to the host-observed latency in
+  // integer picoseconds, cold and warm, for every kernel.
+  for (const auto& spec : algorithms::catalog()) {
+    AgileCoprocessor cp;
+    cp.download(spec.id);
+    const Bytes input = spec.make_input(2, 7);
+    for (const bool cold : {true, false}) {
+      const InvokeOutcome r = cp.invoke(spec.id, input);
+      const mcu::InvokeResult& d = r.device;
+      const auto ps = [](sim::SimTime t) { return t.picoseconds(); };
+      EXPECT_EQ(ps(r.pci_time) + ps(d.firmware_time) +
+                    ps(d.load.reconfig_time) + ps(d.exec_time) +
+                    ps(d.io_time),
+                ps(r.latency))
+          << spec.name << (cold ? " cold" : " warm");
+      EXPECT_EQ(d.load.hit, !cold) << spec.name;
+      const mcu::LoadStages& l = d.load_stages;
+      for (const sim::SimTime stage :
+           {l.rom, l.decompress, l.configure, l.firmware}) {
+        if (cold)
+          EXPECT_GT(stage, sim::SimTime::zero()) << spec.name;
+        else
+          EXPECT_EQ(stage, sim::SimTime::zero()) << spec.name;
+      }
+    }
+  }
 }
 
 TEST(CoprocessorApi, CodecChoiceAffectsRomFootprint) {

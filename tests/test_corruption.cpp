@@ -147,7 +147,7 @@ TEST(CorruptStreamSweep, ConfigureRejectsCorruptPayloadWithoutSideEffects) {
       targets.push_back(
           static_cast<fabric::FrameIndex>((record.function_id * frames + w) %
                                           geometry.frame_count));
-    engine.configure(rom, record, targets, fabric, timing, nullptr,
+    engine.configure(rom, record, targets, fabric, timing,
                      sim::SimTime::zero());
     const auto frames_before = snapshot(fabric);
     const auto hashes_before = hashes(engine, geometry);
@@ -159,8 +159,8 @@ TEST(CorruptStreamSweep, ConfigureRejectsCorruptPayloadWithoutSideEffects) {
       if (std::equal(stored.begin(), stored.end(), compressed.begin()))
         continue;  // the flips cancelled out
       try {
-        engine.configure(rom, record, targets, fabric, timing, nullptr,
-                         sim::SimTime::zero());
+        engine.configure(rom, record, targets, fabric, timing,
+                     sim::SimTime::zero());
         ADD_FAILURE() << "seed " << seed << " loaded a corrupt payload";
       } catch (const Error& e) {
         EXPECT_EQ(e.code(), ErrorCode::kCorruptData) << "seed " << seed;

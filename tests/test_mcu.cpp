@@ -21,8 +21,7 @@ using algorithms::KernelId;
 class McuFixture : public ::testing::Test {
  protected:
   McuFixture()
-      : mcu_(fabric_, scheduler_, trace_, registry_, runtime_,
-             make_config()) {
+      : mcu_(fabric_, scheduler_, registry_, runtime_, make_config()) {
     algorithms::register_runtimes(runtime_);
   }
 
@@ -40,7 +39,6 @@ class McuFixture : public ::testing::Test {
 
   fabric::Fabric fabric_;
   sim::Scheduler scheduler_;
-  sim::Trace trace_;
   telemetry::Registry registry_;
   RuntimeRegistry runtime_;
   Mcu mcu_;
@@ -212,7 +210,7 @@ TEST_F(McuFixture, CorruptRomPayloadDetectedAtConfigure) {
   for (unsigned i = 0; i < record.frames; ++i) targets.push_back(i);
   try {
     engine.configure(mcu_.rom(), bad, targets, fabric_,
-                     memory::RomTiming{}, nullptr, sim::SimTime::zero());
+                     memory::RomTiming{}, sim::SimTime::zero());
     FAIL() << "expected CRC failure";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kCorruptData);
@@ -226,7 +224,7 @@ TEST_F(McuFixture, ConfigEnginePipelineTimingBreakdown) {
   for (unsigned i = 0; i < record.frames; ++i) targets.push_back(i);
   const auto result =
       engine.configure(mcu_.rom(), record, targets, fabric_,
-                       memory::RomTiming{}, nullptr, sim::SimTime::zero());
+                       memory::RomTiming{}, sim::SimTime::zero());
   EXPECT_EQ(result.frames_written, record.frames);
   EXPECT_EQ(result.raw_bytes, record.raw_size);
   // The pipeline overlaps stages: total must be less than the sum of all
@@ -260,7 +258,7 @@ TEST_F(McuFixture, OversizedFunctionRejected) {
 class DiffMcuFixture : public ::testing::Test {
  protected:
   DiffMcuFixture()
-      : mcu_(fabric_, scheduler_, trace_, registry_, runtime_, config()) {
+      : mcu_(fabric_, scheduler_, registry_, runtime_, config()) {
     algorithms::register_runtimes(runtime_);
   }
   static McuConfig config() {
@@ -270,7 +268,6 @@ class DiffMcuFixture : public ::testing::Test {
   }
   fabric::Fabric fabric_;
   sim::Scheduler scheduler_;
-  sim::Trace trace_;
   telemetry::Registry registry_;
   RuntimeRegistry runtime_;
   Mcu mcu_;
@@ -365,13 +362,12 @@ TEST_F(McuFixture, DefragmentOnEmptyOrPackedDeviceIsNoOp) {
 TEST(McuDefragOnPressure, AvoidsEvictionUnderPureFragmentation) {
   fabric::Fabric fabric;
   sim::Scheduler scheduler;
-  sim::Trace trace;
   RuntimeRegistry runtime;
   algorithms::register_runtimes(runtime);
   McuConfig config;
   config.defragment_on_pressure = true;
   telemetry::Registry registry;
-  Mcu mcu(fabric, scheduler, trace, registry, runtime, config);
+  Mcu mcu(fabric, scheduler, registry, runtime, config);
 
   for (KernelId id : {KernelId::kAes128, KernelId::kFft, KernelId::kMatMul,
                       KernelId::kModExp}) {
@@ -544,7 +540,7 @@ TEST_F(McuFixture, DecodeAndLoadComposeIntoPrepare) {
   const auto p = algorithms::function_id(KernelId::kParity32);
 
   const sim::SimTime start = scheduler_.now();
-  const sim::SimTime decode = mcu_.decode_invoke(start);
+  const sim::SimTime decode = mcu_.decode_invoke();
   EXPECT_GT(decode, sim::SimTime::zero());
   sim::SimTime load_elapsed;
   const LoadResult load = mcu_.load_invoke(a, start + decode, &load_elapsed);
@@ -567,7 +563,7 @@ class DeltaMcuFixture : public ::testing::Test {
   static constexpr unsigned kDirty = 2;
 
   DeltaMcuFixture()
-      : mcu_(fabric_, scheduler_, trace_, registry_, runtime_, config()) {
+      : mcu_(fabric_, scheduler_, registry_, runtime_, config()) {
     algorithms::register_runtimes(runtime_);
   }
 
@@ -599,7 +595,6 @@ class DeltaMcuFixture : public ::testing::Test {
 
   fabric::Fabric fabric_;
   sim::Scheduler scheduler_;
-  sim::Trace trace_;
   telemetry::Registry registry_;
   RuntimeRegistry runtime_;
   Mcu mcu_;

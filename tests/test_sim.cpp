@@ -1,5 +1,5 @@
 // Unit tests for src/sim: simulated time, frequencies, the discrete-event
-// scheduler's ordering guarantees, and activity tracing.
+// scheduler's ordering guarantees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include "common/error.h"
 #include "sim/scheduler.h"
 #include "sim/time.h"
-#include "sim/trace.h"
 
 namespace aad::sim {
 namespace {
@@ -276,30 +275,6 @@ TEST(SchedulerCancelTest, CompactionKeepsPopOrderAndLiveEvents) {
     return (10 + (a * 7919) % 97) < (10 + (b * 7919) % 97);
   });
   EXPECT_EQ(order, expected);
-}
-
-TEST(TraceTest, StageTotalsAccumulate) {
-  Trace t;
-  t.record(Stage::kRom, "a", SimTime::ns(0), SimTime::ns(10));
-  t.record(Stage::kRom, "b", SimTime::ns(10), SimTime::ns(30));
-  t.record(Stage::kExecute, "c", SimTime::ns(5), SimTime::ns(6));
-  const auto totals = t.stage_totals();
-  EXPECT_EQ(totals.at(Stage::kRom), SimTime::ns(30));
-  EXPECT_EQ(totals.at(Stage::kExecute), SimTime::ns(1));
-  EXPECT_EQ(t.spans().size(), 3u);
-}
-
-TEST(TraceTest, DisabledTraceRecordsNothing) {
-  Trace t;
-  t.set_enabled(false);
-  t.record(Stage::kRom, "a", SimTime::ns(0), SimTime::ns(10));
-  EXPECT_TRUE(t.spans().empty());
-}
-
-TEST(TraceTest, SummaryMentionsStages) {
-  Trace t;
-  t.record(Stage::kConfigure, "f", SimTime::ns(0), SimTime::ns(4));
-  EXPECT_NE(t.summary().find("configure"), std::string::npos);
 }
 
 TEST(SimTimeTest, ToStringPicksUnits) {
