@@ -128,18 +128,8 @@ std::uint64_t CoprocessorServer::submit_function_at(sim::SimTime when,
 }
 
 sim::EventId CoprocessorServer::schedule(sim::SimTime when,
-                                         std::function<void()> action) {
-  // The holder lets the wrapper erase its own ledger entry when it fires;
-  // power_off cancels whatever ids remain in the ledger.
-  auto holder = std::make_shared<sim::EventId>(0);
-  const sim::EventId id = card_.scheduler().schedule_at(
-      when, [this, holder, action = std::move(action)] {
-        scheduled_.erase(*holder);
-        action();
-      });
-  *holder = id;
-  scheduled_.insert(id);
-  return id;
+                                         sim::Scheduler::Action action) {
+  return card_.scheduler().schedule_at(when, std::move(action), this);
 }
 
 std::optional<CoprocessorServer::CancelledRequest> CoprocessorServer::try_cancel(
@@ -158,7 +148,6 @@ std::optional<CoprocessorServer::CancelledRequest> CoprocessorServer::try_cancel
     AAD_CHECK(p.chain_event.has_value(),
               "uncommitted request has no pending event");
     card_.scheduler().cancel(*p.chain_event);
-    scheduled_.erase(*p.chain_event);
   }
   const auto inbound = inbound_.find(p.request.function);
   AAD_CHECK(inbound != inbound_.end(), "inbound accounting out of sync");
@@ -189,11 +178,10 @@ std::optional<CoprocessorServer::CancelledRequest> CoprocessorServer::try_cancel
 
 std::vector<CoprocessorServer::CancelledRequest>
 CoprocessorServer::power_off() {
-  // Cancel the whole event ledger first: a dead card's pipeline must not
-  // fire another event (and the cancelled callbacks' captured payloads are
+  // Cancel every event this server owns first: a dead card's pipeline must
+  // not fire another event (and the cancelled callbacks' captured state is
   // released immediately).
-  for (const sim::EventId event : scheduled_) card_.scheduler().cancel(event);
-  scheduled_.clear();
+  card_.scheduler().cancel_owned(this);
   std::vector<CancelledRequest> refugees;
   refugees.reserve(queue_.size());
   for (auto& [id, p] : queue_) {
@@ -650,7 +638,7 @@ void CoprocessorServer::complete(std::uint64_t id) {
   queue_.erase(it);
   --in_flight_;
   request.complete_time = now();
-  completed_.push_back(request);
+  completed_.push_back(std::move(request));
   if (config_.prefetch.enabled && !completed_.back().failed) {
     // Train on the completion stream (successes only) and queue the
     // client's predicted next function for the idle-engine pump.  Before

@@ -63,7 +63,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
 #include "core/batch_policy.h"
@@ -422,10 +421,10 @@ class CoprocessorServer {
   /// Fail the whole batch terminally (corrupted bitstream): every member
   /// completes NOW with failed=true and no engine/fabric time charged.
   void fail_batch(const std::vector<std::uint64_t>& batch, FailReason reason);
-  /// schedule_at through the server's event ledger, so power_off can cancel
-  /// everything this server has in flight without touching other users of
-  /// the (possibly shared) scheduler.
-  sim::EventId schedule(sim::SimTime when, std::function<void()> action);
+  /// schedule_at tagged with this server as the owner, so power_off can
+  /// cancel everything this server has in flight without touching other
+  /// users of the (possibly shared) scheduler.
+  sim::EventId schedule(sim::SimTime when, sim::Scheduler::Action action);
   /// Ensure a pump_prefetch wake-up fires no later than `when`.
   void schedule_prefetch_pump(sim::SimTime when);
   /// Speculatively load the best actionable candidate if the engine is idle
@@ -458,9 +457,6 @@ class CoprocessorServer {
   /// arrival would join.
   std::map<memory::FunctionId, sim::SimTime> hold_anchors_;
   std::vector<ServerRequest> completed_;
-  /// Ids of every event this server has scheduled and not yet seen fire —
-  /// the ledger power_off cancels.
-  std::set<sim::EventId> scheduled_;
 
   // Registry handles — the `server.*` counter block on the card's
   // telemetry::Registry, registered at construction; ServerStats is a

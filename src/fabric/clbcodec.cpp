@@ -142,7 +142,6 @@ netlist::LutNetwork decode_frames(std::span<const std::vector<Word>> frames,
   }
   while (!all.empty() && slot_is_empty(all.back())) all.pop_back();
   for (const LutSlot& slot : all) network.add_slot(slot);
-  network.validate();
   return network;
 }
 

@@ -37,7 +37,9 @@ std::vector<std::vector<Word>> encode_frames(
 
 /// Rebuild a LutNetwork from frame payloads laid out by encode_frames.
 /// Trailing all-empty slots are trimmed.  Throws kCorruptData on malformed
-/// or inconsistent switch words.
+/// or inconsistent switch words.  The network's structure is not validated
+/// here: its consumer does that once (netlist::LutExecutor's constructor
+/// runs LutNetwork::validate before compiling).
 netlist::LutNetwork decode_frames(
     std::span<const std::vector<Word>> frames, const FrameGeometry& geometry,
     const std::string& name, std::size_t input_width,

@@ -46,7 +46,8 @@ class Fabric {
   void erase();
 
   /// Rebuild the executable LUT network of a function occupying `frames`
-  /// *in logical (load) order*.  Frames need not be contiguous.
+  /// *in logical (load) order*.  Frames need not be contiguous.  Like
+  /// decode_frames, checks the encoding but not the network's structure.
   netlist::LutNetwork extract_network(std::span<const FrameIndex> frames,
                                       const std::string& name,
                                       std::size_t input_width,

@@ -659,8 +659,9 @@ InvokeResult Mcu::invoke(memory::FunctionId id, ByteSpan input) {
   result.exec_time = run.exec_time;
   result.io_time = run.io_time;
   result.firmware_time = prep.firmware_time;
-  result.total = result.firmware_time + result.load.reconfig_time +
-                 result.exec_time + result.io_time;
+  result.evict_time =
+      prep.time - prep.firmware_time - prep.load.reconfig_time;
+  result.total = prep.time + run.time;
   return result;
 }
 

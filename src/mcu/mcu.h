@@ -82,7 +82,12 @@ struct InvokeResult {
   std::int64_t exec_cycles = 0;
   sim::SimTime exec_time;
   sim::SimTime io_time;             ///< data-in + data-out staging
-  sim::SimTime firmware_time;
+  sim::SimTime firmware_time;       ///< command decode
+  /// Making room before the stream: eviction firmware plus any
+  /// defragmentation pass.  Zero on hit and on loads that fit free frames.
+  sim::SimTime evict_time;
+  /// firmware + evict + load.reconfig_time + exec + io: exactly the time
+  /// the invoke advanced the clock.
   sim::SimTime total;
 };
 

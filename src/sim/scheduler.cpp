@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
+#include <utility>
 
 #include "common/error.h"
 
@@ -24,38 +26,73 @@ std::string to_string(SimTime t) {
   return buf;
 }
 
-EventId Scheduler::schedule_at(SimTime when, Action action) {
+EventId Scheduler::schedule_at(SimTime when, Action action,
+                               const void* owner) {
   AAD_REQUIRE(when >= now_, "cannot schedule an event in the past");
-  const EventId id = next_sequence_++;
-  heap_.push_back(EventKey{when, id});
+  std::uint32_t slot;
+  if (free_.empty()) {
+    AAD_CHECK(slots_.size() < UINT32_MAX, "event slot pool exhausted");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.action = std::move(action);
+  s.owner = owner;
+  s.live = true;
+  ++live_;
+  heap_.push_back(EventKey{when, next_sequence_++, slot, s.generation});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  actions_.emplace(id, std::move(action));
-  return id;
+  return (EventId{s.generation} << 32) | slot;
+}
+
+Scheduler::Action Scheduler::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.owner = nullptr;
+  ++s.generation;
+  s.live = false;
+  --live_;
+  free_.push_back(slot);
+  return std::exchange(s.action, nullptr);
 }
 
 bool Scheduler::cancel(EventId id) {
   // Lazy cancellation: only the action (and everything it captured) is
   // released here; the heap key becomes a tombstone.
-  if (actions_.erase(id) == 0) return false;
+  const auto slot = static_cast<std::uint32_t>(id);
+  const auto generation = static_cast<std::uint32_t>(id >> 32);
+  if (slot >= slots_.size() || slots_[slot].generation != generation)
+    return false;
+  const Action dead = release(slot);
   ++tombstones_;
   maybe_compact();
   return true;
 }
 
-void Scheduler::pop_top() {
-  std::pop_heap(heap_.begin(), heap_.end(), Later{});
-  heap_.pop_back();
+std::size_t Scheduler::cancel_owned(const void* owner) {
+  AAD_REQUIRE(owner != nullptr, "cancel_owned needs an owner");
+  std::size_t cancelled = 0;
+  // By index: a destroyed action may schedule, which can grow slots_.
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (!slots_[slot].live || slots_[slot].owner != owner) continue;
+    const Action dead = release(slot);
+    ++cancelled;
+  }
+  tombstones_ += cancelled;
+  maybe_compact();
+  return cancelled;
 }
 
 void Scheduler::maybe_compact() {
-  if (tombstones_ <= kCompactionFloor || tombstones_ <= actions_.size())
-    return;
-  // Keep only keys whose action is still live, then re-heapify.  Relative
-  // pop order is untouched — (when, sequence) is a total order, so the
-  // rebuilt heap drains in exactly the sequence the old one would have.
+  if (tombstones_ <= kCompactionFloor || tombstones_ <= live_) return;
+  // Keep only keys whose slot still holds their event, then re-heapify.
+  // Relative pop order is untouched — (when, sequence) is a total order, so
+  // the rebuilt heap drains in exactly the sequence the old one would have.
   auto live_end = std::remove_if(
       heap_.begin(), heap_.end(), [this](const EventKey& key) {
-        return actions_.find(key.sequence) == actions_.end();
+        return slots_[key.slot].generation != key.generation;
       });
   heap_.erase(live_end, heap_.end());
   heap_.shrink_to_fit();
@@ -71,19 +108,20 @@ void Scheduler::advance(SimTime delay) {
   run_until(target);
 }
 
-std::size_t Scheduler::run() {
+std::size_t Scheduler::drain(SimTime deadline) {
   std::size_t executed = 0;
-  while (!heap_.empty()) {
+  while (!heap_.empty() && heap_.front().when <= deadline) {
     const EventKey key = heap_.front();
-    pop_top();
-    const auto it = actions_.find(key.sequence);
-    if (it == actions_.end()) {  // cancelled: skip, no time advance
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+    if (slots_[key.slot].generation != key.generation) {
+      // Cancelled: skip, no time advance.
       if (tombstones_ > 0) --tombstones_;
       continue;
     }
-    // Move out before erasing: the action may schedule more events.
-    Action action = std::move(it->second);
-    actions_.erase(it);
+    // Release before running: the action may schedule more events (reusing
+    // this very slot), and its own handle must already read as fired.
+    const Action action = release(key.slot);
     now_ = key.when;
     action();
     ++executed;
@@ -91,30 +129,23 @@ std::size_t Scheduler::run() {
   return executed;
 }
 
+std::size_t Scheduler::run() {
+  return drain(SimTime::ps(std::numeric_limits<std::int64_t>::max()));
+}
+
 std::size_t Scheduler::run_until(SimTime deadline) {
-  std::size_t executed = 0;
-  while (!heap_.empty() && heap_.front().when <= deadline) {
-    const EventKey key = heap_.front();
-    pop_top();
-    const auto it = actions_.find(key.sequence);
-    if (it == actions_.end()) {  // cancelled: skip, no time advance
-      if (tombstones_ > 0) --tombstones_;
-      continue;
-    }
-    Action action = std::move(it->second);
-    actions_.erase(it);
-    now_ = key.when;
-    action();
-    ++executed;
-  }
+  const std::size_t executed = drain(deadline);
   if (deadline > now_) now_ = deadline;
   return executed;
 }
 
 void Scheduler::clear() {
   heap_.clear();
-  actions_.clear();
   tombstones_ = 0;
+  // Release rather than reset the slots: generations must keep advancing,
+  // or a handle taken before the clear could cancel an event posted after.
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot)
+    if (slots_[slot].live) release(slot);
 }
 
 }  // namespace aad::sim

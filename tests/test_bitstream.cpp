@@ -92,13 +92,14 @@ TEST(SynthTest, ProducesRequestedFootprint) {
 
 TEST(SynthTest, OutputDecodesAndValidates) {
   // The synthesized stream must be structurally legal — decode_frames
-  // validates pin references, switch words and output coverage.
+  // checks the switch words, validate() pin references and output coverage.
   const fabric::FrameGeometry geometry;
   SynthParams params;
   params.frames = 4;
   const Bitstream bs =
       synthesize_behavioral("fake", 7, 32, 48, geometry, params);
-  EXPECT_NO_THROW(fabric::decode_frames(bs.frames, geometry, "fake", 32, 48));
+  EXPECT_NO_THROW(
+      fabric::decode_frames(bs.frames, geometry, "fake", 32, 48).validate());
 }
 
 TEST(SynthTest, DeterministicForSeed) {

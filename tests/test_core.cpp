@@ -93,33 +93,48 @@ TEST(CoprocessorApi, StatsAndTimeAdvance) {
 }
 
 TEST(CoprocessorApi, InvokeStagesSumExactlyToLatency) {
-  // The synchronous path's breakdown is exact: PCI, firmware decode, load,
-  // execution and RAM staging add up to the host-observed latency in
-  // integer picoseconds, cold and warm, for every kernel.
+  // The synchronous path's breakdown is exact: PCI, firmware decode,
+  // evictions, load, execution and RAM staging add up to the host-observed
+  // latency in integer picoseconds, cold and warm, for every kernel — on a
+  // fresh card per kernel, and on one shared card whose later loads must
+  // evict earlier kernels to make room.
+  const auto ps = [](sim::SimTime t) { return t.picoseconds(); };
+  const auto check = [&](AgileCoprocessor& cp,
+                         const algorithms::KernelSpec& spec, bool cold) {
+    const InvokeOutcome r = cp.invoke(spec.id, spec.make_input(2, 7));
+    const mcu::InvokeResult& d = r.device;
+    EXPECT_EQ(ps(r.pci_time) + ps(d.firmware_time) + ps(d.evict_time) +
+                  ps(d.load.reconfig_time) + ps(d.exec_time) +
+                  ps(d.io_time),
+              ps(r.latency))
+        << spec.name << (cold ? " cold" : " warm");
+    EXPECT_EQ(ps(r.pci_time) + ps(d.total), ps(r.latency)) << spec.name;
+    EXPECT_EQ(d.load.hit, !cold) << spec.name;
+    EXPECT_EQ(d.evict_time == sim::SimTime::zero(), d.load.evictions == 0)
+        << spec.name;
+    const mcu::LoadStages& l = d.load_stages;
+    for (const sim::SimTime stage :
+         {l.rom, l.decompress, l.configure, l.firmware}) {
+      if (cold)
+        EXPECT_GT(stage, sim::SimTime::zero()) << spec.name;
+      else
+        EXPECT_EQ(stage, sim::SimTime::zero()) << spec.name;
+    }
+    return d.load.evictions;
+  };
   for (const auto& spec : algorithms::catalog()) {
     AgileCoprocessor cp;
     cp.download(spec.id);
-    const Bytes input = spec.make_input(2, 7);
-    for (const bool cold : {true, false}) {
-      const InvokeOutcome r = cp.invoke(spec.id, input);
-      const mcu::InvokeResult& d = r.device;
-      const auto ps = [](sim::SimTime t) { return t.picoseconds(); };
-      EXPECT_EQ(ps(r.pci_time) + ps(d.firmware_time) +
-                    ps(d.load.reconfig_time) + ps(d.exec_time) +
-                    ps(d.io_time),
-                ps(r.latency))
-          << spec.name << (cold ? " cold" : " warm");
-      EXPECT_EQ(d.load.hit, !cold) << spec.name;
-      const mcu::LoadStages& l = d.load_stages;
-      for (const sim::SimTime stage :
-           {l.rom, l.decompress, l.configure, l.firmware}) {
-        if (cold)
-          EXPECT_GT(stage, sim::SimTime::zero()) << spec.name;
-        else
-          EXPECT_EQ(stage, sim::SimTime::zero()) << spec.name;
-      }
-    }
+    for (const bool cold : {true, false})
+      EXPECT_EQ(check(cp, spec, cold), 0u) << spec.name;
   }
+  AgileCoprocessor shared;
+  unsigned evictions = 0;
+  for (const auto& spec : algorithms::catalog()) {
+    shared.download(spec.id);
+    for (const bool cold : {true, false}) evictions += check(shared, spec, cold);
+  }
+  EXPECT_GT(evictions, 0u);  // the shared card did evict
 }
 
 TEST(CoprocessorApi, CodecChoiceAffectsRomFootprint) {

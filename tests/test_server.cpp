@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 
+#include "core/fleet.h"
 #include "core/server.h"
 #include "workload/multiclient.h"
 #include "workload/replay.h"
@@ -550,6 +552,62 @@ TEST(CoprocessorServerPolicyTest, ShortestReconfigFirstPicksSmallFootprint) {
   ASSERT_EQ(sjf.size(), 4u);
   EXPECT_EQ(sjf[2], 3u);  // 10-frame SHA-256 before 16-frame FFT
   EXPECT_EQ(sjf[3], 2u);
+}
+
+TEST(CoprocessorServerTest, PowerOffOnASharedSchedulerCancelsOnlyItsOwnEvents) {
+  // A fleet drives every card's server and its own dispatch events on one
+  // scheduler.  One card's power_off must retire exactly that card's
+  // pending events and release its requests' captured state at once, and
+  // leave the other card's and the fleet's events pending.  A twin fleet
+  // whose card 0 never gets work counts everyone else's events.
+  const KernelId kernel = KernelId::kAes128;
+  const Bytes input = kernel_input(kernel, 16, 5);
+  auto probe = std::make_shared<int>(0);
+  const std::weak_ptr<int> alive = probe;
+  int card0_done = 0;
+  int fleet_done = 0;
+  const auto start = [&](CoprocessorFleet& fleet, bool busy_card0) {
+    fleet.download(kernel);
+    const sim::SimTime t0 = fleet.now();
+    for (unsigned client = 0; client < 3; ++client) {
+      if (busy_card0)
+        fleet.server(0).submit(client, kernel, input,
+                               [probe, &card0_done](const ServerRequest&) {
+                                 ++card0_done;
+                               });
+      fleet.server(1).submit(client, kernel, input);
+    }
+    fleet.submit_function_at(t0 + sim::SimTime::us(200), 9,
+                             algorithms::function_id(kernel), input,
+                             [&](const ServerRequest&) { ++fleet_done; });
+    fleet.run_until(t0 + sim::SimTime::us(5));
+  };
+  CoprocessorFleet twin;
+  start(twin, false);
+  CoprocessorFleet fleet;
+  start(fleet, true);
+  probe.reset();
+
+  ASSERT_EQ(fleet.server(0).in_flight(), 3u);
+  ASSERT_GT(fleet.sim_pending(), twin.sim_pending());  // card 0 has events
+  auto refugees = fleet.server(0).power_off();
+  EXPECT_EQ(fleet.sim_pending(), twin.sim_pending());
+  ASSERT_EQ(refugees.size(), 3u);
+  for (const auto& r : refugees) EXPECT_EQ(r.input, input);
+  EXPECT_FALSE(alive.expired());  // only the refugees' hooks hold it now
+  refugees.clear();
+  EXPECT_TRUE(alive.expired());
+
+  fleet.run();
+  EXPECT_EQ(card0_done, 0);
+  EXPECT_EQ(fleet_done, 1);
+  std::size_t card1_requests = 0;
+  for (const ServerRequest& r : fleet.server(1).completed()) {
+    if (r.client == 9) continue;  // the fleet's own dispatch may land here
+    ++card1_requests;
+    EXPECT_EQ(r.output, algorithms::spec(kernel).software(input));
+  }
+  EXPECT_EQ(card1_requests, 3u);
 }
 
 TEST(CoprocessorServerTest, SubmitInThePastThrows) {

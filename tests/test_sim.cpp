@@ -3,12 +3,57 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "common/error.h"
 #include "sim/scheduler.h"
 #include "sim/time.h"
+
+// Every global allocation in this binary bumps the counter, so a test can
+// assert that a stretch of code allocates nothing.  Every non-aligned form
+// is replaced: a sanitizer runtime ships its own, and a block must never be
+// allocated by one side and freed by the other.  The deletes stay out of
+// line: inlined into a caller, GCC pairs their free() with the library's
+// operator new and warns of a mismatch.
+namespace {
+std::size_t g_allocations = 0;
+void* counted_malloc(std::size_t size) noexcept {
+  ++g_allocations;
+  return std::malloc(size == 0 ? 1 : size);
+}
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_malloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p,
+                                         const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace aad::sim {
 namespace {
@@ -275,6 +320,166 @@ TEST(SchedulerCancelTest, CompactionKeepsPopOrderAndLiveEvents) {
     return (10 + (a * 7919) % 97) < (10 + (b * 7919) % 97);
   });
   EXPECT_EQ(order, expected);
+}
+
+TEST(SchedulerHandleTest, StaleHandleCannotCancelTheSlotsNextOccupant) {
+  // Handles are (generation << 32) | slot and slots are reused: a fired or
+  // cancelled event's handle must read as stale once another event takes
+  // its slot, or a late disarm would cancel an unrelated event.
+  Scheduler s;
+  int fired = 0;
+  const EventId done = s.schedule_at(SimTime::ns(5), [&] { ++fired; });
+  EXPECT_EQ(s.run(), 1u);
+  const EventId next = s.schedule_at(SimTime::ns(8), [&] { ++fired; });
+  EXPECT_EQ(static_cast<std::uint32_t>(next),
+            static_cast<std::uint32_t>(done));  // same slot, reused
+  EXPECT_NE(next, done);
+  EXPECT_FALSE(s.cancel(done));
+  EXPECT_EQ(s.pending(), 1u);
+
+  const EventId dropped = s.schedule_at(SimTime::ns(9), [] {
+    FAIL() << "cancelled, must not run";
+  });
+  EXPECT_TRUE(s.cancel(dropped));
+  const EventId taker = s.schedule_at(SimTime::ns(9), [&] { ++fired; });
+  EXPECT_EQ(static_cast<std::uint32_t>(taker),
+            static_cast<std::uint32_t>(dropped));
+  EXPECT_FALSE(s.cancel(dropped));
+  EXPECT_EQ(s.pending(), 2u);
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(fired, 3);
+  EXPECT_FALSE(s.cancel(next));
+  EXPECT_FALSE(s.cancel(taker));
+}
+
+TEST(SchedulerHandleTest, HandlesFromBeforeAClearStayStale) {
+  // clear() frees every slot but must keep advancing generations: a handle
+  // taken before a device reset must not cancel what is posted after it.
+  Scheduler s;
+  int fired = 0;
+  const EventId old = s.schedule_at(SimTime::ns(5), [] {
+    FAIL() << "cleared, must not run";
+  });
+  s.clear();
+  const EventId fresh = s.schedule_at(SimTime::ns(6), [&] { ++fired; });
+  EXPECT_EQ(static_cast<std::uint32_t>(fresh),
+            static_cast<std::uint32_t>(old));
+  EXPECT_FALSE(s.cancel(old));
+  EXPECT_EQ(s.pending(), 1u);
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(SchedulerHandleTest, HandlesFromBeforeAClearInsideAnEventStayStale) {
+  // The reset fires from inside an event: the pre-clear handles (the
+  // running event's own included) must stay stale for the events that
+  // event posts after the clear, which reuse the freed slots.
+  Scheduler s;
+  std::vector<int> order;
+  std::vector<EventId> before;
+  EventId self = 0;
+  self = s.schedule_at(SimTime::ns(5), [&] {
+    order.push_back(0);
+    s.clear();
+    for (int i = 1; i <= 3; ++i)
+      s.schedule_at(SimTime::ns(7), [&order, i] { order.push_back(i); });
+    for (const EventId id : before) EXPECT_FALSE(s.cancel(id));
+    EXPECT_FALSE(s.cancel(self));
+    EXPECT_EQ(s.pending(), 3u);
+  });
+  for (int i = 0; i < 3; ++i)
+    before.push_back(s.schedule_at(SimTime::ns(6 + i), [] {
+      FAIL() << "cleared, must not run";
+    }));
+  EXPECT_EQ(s.run(), 4u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(SchedulerHandleTest, EqualTimestampsStayFifoAcrossSlotReuse) {
+  // Reused slots come off the free list in release order, not posting
+  // order; the drain must still follow posting order among equal times.
+  Scheduler s;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i)
+    ids.push_back(
+        s.schedule_at(SimTime::ns(10), [&order, i] { order.push_back(i); }));
+  for (const int victim : {5, 1, 6, 2}) EXPECT_TRUE(s.cancel(ids[victim]));
+  for (int i = 8; i < 12; ++i)
+    s.schedule_at(SimTime::ns(10), [&order, i] { order.push_back(i); });
+  // Fired slots are reused too: post more at the same timestamp from
+  // inside the drain, after earlier peers freed theirs.
+  s.schedule_at(SimTime::ns(10), [&] {
+    order.push_back(12);
+    for (int i = 13; i < 16; ++i)
+      s.schedule_at(SimTime::ns(10), [&order, i] { order.push_back(i); });
+  });
+  EXPECT_EQ(s.run(), 12u);
+  EXPECT_EQ(order, (std::vector<int>{0, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14,
+                                     15}));
+}
+
+TEST(SchedulerTest, WarmSchedulerAllocatesNothingPerEvent) {
+  // Once the slot pool and the heap have grown to the live-event count, an
+  // event whose action fits std::function's inline buffer costs no
+  // allocation to schedule or to fire.
+  Scheduler s;
+  std::size_t fired = 0;
+  struct Hop {  // 16 bytes, trivially copyable: stored inline
+    Scheduler* s;
+    std::size_t* fired;
+    void operator()() const {
+      ++*fired;
+      if (s->now() >= SimTime::us(5)) return;  // 64 chains until 5 us
+      s->schedule_after(SimTime::ns(1 + static_cast<double>(*fired % 7)),
+                        *this);
+    }
+  };
+  for (int i = 0; i < 64; ++i)
+    s.schedule_at(SimTime::ns(i), Hop{&s, &fired});
+  s.run_until(SimTime::ns(100));  // warm-up: pool and heap at full size
+  const std::size_t warm = fired;
+  const std::size_t before = g_allocations;
+  s.run_until(SimTime::us(4));  // every chain still alive
+  EXPECT_EQ(g_allocations, before);
+  EXPECT_GT(fired - warm, 50000u);
+  EXPECT_EQ(s.pending(), 64u);
+  s.run();
+}
+
+TEST(SchedulerOwnerTest, CancelOwnedReleasesOnlyThatOwnersEvents) {
+  // A card's server powering off on a shared scheduler: its events go at
+  // once (captured state released now), everyone else's stay pending.
+  Scheduler s;
+  int card_a = 0;  // owner tags: only the addresses matter
+  int card_b = 0;
+  auto probe_a = std::make_shared<int>(1);
+  auto probe_b = std::make_shared<int>(2);
+  const std::weak_ptr<int> alive_a = probe_a;
+  const std::weak_ptr<int> alive_b = probe_b;
+  std::vector<EventId> owned_a;
+  int fired = 0;
+  for (int i = 0; i < 3; ++i)
+    owned_a.push_back(s.schedule_at(
+        SimTime::ns(10 + i),
+        [probe_a] { FAIL() << "owner cancelled, must not run"; }, &card_a));
+  for (int i = 0; i < 2; ++i)
+    s.schedule_after(SimTime::ns(10 + i), [probe_b, &fired] { ++fired; },
+                     &card_b);
+  s.schedule_at(SimTime::ns(11), [&] { ++fired; });  // unowned
+  probe_a.reset();
+  probe_b.reset();
+  EXPECT_EQ(s.pending(), 6u);
+  EXPECT_EQ(s.cancel_owned(&card_a), 3u);
+  EXPECT_TRUE(alive_a.expired());
+  EXPECT_FALSE(alive_b.expired());
+  EXPECT_EQ(s.pending(), 3u);
+  EXPECT_EQ(s.cancel_owned(&card_a), 0u);
+  for (const EventId id : owned_a) EXPECT_FALSE(s.cancel(id));
+  EXPECT_THROW(s.cancel_owned(nullptr), Error);
+  EXPECT_EQ(s.run(), 3u);
+  EXPECT_EQ(fired, 3);
+  EXPECT_TRUE(alive_b.expired());
 }
 
 TEST(SimTimeTest, ToStringPicksUnits) {
