@@ -78,7 +78,7 @@ int main() {
   for (const auto& card : aff.cards)
     std::printf("  %u   %6llu      %5.1f  %6zu        %8.1f us\n", card.card,
                 static_cast<unsigned long long>(card.dispatched),
-                100.0 * card.hit_rate, card.resident,
+                100.0 * card.server.hit_rate, card.resident,
                 card.server.latency.p99.microseconds());
 
   std::printf("\nthe fleet cleared the trace %.2fx faster than round-robin "

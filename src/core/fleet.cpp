@@ -43,10 +43,6 @@ CoprocessorFleet::CoprocessorFleet(const FleetConfig& config)
   for (const sim::RomCorruption& c : faults_.corruptions)
     AAD_REQUIRE(c.card < config.cards,
                 "fault plan corrupts a card the fleet does not have");
-  // Ticket tracking costs a map entry and a wrapped completion per request;
-  // the fault-free configuration keeps the original zero-overhead path.
-  fault_mode_ =
-      !faults_.empty() || retry_.timeout > sim::SimTime::zero();
   // The fleet's own predictor sees the UNSPLIT arrival stream at dispatch
   // time; the per-card predictors only see what routing sends them.  Both
   // are inert (and cost nothing) unless the server config enables prefetch.
@@ -113,45 +109,66 @@ std::uint64_t CoprocessorFleet::submit_function_at(sim::SimTime when,
       }))
     AAD_FAIL(ErrorCode::kNotFound, "function " + std::to_string(function) +
                                        " not provisioned in any card's ROM");
-  const std::uint64_t ticket = next_ticket_++;
+  // Fault plans are armed on the FIRST submission, so the plan's times are
+  // relative to when traffic starts, not to how long provisioning took
+  // (which varies with the function set).
+  arm_faults();
   ++undispatched_;
-  if (fault_mode_) {
-    // Fault plans are armed on the FIRST submission, so the plan's times
-    // are relative to when traffic starts, not to how long provisioning
-    // took (which varies with the function set).
-    arm_faults();
-    TicketState state;
-    state.client = client;
-    state.function = function;
-    state.input = std::move(input);
-    state.done = std::move(done);
-    state.submit_time = when;
-    tickets_.emplace(ticket, std::move(state));
-    scheduler_.schedule_at(when, [this, ticket] { dispatch_ticket(ticket); });
-    return ticket;
-  }
   // The card is chosen when the request ARRIVES, not now: pre-scheduled
   // open-loop arrivals and closed-loop resubmissions alike get routed
   // against the queue depths and residency of their arrival instant.
+  // Unlike redispatch_at's, this closure carries no attempt count: four
+  // more bytes move every pending arrival into a larger heap block
+  // (perfbench agile_mix host_peak_rss_mb +1.3%).
   scheduler_.schedule_at(
       when, [this, client, function, input = std::move(input),
              done = std::move(done)]() mutable {
-        dispatch(client, function, std::move(input), std::move(done));
+        dispatch(client, function, std::move(input), std::move(done), 0);
       });
-  return ticket;
+  return next_ticket_++;
+}
+
+void CoprocessorFleet::redispatch_at(sim::SimTime when, unsigned client,
+                                     memory::FunctionId function, Bytes input,
+                                     Completion done, unsigned attempts) {
+  ++undispatched_;
+  scheduler_.schedule_at(
+      when, [this, client, function, input = std::move(input),
+             done = std::move(done), attempts]() mutable {
+        dispatch(client, function, std::move(input), std::move(done),
+                 attempts);
+      });
 }
 
 void CoprocessorFleet::dispatch(unsigned client, memory::FunctionId function,
-                                Bytes input, Completion done) {
+                                Bytes input, Completion done,
+                                unsigned attempts) {
   --undispatched_;
+  if (!any_alive()) {
+    fail(0, client, function, now(), done, FailReason::kCardDeath);
+    return;
+  }
   const unsigned index = route(function);
   Shard& shard = shards_[index];
   ++shard.dispatched;
   if (fleet_track_ != nullptr)
     fleet_track_->instant("dispatch", "dispatch", now(), /*request=*/-1,
                           client, function, index);
-  shard.server->submit_function_at(now(), client, function, std::move(input),
-                                   std::move(done));
+  if (retry_.timeout > sim::SimTime::zero()) {
+    // The server holds the payload and a 16-byte hook (no allocation
+    // inside std::function); the submitter's hook waits in the watch.
+    const std::uint64_t id = shard.server->submit_function_at(
+        now(), client, function, std::move(input),
+        [this, index](const ServerRequest& r) {
+          on_watched_complete(index, r);
+        });
+    const sim::EventId timeout = scheduler_.schedule_at(
+        now() + retry_.timeout, [this, index, id] { on_timeout(index, id); });
+    shard.watches.emplace(id, Watch{attempts + 1, timeout, std::move(done)});
+  } else {
+    shard.server->submit_function_at(now(), client, function,
+                                     std::move(input), std::move(done));
+  }
   if (prefetch_enabled_) maybe_cross_prefetch(client, function, index);
 }
 
@@ -180,107 +197,68 @@ void CoprocessorFleet::arm_faults() {
   }
 }
 
-void CoprocessorFleet::dispatch_ticket(std::uint64_t ticket) {
-  --undispatched_;
-  const auto it = tickets_.find(ticket);
-  AAD_CHECK(it != tickets_.end(), "dispatching an unknown ticket");
-  TicketState& state = it->second;
-  if (!any_alive()) {
-    fail_ticket(ticket, FailReason::kCardDeath);
-    return;
-  }
-  const unsigned card = route(state.function);
-  Shard& shard = shards_[card];
-  ++shard.dispatched;
-  if (fleet_track_ != nullptr)
-    fleet_track_->instant("dispatch", "dispatch", now(),
-                          static_cast<std::int64_t>(ticket), state.client,
-                          state.function, card);
-  ++state.attempts;
-  state.on_card = true;
-  state.card = card;
-  // The payload moves onto the card; try_cancel/power_off hand it back if
-  // the request has to be pulled.  The fleet ALWAYS wraps the completion
-  // freshly per dispatch — a refugee's old wrapper is never reused (it
-  // would fire the ticket bookkeeping twice).
-  state.card_request = shard.server->submit_function_at(
-      now(), state.client, state.function, std::move(state.input),
-      [this, ticket](const ServerRequest& r) { on_card_complete(ticket, r); });
-  state.input = Bytes();
-  if (retry_.timeout > sim::SimTime::zero())
-    state.timeout_event = scheduler_.schedule_at(
-        now() + retry_.timeout, [this, ticket] { on_timeout(ticket); });
-  if (prefetch_enabled_)
-    maybe_cross_prefetch(state.client, state.function, card);
-}
-
-void CoprocessorFleet::on_card_complete(std::uint64_t ticket,
-                                        const ServerRequest& request) {
-  const auto it = tickets_.find(ticket);
-  AAD_CHECK(it != tickets_.end(), "completion for an unknown ticket");
-  const Completion done = std::move(it->second.done);
-  if (it->second.timeout_event)
-    scheduler_.cancel(*it->second.timeout_event);
-  tickets_.erase(it);
+void CoprocessorFleet::on_watched_complete(unsigned card,
+                                           const ServerRequest& request) {
+  auto watch = shards_[card].watches.extract(request.id);
+  AAD_CHECK(!watch.empty(), "completion for an unwatched request");
+  scheduler_.cancel(watch.mapped().timeout);
   // Card-level outcomes — success or failure (a CRC reject the MCU's
   // re-fetch could not repair) — are terminal: a corrupted ROM payload is
   // per-card persistent state, not a transient worth burning retries on.
-  if (done) done(request);
+  if (watch.mapped().done) watch.mapped().done(request);
 }
 
-void CoprocessorFleet::on_timeout(std::uint64_t ticket) {
-  const auto it = tickets_.find(ticket);
-  if (it == tickets_.end()) return;  // completed at this same instant
-  TicketState& state = it->second;
-  state.timeout_event.reset();
-  auto cancelled = shards_[state.card].server->try_cancel(state.card_request);
+void CoprocessorFleet::on_timeout(unsigned card, std::uint64_t id) {
+  Shard& shard = shards_[card];
+  auto cancelled = shard.server->try_cancel(id);
   if (!cancelled) {
     // Committed: the engine/fabric windows are booked and the result will
-    // arrive — cancelling now would waste real device work.  Let it ride;
-    // only a card death can still unwind it.
+    // arrive — cancelling now would waste real device work.  Let it ride,
+    // keeping its watch (and attempt count); only a card death can still
+    // unwind it.
     return;
   }
+  // cancelled->done is our [this, card] hook; the submitter's is here.
+  auto watch = shard.watches.extract(id);
+  AAD_CHECK(!watch.empty(), "timeout for an unwatched request");
+  const unsigned attempts = watch.mapped().attempts;
   counters_.timeouts.add();
   if (fleet_track_ != nullptr)
     fleet_track_->instant("fault", "timeout", now(),
-                          static_cast<std::int64_t>(ticket), state.client,
-                          state.function, state.card);
-  state.on_card = false;
-  state.input = std::move(cancelled->input);
-  if (state.attempts > retry_.max_retries) {
-    fail_ticket(ticket, FailReason::kTimeout);
+                          static_cast<std::int64_t>(id), cancelled->client,
+                          cancelled->function, card);
+  if (attempts > retry_.max_retries) {
+    fail(id, cancelled->client, cancelled->function, cancelled->submit_time,
+         watch.mapped().done, FailReason::kTimeout);
     return;
   }
   counters_.retries.add();
-  ++undispatched_;
   const double scale =
-      std::pow(retry_.backoff, static_cast<double>(state.attempts - 1));
+      std::pow(retry_.backoff, static_cast<double>(attempts - 1));
   const sim::SimTime delay = sim::SimTime::ps(static_cast<std::int64_t>(
       static_cast<double>(retry_.backoff_base.picoseconds()) * scale));
-  scheduler_.schedule_at(now() + delay,
-                         [this, ticket] { dispatch_ticket(ticket); });
+  redispatch_at(now() + delay, cancelled->client, cancelled->function,
+                std::move(cancelled->input), std::move(watch.mapped().done),
+                attempts);
 }
 
-void CoprocessorFleet::fail_ticket(std::uint64_t ticket, FailReason reason) {
-  const auto it = tickets_.find(ticket);
-  AAD_CHECK(it != tickets_.end(), "failing an unknown ticket");
-  TicketState state = std::move(it->second);
-  tickets_.erase(it);
-  if (state.timeout_event) scheduler_.cancel(*state.timeout_event);
+void CoprocessorFleet::fail(std::uint64_t id, unsigned client,
+                            memory::FunctionId function,
+                            sim::SimTime submit_time, const Completion& done,
+                            FailReason reason) {
   counters_.failed.add();
   if (fleet_track_ != nullptr)
     fleet_track_->instant("fault", "request-failed", now(),
-                          static_cast<std::int64_t>(ticket), state.client,
-                          state.function);
+                          static_cast<std::int64_t>(id), client, function);
   ServerRequest failed;
-  failed.id = ticket;
-  failed.client = state.client;
-  failed.function = state.function;
-  failed.submit_time = state.submit_time;
+  failed.id = id;
+  failed.client = client;
+  failed.function = function;
+  failed.submit_time = submit_time;
   failed.complete_time = now();
   failed.failed = true;
   failed.fail_reason = reason;
-  if (state.done) state.done(failed);
+  if (done) done(failed);
 }
 
 void CoprocessorFleet::kill_card(unsigned index) {
@@ -296,50 +274,26 @@ void CoprocessorFleet::kill_card(unsigned index) {
                           /*client=*/-1, /*function=*/-1, index);
   std::vector<CoprocessorServer::CancelledRequest> refugees =
       shard.server->power_off();
+  // Every watched request is a refugee: disarm the timeouts and take the
+  // attempt counts and submitters' hooks with us.
+  std::unordered_map<std::uint64_t, Watch> watches = std::move(shard.watches);
+  shard.watches.clear();
+  for (const auto& [id, watch] : watches) scheduler_.cancel(watch.timeout);
   const bool survivors = any_alive();
   for (auto& refugee : refugees) {
-    // Match the refugee back to its fleet ticket.
-    std::uint64_t ticket = 0;
-    bool matched = false;
-    for (const auto& [tid, st] : tickets_) {
-      if (st.on_card && st.card == index && st.card_request == refugee.id) {
-        ticket = tid;
-        matched = true;
-        break;
-      }
+    unsigned attempts = 0;
+    Completion done = std::move(refugee.done);
+    if (const auto it = watches.find(refugee.id); it != watches.end()) {
+      attempts = it->second.attempts;
+      done = std::move(it->second.done);  // drops our [this, card] hook
     }
-    if (!matched) {
-      // Submitted directly through the exposed per-card server: the fleet
-      // has no ticket (and no retry budget) for it — surface the failure
-      // through its own hook.
-      counters_.failed.add();
-      ServerRequest failed;
-      failed.id = refugee.id;
-      failed.client = refugee.client;
-      failed.function = refugee.function;
-      failed.submit_time = refugee.submit_time;
-      failed.complete_time = now();
-      failed.failed = true;
-      failed.fail_reason = FailReason::kCardDeath;
-      if (refugee.done) refugee.done(failed);
-      continue;
-    }
-    TicketState& state = tickets_.at(ticket);
-    if (state.timeout_event) {
-      scheduler_.cancel(*state.timeout_event);
-      state.timeout_event.reset();
-    }
-    state.on_card = false;
-    state.input = std::move(refugee.input);
-    // refugee.done is the fleet's own wrapper from dispatch_ticket —
-    // dropped here; redispatch installs a fresh one.
     if (survivors) {
       counters_.redispatched.add();
-      ++undispatched_;
-      scheduler_.schedule_at(now(),
-                             [this, ticket] { dispatch_ticket(ticket); });
+      redispatch_at(now(), refugee.client, refugee.function,
+                    std::move(refugee.input), std::move(done), attempts);
     } else {
-      fail_ticket(ticket, FailReason::kCardDeath);
+      fail(refugee.id, refugee.client, refugee.function, refugee.submit_time,
+           done, FailReason::kCardDeath);
     }
   }
 }
@@ -357,8 +311,8 @@ void CoprocessorFleet::revive_card(unsigned index) {
 
 unsigned CoprocessorFleet::least_queued() const {
   // Lowest ALIVE card index among the minima keeps ties deterministic;
-  // callers never route to a dead card (dispatch_ticket fails the request
-  // up front when nothing is alive, so `found` only misses then).
+  // callers never route to a dead card (dispatch fails the request up
+  // front when nothing is alive, so `found` only misses then).
   unsigned best = 0;
   bool found = false;
   for (unsigned i = 0; i < card_count(); ++i) {
@@ -598,89 +552,36 @@ std::uint64_t CoprocessorFleet::in_flight() const {
 }
 
 FleetStats CoprocessorFleet::stats() const {
+  std::vector<const CoprocessorServer*> servers;
+  servers.reserve(shards_.size());
+  std::uint64_t dispatched = 0;
+  for (const Shard& shard : shards_) {
+    servers.push_back(shard.server.get());
+    dispatched += shard.dispatched;
+  }
   FleetStats stats;
+  static_cast<ServerStats&>(stats) = CoprocessorServer::pooled_stats(servers);
+  // Every placement counts once on its card's server; what the fleet did
+  // not dispatch there was submitted to that server directly.
+  stats.submitted = next_ticket_ + (stats.submitted - dispatched);
+  stats.failed += counters_.failed.value();
   stats.prefetch_routed = counters_.prefetch_routed.value();
   stats.affinity_routed = counters_.affinity_routed.value();
   stats.delta_routed = counters_.delta_routed.value();
   stats.affinity_fallback = counters_.affinity_fallback.value();
-  stats.prefetch_cross = counters_.prefetch_cross.value();
   stats.deaths = counters_.deaths.value();
   stats.redispatched = counters_.redispatched.value();
   stats.retries = counters_.retries.value();
   stats.timeouts = counters_.timeouts.value();
-  // Card-level failures are added per shard below.
-  stats.failed = counters_.failed.value();
+  stats.prefetch_cross = counters_.prefetch_cross.value();
   stats.cards.reserve(shards_.size());
-
-  bool any = false;
-  std::uint64_t server_submitted = 0, dispatched = 0;
-  sim::SimTime first_submit, last_complete;
-  std::vector<sim::SimTime> latencies;
   for (unsigned i = 0; i < card_count(); ++i) {
     const Shard& shard = shards_[i];
-    FleetCardStats card;
-    card.card = i;
-    card.server = shard.server->stats();
-    card.dispatched = shard.dispatched;
-    card.queue_depth = shard.server->in_flight();
-    card.resident = shard.card->mcu().resident_count();
-    card.alive = shard.alive;
-    card.deaths = shard.deaths;
-    for (const ServerRequest& r : shard.server->completed()) {
-      if (r.failed) continue;  // no device timeline to attribute
-      r.load.hit ? ++card.config_hits : ++card.config_misses;
-      if (!any || r.submit_time < first_submit) first_submit = r.submit_time;
-      if (!any || r.complete_time > last_complete)
-        last_complete = r.complete_time;
-      any = true;
-      latencies.push_back(r.latency());
-    }
-    if (card.server.completed > 0)
-      card.hit_rate = static_cast<double>(card.config_hits) /
-                      static_cast<double>(card.server.completed);
-    server_submitted += card.server.submitted;
-    dispatched += card.dispatched;
-    stats.completed += card.server.completed;
-    stats.config_hits += card.config_hits;
-    stats.config_misses += card.config_misses;
-    stats.total_bus_wait += card.server.total_bus_wait;
-    stats.total_device_wait += card.server.total_device_wait;
-    stats.total_engine_wait += card.server.total_engine_wait;
-    stats.total_fabric_wait += card.server.total_fabric_wait;
-    stats.total_hidden_reconfig += card.server.total_hidden_reconfig;
-    stats.overlapped_loads += card.server.overlapped_loads;
-    stats.batches += card.server.batches;
-    stats.coalesced_loads += card.server.coalesced_loads;
-    stats.total_amortized_reconfig += card.server.total_amortized_reconfig;
-    stats.frames_skipped_delta += card.server.frames_skipped_delta;
-    stats.bytes_streamed += card.server.bytes_streamed;
-    stats.failed += card.server.failed;
-    stats.crc_rejects += card.server.crc_rejects;
-    stats.refetches += card.server.refetches;
-    stats.prefetch_issued += card.server.prefetch_issued;
-    stats.prefetch_hits += card.server.prefetch_hits;
-    stats.prefetch_wasted += card.server.prefetch_wasted;
-    stats.hidden_reconfig_prefetch += card.server.hidden_reconfig_prefetch;
-    for (const auto& [codec, picks] : card.server.codec_picks)
-      stats.codec_picks[codec] += picks;
-    stats.cards.push_back(std::move(card));
+    stats.cards.push_back({i, shard.server->stats(), shard.dispatched,
+                           shard.server->in_flight(),
+                           shard.card->mcu().resident_count(), shard.alive,
+                           shard.deaths});
   }
-  stats.mean_batch_size = mean_batch_size(stats.batches, stats.coalesced_loads);
-
-  // Fleet tickets plus anything submitted directly through an exposed
-  // per-card server (its submitted count minus what we dispatched to it),
-  // so completed can never outrun submitted under mixed usage.
-  stats.submitted = next_ticket_ + (server_submitted - dispatched);
-  if (stats.completed > 0)
-    stats.hit_rate = static_cast<double>(stats.config_hits) /
-                     static_cast<double>(stats.completed);
-  if (any) {
-    stats.makespan = last_complete - first_submit;
-    if (stats.makespan > sim::SimTime::zero())
-      stats.throughput_rps =
-          static_cast<double>(stats.completed) / stats.makespan.seconds();
-  }
-  stats.latency = summarize_latencies(std::move(latencies));
   return stats;
 }
 

@@ -41,8 +41,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "core/server.h"
@@ -75,8 +75,8 @@ const char* to_string(DispatchPolicy policy);
 /// — a committed request rides to completion instead) and redispatched
 /// after an exponentially growing backoff, up to `max_retries` extra
 /// attempts; exhaustion surfaces the request as failed (FailReason::
-/// kTimeout).  `timeout` zero disables the watchdog entirely — the fleet's
-/// dispatch path is then byte-identical to the fault-free build.
+/// kTimeout).  `timeout` zero disables the watchdog: the fleet then keeps
+/// no per-request state and schedules no timeout events.
 struct RetryConfig {
   sim::SimTime timeout;               ///< zero = watchdog disabled
   unsigned max_retries = 2;           ///< redispatches after the first try
@@ -126,42 +126,23 @@ struct FleetCardStats {
   unsigned card = 0;
   ServerStats server;            ///< this card's pipeline stats
   std::uint64_t dispatched = 0;  ///< requests the policy routed here
-  std::uint64_t config_hits = 0;    ///< completed with the config resident
-  std::uint64_t config_misses = 0;  ///< completed after a reconfiguration
-  double hit_rate = 0.0;         ///< hits / completed
   std::size_t queue_depth = 0;   ///< in-flight on this card right now
   std::size_t resident = 0;      ///< functions on this card's fabric now
   bool alive = true;             ///< powered on right now
   std::uint64_t deaths = 0;      ///< times this card died (FaultPlan)
 };
 
-struct FleetStats {
-  /// Fleet tickets plus requests submitted directly to an exposed per-card
-  /// server; affinity_routed + affinity_fallback counts only the former.
-  std::uint64_t submitted = 0;
-  std::uint64_t completed = 0;
-  sim::SimTime makespan;          ///< first submission -> last completion
-  double throughput_rps = 0.0;    ///< completed per simulated second
-  LatencySummary latency;         ///< merged over every card's requests
-  std::uint64_t config_hits = 0;
-  std::uint64_t config_misses = 0;
-  double hit_rate = 0.0;          ///< fleet-wide configuration hit rate
-  sim::SimTime total_bus_wait;    ///< summed over all cards' buses
-  sim::SimTime total_device_wait; ///< engine + fabric wait, fleet-wide
-  sim::SimTime total_engine_wait;
-  sim::SimTime total_fabric_wait;
-  sim::SimTime total_hidden_reconfig;  ///< reconfig overlapped with execution
-  std::uint64_t overlapped_loads = 0;
-  // Batch amortization, fleet-wide (see ServerStats):
-  std::uint64_t batches = 0;
-  std::uint64_t coalesced_loads = 0;
-  double mean_batch_size = 0.0;  ///< members per committed batch, fleet-wide
-  sim::SimTime total_amortized_reconfig;
-  // Load-cost telemetry, fleet-wide (summed over the cards' MCU counters;
-  // see ServerStats):
-  std::uint64_t frames_skipped_delta = 0;
-  std::uint64_t bytes_streamed = 0;
-  std::map<compress::CodecId, std::uint64_t> codec_picks;
+/// Fleet-wide statistics: the ServerStats part is
+/// CoprocessorServer::pooled_stats over every card (counters summed,
+/// records pooled for percentiles and makespan), with two fleet-level
+/// corrections:
+///   * `submitted` counts fleet tickets plus requests submitted directly to
+///     an exposed per-card server, once each however often they were
+///     placed; affinity_routed + affinity_fallback counts placements;
+///   * `failed` adds the fleet-level terminal failures (no survivor,
+///     retries exhausted) to the cards' own (CRC rejects).
+/// Every submitted request ends in exactly one of completed/failed.
+struct FleetStats : ServerStats {
   /// Residency-affinity accounting (zero under the other policies):
   std::uint64_t prefetch_routed = 0;    ///< sent to the card that PREFETCHED
                                         ///< the config (tier between
@@ -180,17 +161,6 @@ struct FleetStats {
   std::uint64_t retries = 0;       ///< watchdog-driven redispatches
   std::uint64_t timeouts = 0;      ///< watchdog expirations that pulled a
                                    ///< request back (committed ones ride)
-  /// Terminal failures surfaced to the submitter: fleet-level (no survivor,
-  /// retries exhausted) plus card-level (CRC rejects).  Every submitted
-  /// request ends in exactly one of completed/failed.
-  std::uint64_t failed = 0;
-  std::uint64_t crc_rejects = 0;   ///< corrupted-bitstream load rejections
-  std::uint64_t refetches = 0;     ///< ROM repairs from the pristine copy
-  // Speculative prefetch, fleet-wide (ServerStats sums; zero when off):
-  std::uint64_t prefetch_issued = 0;
-  std::uint64_t prefetch_hits = 0;
-  std::uint64_t prefetch_wasted = 0;
-  sim::SimTime hidden_reconfig_prefetch;
   /// Cross-card prefetches handed to a cold sibling because the card the
   /// client's demand was heading to could not place the predicted next
   /// function in free frames.
@@ -228,7 +198,7 @@ class CoprocessorFleet {
   // unchanged.  The returned id is a fleet-wide ticket (dense submission
   // order), NOT the per-card ServerRequest::id — the card is not chosen
   // until the request arrives.  A function no card's ROM holds throws
-  // kNotFound at submit, before a ticket or event exists.
+  // kNotFound at submit, before any event exists.
 
   std::uint64_t submit(unsigned client, algorithms::KernelId kernel,
                        Bytes input, Completion done = {});
@@ -297,10 +267,12 @@ class CoprocessorFleet {
 
   /// Power the card off NOW: every pending event on its pipeline is
   /// cancelled, its fabric erased (recovery starts cold), and every request
-  /// it held — queued or committed — is redispatched to a surviving card
-  /// (at-least-once: a committed request's device work is lost and redone)
-  /// or failed with FailReason::kCardDeath when no card survives.  No-op on
-  /// an already-dead card.
+  /// it held — queued or committed, routed by the fleet or submitted
+  /// directly to the card's server — is redispatched to a surviving card
+  /// (at-least-once: a committed request's device work is lost and redone;
+  /// the redispatch spends one watchdog attempt) or failed with
+  /// FailReason::kCardDeath when no card survives.  No-op on an
+  /// already-dead card.
   void kill_card(unsigned index);
   /// Power the card back on.  It rejoins dispatch with a cold fabric; the
   /// ROM (host-provisioned flash) survives the outage.
@@ -311,6 +283,16 @@ class CoprocessorFleet {
   }
 
  private:
+  /// The watchdog's state for one request on a card.  Kept only while
+  /// RetryConfig::timeout is nonzero, and only until the request leaves the
+  /// card (completion, timeout pull-back or card death): the payload itself
+  /// always rides with the server, which hands it back through try_cancel /
+  /// power_off.
+  struct Watch {
+    unsigned attempts = 0;     ///< dispatches so far, this one included
+    sim::EventId timeout = 0;  ///< the expiry (stale once it has fired)
+    Completion done;           ///< the submitter's hook
+  };
   struct Shard {
     std::unique_ptr<AgileCoprocessor> card;
     std::unique_ptr<CoprocessorServer> server;
@@ -318,22 +300,8 @@ class CoprocessorFleet {
     bool alive = true;
     std::uint64_t deaths = 0;
     sim::SimTime death_time;  ///< last power-off (the dead-interval span)
-  };
-  /// Fleet-edge bookkeeping for one in-flight ticket (fault mode only).
-  /// The payload lives HERE only while the ticket is between cards (pulled
-  /// back, awaiting redispatch); on a card, the server holds it and hands
-  /// it back through try_cancel/power_off.
-  struct TicketState {
-    unsigned client = 0;
-    memory::FunctionId function = 0;
-    Bytes input;
-    Completion done;               ///< the submitter's hook (fired once)
-    sim::SimTime submit_time;
-    unsigned attempts = 0;         ///< dispatches so far
-    bool on_card = false;
-    unsigned card = 0;             ///< valid while on_card
-    std::uint64_t card_request = 0;
-    std::optional<sim::EventId> timeout_event;
+    /// Watched requests on this card, by card-local ServerRequest::id.
+    std::unordered_map<std::uint64_t, Watch> watches;
   };
 
   unsigned least_queued() const;
@@ -349,17 +317,29 @@ class CoprocessorFleet {
   /// speculation to a cold sibling.
   void maybe_cross_prefetch(unsigned client, memory::FunctionId function,
                             unsigned chosen);
+  /// Route one placement of a request and hand it to the chosen card's
+  /// server; `attempts` counts the placements before this one.  With the
+  /// watchdog armed the server gets a 16-byte [this, card] hook and the
+  /// submitter's hook waits in the card's watch table.
   void dispatch(unsigned client, memory::FunctionId function, Bytes input,
-                Completion done);
+                Completion done, unsigned attempts);
+  /// Schedule dispatch() at `when` for a request between cards (a death
+  /// refugee, a timed-out retry).
+  void redispatch_at(sim::SimTime when, unsigned client,
+                     memory::FunctionId function, Bytes input, Completion done,
+                     unsigned attempts);
   bool any_alive() const;
   /// Schedule the fault plan's events, offset by now() (first submission).
   void arm_faults();
-  void dispatch_ticket(std::uint64_t ticket);
-  void on_card_complete(std::uint64_t ticket, const ServerRequest& request);
-  void on_timeout(std::uint64_t ticket);
-  /// Terminal failure: synthesize a failed ServerRequest and fire the
-  /// submitter's hook exactly once.
-  void fail_ticket(std::uint64_t ticket, FailReason reason);
+  /// A watched request on `card` completed (or failed on the card).
+  void on_watched_complete(unsigned card, const ServerRequest& request);
+  void on_timeout(unsigned card, std::uint64_t id);
+  /// Terminal fleet-level failure: fire `done` with a failed record whose
+  /// id and submit_time are those of the request's last placement (0 and
+  /// now() when it fails at dispatch, with no card alive).
+  void fail(std::uint64_t id, unsigned client, memory::FunctionId function,
+            sim::SimTime submit_time, const Completion& done,
+            FailReason reason);
 
   DispatchPolicy policy_;
   bool cost_routing_;
@@ -375,14 +355,11 @@ class CoprocessorFleet {
   // predictors only see requests after routing splits the stream).
   bool prefetch_enabled_ = false;
   FunctionPredictor predictor_;
-  // Fault machinery.  fault_mode_ gates the ticket-tracking dispatch path:
-  // off (empty plan, zero timeout), submissions flow exactly as before —
-  // the fault subsystem costs the fault-free build nothing.
-  bool fault_mode_ = false;
+  // Fault machinery: the plan is armed at the first submission; the
+  // watchdog's per-request state lives in each Shard's watch table.
   bool faults_armed_ = false;
   sim::FaultPlan faults_;
   RetryConfig retry_;
-  std::map<std::uint64_t, TicketState> tickets_;
 
   /// Fleet-level counter registry (the cards each own their own — see
   /// AgileCoprocessor::registry()).

@@ -768,55 +768,68 @@ std::size_t CoprocessorServer::run_until(sim::SimTime deadline) {
   return card_.scheduler().run_until(deadline);
 }
 
-ServerStats CoprocessorServer::stats() const {
-  ServerStats stats;
-  stats.submitted = counters_.submitted.value();
-  stats.cancelled = counters_.cancelled.value();
-  stats.batches = counters_.batches.value();
-  stats.coalesced_loads = counters_.coalesced_loads.value();
-  stats.total_amortized_reconfig = counters_.amortized_reconfig.time();
-  stats.mean_batch_size =
-      mean_batch_size(stats.batches, stats.coalesced_loads);
-  const mcu::McuStats device = card_.mcu().stats();
-  stats.frames_skipped_delta = device.frames_skipped_delta;
-  stats.bytes_streamed = device.compressed_bytes_streamed;
-  stats.codec_picks = device.codec_picks;
-  stats.crc_rejects = device.crc_rejects;
-  stats.refetches = device.refetches;
-  stats.prefetch_issued = counters_.prefetch_issued.value();
-  stats.prefetch_hits = counters_.prefetch_hits.value();
-  stats.prefetch_wasted = counters_.prefetch_wasted.value();
-  stats.hidden_reconfig_prefetch = counters_.hidden_prefetch.time();
+ServerStats CoprocessorServer::stats() const { return pooled_stats({this}); }
 
-  // Latency/throughput/wait statistics cover SUCCESSFUL requests only;
+ServerStats CoprocessorServer::pooled_stats(
+    const std::vector<const CoprocessorServer*>& servers) {
+  ServerStats stats;
+  std::size_t records = 0;
+  for (const CoprocessorServer* server : servers) {
+    const Counters& counters = server->counters_;
+    stats.submitted += counters.submitted.value();
+    stats.cancelled += counters.cancelled.value();
+    stats.batches += counters.batches.value();
+    stats.coalesced_loads += counters.coalesced_loads.value();
+    stats.total_amortized_reconfig += counters.amortized_reconfig.time();
+    stats.prefetch_issued += counters.prefetch_issued.value();
+    stats.prefetch_hits += counters.prefetch_hits.value();
+    stats.prefetch_wasted += counters.prefetch_wasted.value();
+    stats.hidden_reconfig_prefetch += counters.hidden_prefetch.time();
+    const mcu::McuStats device = server->card_.mcu().stats();
+    stats.frames_skipped_delta += device.frames_skipped_delta;
+    stats.bytes_streamed += device.compressed_bytes_streamed;
+    for (const auto& [codec, picks] : device.codec_picks)
+      stats.codec_picks[codec] += picks;
+    stats.crc_rejects += device.crc_rejects;
+    stats.refetches += device.refetches;
+    records += server->completed_.size();
+  }
+  if (stats.batches > 0)
+    stats.mean_batch_size =
+        static_cast<double>(stats.batches + stats.coalesced_loads) /
+        static_cast<double>(stats.batches);
+
+  // Latency/throughput/wait/hit statistics cover SUCCESSFUL requests only;
   // failed records are done (their hooks fired) but have no meaningful
   // device timeline.
   sim::SimTime first_submit, last_complete;
-  bool any = false;
   std::vector<sim::SimTime> latencies;
-  latencies.reserve(completed_.size());
-  for (const ServerRequest& r : completed_) {
-    if (r.failed) {
-      ++stats.failed;
-      continue;
+  latencies.reserve(records);
+  for (const CoprocessorServer* server : servers)
+    for (const ServerRequest& r : server->completed_) {
+      if (r.failed) {
+        ++stats.failed;
+        continue;
+      }
+      if (latencies.empty()) {
+        first_submit = r.submit_time;
+        last_complete = r.complete_time;
+      }
+      first_submit = std::min(first_submit, r.submit_time);
+      last_complete = std::max(last_complete, r.complete_time);
+      latencies.push_back(r.latency());
+      r.load.hit ? ++stats.config_hits : ++stats.config_misses;
+      stats.total_bus_wait += r.bus_wait;
+      stats.total_device_wait += r.device_wait;
+      stats.total_engine_wait += r.engine_wait;
+      stats.total_fabric_wait += r.fabric_wait;
+      stats.total_hidden_reconfig += r.hidden_reconfig;
+      if (r.hidden_reconfig > sim::SimTime::zero()) ++stats.overlapped_loads;
     }
-    if (!any) {
-      any = true;
-      first_submit = r.submit_time;
-      last_complete = r.complete_time;
-    }
-    first_submit = std::min(first_submit, r.submit_time);
-    last_complete = std::max(last_complete, r.complete_time);
-    latencies.push_back(r.latency());
-    stats.total_bus_wait += r.bus_wait;
-    stats.total_device_wait += r.device_wait;
-    stats.total_engine_wait += r.engine_wait;
-    stats.total_fabric_wait += r.fabric_wait;
-    stats.total_hidden_reconfig += r.hidden_reconfig;
-    if (r.hidden_reconfig > sim::SimTime::zero()) ++stats.overlapped_loads;
-  }
-  stats.completed = completed_.size() - stats.failed;
-  if (!any) return stats;
+  stats.completed = latencies.size();
+  if (stats.completed == 0) return stats;
+  stats.hit_rate = static_cast<double>(stats.config_hits) /
+                   static_cast<double>(stats.completed);
   stats.makespan = last_complete - first_submit;
   if (stats.makespan > sim::SimTime::zero())
     stats.throughput_rps =

@@ -84,7 +84,11 @@ enum class FailReason : std::uint8_t {
 
 /// One completed (or in-flight) request, with its full time breakdown.
 struct ServerRequest {
-  std::uint64_t id = 0;          ///< submission order, dense from 0
+  /// This server's submission order, dense from 0.  A fleet-level failed
+  /// record (CoprocessorFleet: no survivor, retries exhausted) carries the
+  /// id and submit_time of the request's last placement on a card, or 0
+  /// and the failure instant when it failed at dispatch.
+  std::uint64_t id = 0;
   unsigned client = 0;           ///< logical client that issued it
   memory::FunctionId function = 0;
   Bytes output;
@@ -133,6 +137,7 @@ struct ServerRequest {
 
 struct LatencySummary {
   sim::SimTime min, mean, p50, p90, p99, max;
+  bool operator==(const LatencySummary&) const = default;
 };
 
 /// Nearest-rank percentile summary of a latency sample (sorted in place):
@@ -140,20 +145,7 @@ struct LatencySummary {
 /// of the sample at or below it, i.e. sorted[ceil(q*n) - 1].  A single
 /// sample is its own p50/p90/p99; with n < 100 the p99 is simply the max
 /// (ceil(0.99*n) == n for 1 <= n <= 100).  Zeroes on an empty sample.
-/// Shared by CoprocessorServer::stats() and the fleet-wide aggregation in
-/// CoprocessorFleet::stats().
 LatencySummary summarize_latencies(std::vector<sim::SimTime> latencies);
-
-/// Members per committed batch: every batch is one leader plus its
-/// coalesced followers, so the member total is batches + coalesced_loads.
-/// Zero when nothing committed.  Shared by CoprocessorServer::stats() and
-/// CoprocessorFleet::stats() so the two levels can never drift apart.
-inline double mean_batch_size(std::uint64_t batches,
-                              std::uint64_t coalesced_loads) noexcept {
-  if (batches == 0) return 0.0;
-  return static_cast<double>(batches + coalesced_loads) /
-         static_cast<double>(batches);
-}
 
 struct ServerStats {
   std::uint64_t submitted = 0;
@@ -166,6 +158,9 @@ struct ServerStats {
   sim::SimTime makespan;         ///< first submission -> last completion
   double throughput_rps = 0.0;   ///< completed per simulated second
   LatencySummary latency;        ///< over completed requests
+  std::uint64_t config_hits = 0;    ///< completed with the config resident
+  std::uint64_t config_misses = 0;  ///< completed after a reconfiguration
+  double hit_rate = 0.0;            ///< config_hits / completed
   sim::SimTime total_bus_wait;
   sim::SimTime total_device_wait;    ///< engine + fabric wait, summed
   sim::SimTime total_engine_wait;    ///< queued for the config engine
@@ -178,13 +173,15 @@ struct ServerStats {
   std::uint64_t coalesced_loads = 0;   ///< members that shared the leader's
                                        ///< decode + load
   double mean_batch_size = 0.0;        ///< members per committed batch
+                                       ///< (batches + coalesced_loads over
+                                       ///< batches; zero with no batch)
   /// Config-engine occupancy (decode + load) the coalesced members shared
   /// instead of re-paying: the leader's prepare_time, once per follower.
   sim::SimTime total_amortized_reconfig;
-  // Load-cost telemetry, mirrored from the card's MCU counters (so the
-  // fleet can merge it per shard): frames the delta tracker skipped,
-  // compressed bytes actually fetched from ROM by loads, and which codec
-  // each stored function ended up with (the auto pick's record).
+  // Load-cost telemetry, read from the card's MCU counters: frames the
+  // delta tracker skipped, compressed bytes actually fetched from ROM by
+  // loads, and which codec each stored function ended up with (the auto
+  // pick's record).
   std::uint64_t frames_skipped_delta = 0;
   std::uint64_t bytes_streamed = 0;
   std::map<compress::CodecId, std::uint64_t> codec_picks;
@@ -199,6 +196,8 @@ struct ServerStats {
   /// Reconfiguration time paid speculatively in idle engine cycles and then
   /// consumed by a demand hit: latency the requester never saw.
   sim::SimTime hidden_reconfig_prefetch;
+
+  bool operator==(const ServerStats&) const = default;
 };
 
 /// Per-server policy knobs.  The defaults (FIFO + overlap) serve requests
@@ -326,10 +325,15 @@ class CoprocessorServer {
     return completed_;
   }
   /// Latency percentiles, throughput and queueing totals over the requests
-  /// completed so far (in_flight() requests are not included).  When the
-  /// server runs as one shard of a CoprocessorFleet, these are the per-card
-  /// numbers; CoprocessorFleet::stats() merges them fleet-wide.
+  /// completed so far (in_flight() requests are not included):
+  /// pooled_stats({this}).
   ServerStats stats() const;
+  /// One ServerStats over several servers (CoprocessorFleet::stats() pools
+  /// its cards): the counters are summed, and the latency percentiles,
+  /// makespan, throughput and rates come from every server's records
+  /// pooled, exactly as if one server had completed them all.
+  static ServerStats pooled_stats(
+      const std::vector<const CoprocessorServer*>& servers);
   AgileCoprocessor& card() noexcept { return card_; }
 
   // --- telemetry -----------------------------------------------------------

@@ -6,11 +6,12 @@
 // system-wide invariants (conservation, pin hygiene, death isolation,
 // delta-tracker consistency, determinism).  The mutation tests doctor a
 // clean run to prove the harness actually catches violations.  Around the
-// sweep sit targeted regressions: redispatch off a dead card, CRC-reject +
-// refetch recovery, watchdog timeouts retrying on a survivor, cold fabric
-// after revival, and a differential test that every DeviceScheduler x
-// BatchPolicy combination completes the exact same request set as the
-// FIFO/no-batch baseline.
+// sweep sit targeted regressions: redispatch off a dead card (including a
+// request submitted straight to the card's server), CRC-reject + refetch
+// recovery, watchdog timeouts retrying on a survivor and spending their
+// attempts across deaths, cold fabric after revival, and a differential
+// test that every DeviceScheduler x BatchPolicy combination completes the
+// exact same request set as the FIFO/no-batch baseline.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -19,6 +20,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fleet.h"
@@ -49,7 +51,15 @@ harness::HarnessConfig sweep_config(std::uint64_t seed, unsigned slot) {
   hc.batch.mode = (slot % 6) < 3 ? BatchMode::kNone : BatchMode::kGreedy;
   hc.device = (slot % 2) ? DevicePolicy::kResidentFirst : DevicePolicy::kFifo;
   hc.delta_reconfig = (slot % 2) == 1;
-  hc.timeout = (slot % 3 == 0) ? sim::SimTime::us(800) : sim::SimTime::zero();
+  // Two watchdogs: a loose 800 us one that rarely fires, and a tight
+  // 150 us one with a single retry (slots 1-2 of every 5) that pulls queued
+  // requests back, retries them and exhausts budgets under the death plans.
+  if (slot % 3 == 0) {
+    hc.timeout = sim::SimTime::us(800);
+  } else if (slot % 5 == 1 || slot % 5 == 2) {
+    hc.timeout = sim::SimTime::us(150);
+    hc.max_retries = 1;
+  }
   // Speculative prefetch rides along on a co-prime cadence (slots 2-3 of
   // every 4) so the sweep crosses it with every other axis: the invariants
   // must hold when a card dies mid-prefetch, and speculative pins must
@@ -70,10 +80,12 @@ harness::HarnessConfig sweep_config(std::uint64_t seed, unsigned slot) {
 TEST(InvariantSweepTest, CleanAcrossSeedsAndPolicies) {
   const unsigned seeds = harness::invariant_seed_count();
   std::vector<std::uint64_t> failing;
+  std::uint64_t timeouts = 0;
   for (unsigned s = 0; s < seeds; ++s) {
     const harness::HarnessConfig hc = sweep_config(1000 + s, s);
     harness::InvariantHarness h(hc);
     h.run();
+    timeouts += h.fleet().stats().timeouts;
     const std::vector<std::string> violations = h.check();
     if (!violations.empty()) {
       failing.push_back(hc.seed);
@@ -92,6 +104,11 @@ TEST(InvariantSweepTest, CleanAcrossSeedsAndPolicies) {
       std::ofstream out(path, std::ios::app);
       out << os.str() << '\n';
     }
+  }
+  // The tight watchdog axis (from slot 1 on) must actually pull requests
+  // back.
+  if (seeds >= 2) {
+    EXPECT_GT(timeouts, 0u);
   }
 }
 
@@ -483,6 +500,126 @@ TEST(TimeoutTest, ExhaustedRetriesFail) {
   EXPECT_EQ(fleet.in_flight(), 0u);
 }
 
+// Card 0 dies under a request with a long watchdog; the redispatch lands
+// behind card 1's backlog and times out.  The death redispatch spent the
+// request's one retry, so the timeout fails it instead of retrying.
+TEST(TimeoutTest, DeathRedispatchSpendsAnAttempt) {
+  FleetConfig fc;
+  fc.cards = 2;
+  fc.policy = DispatchPolicy::kRoundRobin;
+  fc.retry.timeout = sim::SimTime::us(300);
+  fc.retry.max_retries = 1;
+  fc.faults.deaths = {{0, sim::SimTime::us(20), sim::SimTime::zero()}};
+  CoprocessorFleet fleet(fc);
+  fleet.download_all();
+  const auto bank = algorithms::function_bank();
+
+  for (unsigned i = 0; i < 40; ++i) {
+    const memory::FunctionId fn = bank[i % bank.size()];
+    fleet.server(1).submit_function(100 + i, fn,
+                                    algorithms::bank_input(fn, 2, i), {});
+  }
+  unsigned fired = 0;
+  fleet.submit_function(0, bank.front(),
+                        algorithms::bank_input(bank.front(), 1, 1000),
+                        [&fired](const ServerRequest& done) {
+                          ++fired;
+                          EXPECT_TRUE(done.failed);
+                          EXPECT_EQ(done.fail_reason, FailReason::kTimeout);
+                        });
+  fleet.run();
+
+  EXPECT_EQ(fired, 1u);
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.deaths, 1u);
+  EXPECT_EQ(stats.redispatched, 1u);
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(fleet.in_flight(), 0u);
+  EXPECT_EQ(fleet.sim_pending(), 0u);
+}
+
+// The watchdog fires while the request's cold load is committed on card 0,
+// so the request rides on and keeps its watch.  Card 0 then dies: the
+// redispatch is the second attempt, and when it times out behind card 1's
+// backlog the single retry is already spent.
+TEST(TimeoutTest, CommittedRequestKeepsItsAttemptsAfterItsWatchdog) {
+  FleetConfig fc;
+  fc.cards = 2;
+  fc.policy = DispatchPolicy::kRoundRobin;
+  fc.retry.timeout = sim::SimTime::us(50);
+  fc.retry.max_retries = 1;
+  fc.faults.deaths = {{0, sim::SimTime::us(100), sim::SimTime::zero()}};
+  CoprocessorFleet fleet(fc);
+  fleet.download_all();
+  const auto bank = algorithms::function_bank();
+
+  for (unsigned i = 0; i < 40; ++i) {
+    const memory::FunctionId fn = bank[i % bank.size()];
+    fleet.server(1).submit_function(100 + i, fn,
+                                    algorithms::bank_input(fn, 2, i), {});
+  }
+  unsigned fired = 0;
+  fleet.submit_function(0, bank.front(),
+                        algorithms::bank_input(bank.front(), 1, 1000),
+                        [&fired](const ServerRequest& done) {
+                          ++fired;
+                          EXPECT_TRUE(done.failed);
+                          EXPECT_EQ(done.fail_reason, FailReason::kTimeout);
+                        });
+  fleet.run_until(fleet.now() + sim::SimTime::us(99));
+  // The first watchdog has fired and let the committed request ride.
+  EXPECT_EQ(fleet.stats().timeouts, 0u);
+  EXPECT_EQ(fleet.server(0).in_flight(), 1u);
+  fleet.run();
+
+  EXPECT_EQ(fired, 1u);
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.deaths, 1u);
+  EXPECT_EQ(stats.redispatched, 1u);
+  EXPECT_EQ(stats.timeouts, 1u);
+  EXPECT_EQ(stats.retries, 0u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(fleet.in_flight(), 0u);
+  EXPECT_EQ(fleet.sim_pending(), 0u);
+}
+
+// --- requests submitted straight to a card's server --------------------------
+
+// The fleet keeps no ledger of its own: a request submitted directly to an
+// exposed per-card server is a refugee like any other when that card dies,
+// and is redispatched to a survivor.
+TEST(FaultRecoveryTest, DirectSubmissionSurvivesCardDeath) {
+  FleetConfig fc;
+  fc.cards = 2;
+  CoprocessorFleet fleet(fc);
+  fleet.download_all();
+  const memory::FunctionId fn = algorithms::function_bank().front();
+
+  unsigned fired = 0;
+  fleet.server(0).submit_function(7, fn, algorithms::bank_input(fn, 2, 0),
+                                  [&fired](const ServerRequest& done) {
+                                    ++fired;
+                                    EXPECT_FALSE(done.failed);
+                                    EXPECT_FALSE(done.output.empty());
+                                  });
+  fleet.scheduler().schedule_at(fleet.now() + sim::SimTime::us(20),
+                                [&fleet] { fleet.kill_card(0); });
+  fleet.run();
+
+  EXPECT_EQ(fired, 1u);
+  EXPECT_TRUE(fleet.server(0).completed().empty());
+  ASSERT_EQ(fleet.server(1).completed().size(), 1u);
+  EXPECT_EQ(fleet.server(1).completed().front().client, 7u);
+  const FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.redispatched, 1u);
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.failed);
+  EXPECT_EQ(fleet.in_flight(), 0u);
+}
+
 // --- fault machinery is inert when disarmed ---------------------------------
 
 std::uint64_t completed_digest(const CoprocessorFleet& fleet) {
@@ -506,8 +643,8 @@ std::uint64_t completed_digest(const CoprocessorFleet& fleet) {
 }
 
 // Arming the watchdog with a timeout that never fires routes every request
-// through the ticket machinery — and must not move a single completion
-// time.  This is the in-test face of the PR's byte-identity guarantee.
+// through the watch table — and must not move a single completion time,
+// nor leave a watch or a timeout event behind.
 TEST(FaultModeTest, IdleWatchdogIsTimingNeutral) {
   const workload::MultiClientTrace trace = bursty_trace(21, 4, 2, 4);
   const auto run_fleet = [&trace](bool watchdog) {
@@ -518,10 +655,13 @@ TEST(FaultModeTest, IdleWatchdogIsTimingNeutral) {
     fleet.download_all();
     workload::replay(fleet, trace, request_input);
     fleet.run();
+    // run() drains the queue, so a timeout left armed after its request
+    // completed would have fired and dragged the clock to its expiry.
+    EXPECT_EQ(fleet.sim_pending(), 0u);
     const FleetStats stats = fleet.stats();
     EXPECT_EQ(stats.timeouts, 0u);
     EXPECT_EQ(stats.failed, 0u);
-    return completed_digest(fleet);
+    return std::make_pair(completed_digest(fleet), fleet.now());
   };
   EXPECT_EQ(run_fleet(false), run_fleet(true));
 }

@@ -90,12 +90,17 @@ TEST(CoprocessorFleetTest, SingleCardFleetIsBitExactWithServer) {
     EXPECT_EQ(direct[i].device_wait, sharded[i].device_wait);
     EXPECT_EQ(direct[i].load.hit, sharded[i].load.hit);
   }
-  const auto a = server.stats();
-  const auto b = fleet.stats();
+  // Every ServerStats field of the fleet matches the bare server's: the
+  // fleet's figures come from the same pooled merge.
+  const ServerStats a = server.stats();
+  const FleetStats b = fleet.stats();
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.latency.p50, b.latency.p50);
   EXPECT_EQ(a.latency.p99, b.latency.p99);
+  EXPECT_EQ(a.config_hits, b.config_hits);
+  EXPECT_TRUE(a == static_cast<const ServerStats&>(b));
+  EXPECT_TRUE(a == b.cards[0].server);
 }
 
 TEST(CoprocessorFleetTest, RoundRobinCyclesCardsInOrder) {
@@ -159,7 +164,7 @@ TEST(CoprocessorFleetTest, AffinityRoutesToTheResidentCard) {
   for (unsigned i = 1; i < 4; ++i)
     EXPECT_EQ(after.cards[i].dispatched, 0u) << "card " << i;
   // All follow-ups were configuration hits on card 0.
-  EXPECT_EQ(after.cards[0].config_hits, 4u);
+  EXPECT_EQ(after.cards[0].server.config_hits, 4u);
 }
 
 TEST(CoprocessorFleetTest, AffinityBeatsRoundRobinHitRateOnSkewedTrace) {
