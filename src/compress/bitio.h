@@ -70,8 +70,6 @@ class BitReader {
     return v;
   }
 
-  bool exhausted() const noexcept { return byte_ >= data_.size(); }
-
  private:
   ByteSpan data_;
   std::size_t byte_ = 0;

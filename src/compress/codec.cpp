@@ -25,22 +25,27 @@ CodecId codec_from_string(const std::string& name) {
   AAD_FAIL(ErrorCode::kInvalidArgument, "unknown codec name: " + name);
 }
 
+std::size_t raw_size(ByteSpan compressed) {
+  return ByteReader(compressed).u32();
+}
+
 Bytes Codec::decompress(ByteSpan compressed) const {
-  auto stream = decompress_stream(compressed);
-  Bytes out(stream->raw_size());
-  std::size_t produced = 0;
-  while (produced < out.size()) {
-    const std::size_t got = stream->read(
-        std::span<Byte>(out.data() + produced, out.size() - produced));
-    if (got == 0)
-      AAD_FAIL(ErrorCode::kCorruptData, "decompressor ended early");
-    produced += got;
-  }
-  Byte probe;
-  if (stream->read(std::span<Byte>(&probe, 1)) != 0)
-    AAD_FAIL(ErrorCode::kCorruptData, "decompressor produced excess data");
+  Bytes out(raw_size(compressed));
+  decompress_into(compressed, out);
   return out;
 }
+
+namespace detail {
+
+ByteReader read_header(ByteSpan compressed, std::size_t out_size) {
+  ByteReader r(compressed);
+  if (r.u32() != out_size)
+    AAD_FAIL(ErrorCode::kCorruptData,
+             "compressed stream raw size disagrees with the output buffer");
+  return r;
+}
+
+}  // namespace detail
 
 std::unique_ptr<Codec> make_codec(CodecId id, std::size_t frame_bytes) {
   switch (id) {

@@ -2,11 +2,12 @@
 //
 // The paper stores *compressed* configuration bit-streams in ROM (§2.2) and
 // the configuration module "decompresses the compressed bit-stream window by
-// window" (§2.3).  Every codec here therefore provides, besides one-shot
-// compress, a *pull-based streaming decompressor* whose working set is
-// bounded (ring buffers / previous-frame history), so the configuration
-// engine can produce one frame-sized window at a time without ever
-// materializing the full bitstream in MCU RAM.
+// window" (§2.3).  The configuration engine (mcu::ConfigEngine) decodes the
+// whole image into one buffer and checks its CRC before it programs any
+// frame, so a corrupt stream never reaches the fabric; the window-by-window
+// behaviour lives in the engine's timing recurrence (ROM read | decompress |
+// config port, per window), not in the decoders.  Each codec therefore has
+// one compressor and one straight-line decoder into a caller-sized buffer.
 //
 // Container format (shared by all codecs): u32 raw_size (LE) followed by the
 // codec-specific stream.
@@ -43,33 +44,26 @@ const char* to_string(CodecId id) noexcept;
 /// Throws ErrorCode::kInvalidArgument on an unknown name.
 CodecId codec_from_string(const std::string& name);
 
-/// Pull-based decompressor.  read() fills as much of `out` as it can and
-/// returns the byte count produced; 0 means end of stream.
-class DecompressStream {
- public:
-  virtual ~DecompressStream() = default;
-  virtual std::size_t read(std::span<Byte> out) = 0;
-
-  /// Total bytes this stream will produce (from the container header).
-  virtual std::size_t raw_size() const = 0;
-};
+/// The raw size a container's header declares.  Throws
+/// ErrorCode::kCorruptData when the header is cut short.
+std::size_t raw_size(ByteSpan compressed);
 
 class Codec {
  public:
   virtual ~Codec() = default;
   virtual CodecId id() const noexcept = 0;
-  virtual std::string name() const = 0;
 
   /// One-shot compression (host side, during function provisioning).
   virtual Bytes compress(ByteSpan raw) const = 0;
 
-  /// Open a streaming decompressor over `compressed` (borrowed; must
-  /// outlive the stream).
-  virtual std::unique_ptr<DecompressStream> decompress_stream(
-      ByteSpan compressed) const = 0;
+  /// Decode `compressed` into `out`, whose size the caller chose.  Throws
+  /// ErrorCode::kCorruptData when the header's raw size is not out.size(),
+  /// the stream ends before `out` is full, or a token is invalid or would
+  /// write past the end of `out`.
+  virtual void decompress_into(ByteSpan compressed,
+                               std::span<Byte> out) const = 0;
 
-  /// Convenience: full decompression through the streaming path (so tests
-  /// of this method exercise the same code the configuration module uses).
+  /// Convenience: decode into a buffer sized from the header.
   Bytes decompress(ByteSpan compressed) const;
 };
 

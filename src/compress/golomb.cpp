@@ -7,13 +7,14 @@
 // The Rice parameter k is fitted to the mean zero-run length and stored in
 // the header: u32 raw_size, u8 k, bit stream.
 #include <algorithm>
-#include <cmath>
 
 #include "compress/bitio.h"
 #include "compress/detail.h"
 
 namespace aad::compress::detail {
 namespace {
+
+constexpr unsigned kMaxK = 30;
 
 void rice_encode(BitWriter& bits, std::uint64_t value, unsigned k) {
   bits.put_unary(value >> k);
@@ -25,97 +26,66 @@ std::uint64_t rice_decode(BitReader& bits, unsigned k) {
   return (q << k) | bits.get_bits(k);
 }
 
-class GolombStream final : public DecompressStream {
- public:
-  GolombStream(ByteSpan payload, std::size_t raw_size, unsigned k)
-      : bits_(payload), raw_size_(raw_size), k_(k) {}
-
-  std::size_t read(std::span<Byte> out) override {
-    std::size_t produced = 0;
-    while (produced < out.size() && emitted_ < raw_size_) {
-      if (zeros_pending_ > 0) {
-        const std::size_t n =
-            std::min({zeros_pending_,
-                      out.size() - produced,
-                      raw_size_ - emitted_});
-        std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(produced), n, 0);
-        zeros_pending_ -= n;
-        produced += n;
-        emitted_ += n;
-        continue;
-      }
-      if (literal_pending_) {
-        out[produced++] = literal_;
-        ++emitted_;
-        literal_pending_ = false;
-        continue;
-      }
-      // Next token.
-      zeros_pending_ = rice_decode(bits_, k_);
-      if (emitted_ + zeros_pending_ < raw_size_) {
-        literal_ = static_cast<Byte>(bits_.get_bits(8));
-        literal_pending_ = true;
-      }
-    }
-    return produced;
-  }
-
-  std::size_t raw_size() const override { return raw_size_; }
-
- private:
-  BitReader bits_;
-  std::size_t raw_size_;
-  unsigned k_;
-  std::size_t emitted_ = 0;
-  std::size_t zeros_pending_ = 0;
-  Byte literal_ = 0;
-  bool literal_pending_ = false;
-};
-
 class GolombCodec final : public Codec {
  public:
   CodecId id() const noexcept override { return CodecId::kGolomb; }
-  std::string name() const override { return "golomb"; }
 
   Bytes compress(ByteSpan raw) const override {
-    std::size_t zeros = 0;
-    std::size_t nonzeros = 0;
-    for (Byte b : raw) (b == 0 ? zeros : nonzeros)++;
-    const double mean_run =
-        static_cast<double>(zeros) / std::max<std::size_t>(1, nonzeros + 1);
-    unsigned k = 0;
-    while ((1u << (k + 1)) <= mean_run + 1 && k < 30) ++k;
-
     ByteWriter w;
     w.u32(static_cast<std::uint32_t>(raw.size()));
-    w.u8(static_cast<std::uint8_t>(k));
-    BitWriter bits;
-    std::size_t run = 0;
-    for (Byte b : raw) {
-      if (b == 0) {
-        ++run;
-      } else {
-        rice_encode(bits, run, k);
-        bits.put_bits(b, 8);
-        run = 0;
-      }
-    }
-    if (run > 0) rice_encode(bits, run, k);
-    w.bytes(bits.finish());
+    w.bytes(zero_run_encode(raw));
     return std::move(w).take();
   }
 
-  std::unique_ptr<DecompressStream> decompress_stream(
-      ByteSpan compressed) const override {
-    ByteReader r(compressed);
-    const std::size_t raw_size = r.u32();
-    const unsigned k = r.u8();
-    if (k > 30) AAD_FAIL(ErrorCode::kCorruptData, "Rice parameter invalid");
-    return std::make_unique<GolombStream>(compressed.subspan(5), raw_size, k);
+  void decompress_into(ByteSpan compressed,
+                       std::span<Byte> out) const override {
+    zero_run_decode(
+        compressed.subspan(read_header(compressed, out.size()).offset()), out);
   }
 };
 
 }  // namespace
+
+Bytes zero_run_encode(ByteSpan raw) {
+  std::size_t zeros = 0;
+  std::size_t nonzeros = 0;
+  for (Byte b : raw) (b == 0 ? zeros : nonzeros)++;
+  const double mean_run =
+      static_cast<double>(zeros) / std::max<std::size_t>(1, nonzeros + 1);
+  unsigned k = 0;
+  while ((1u << (k + 1)) <= mean_run + 1 && k < kMaxK) ++k;
+
+  BitWriter bits;
+  std::size_t run = 0;
+  for (Byte b : raw) {
+    if (b == 0) {
+      ++run;
+    } else {
+      rice_encode(bits, run, k);
+      bits.put_bits(b, 8);
+      run = 0;
+    }
+  }
+  if (run > 0) rice_encode(bits, run, k);
+  ByteWriter w;
+  w.u8(static_cast<std::uint8_t>(k));
+  w.bytes(bits.finish());
+  return std::move(w).take();
+}
+
+void zero_run_decode(ByteSpan body, std::span<Byte> out) {
+  ByteReader r(body);
+  const unsigned k = r.u8();
+  if (k > kMaxK) AAD_FAIL(ErrorCode::kCorruptData, "Rice parameter invalid");
+  BitReader bits(body.subspan(r.offset()));
+  for (auto o = out.begin(); o != out.end();) {
+    const std::uint64_t run = rice_decode(bits, k);
+    if (run > static_cast<std::uint64_t>(out.end() - o))
+      AAD_FAIL(ErrorCode::kCorruptData, "zero run overruns the output");
+    o = std::fill_n(o, run, Byte{0});
+    if (o != out.end()) *o++ = static_cast<Byte>(bits.get_bits(8));
+  }
+}
 
 std::unique_ptr<Codec> make_golomb() {
   return std::make_unique<GolombCodec>();

@@ -110,53 +110,9 @@ DecodeTables build_decode_tables(
   return t;
 }
 
-class HuffmanStream final : public DecompressStream {
- public:
-  HuffmanStream(ByteSpan payload, std::size_t raw_size,
-                const std::array<std::uint8_t, kSymbols>& lengths)
-      : tables_(build_decode_tables(lengths)),
-        bits_(payload),
-        raw_size_(raw_size) {
-    if (raw_size_ > 0 && tables_.max_len == 0)
-      AAD_FAIL(ErrorCode::kCorruptData, "empty Huffman codebook");
-  }
-
-  std::size_t read(std::span<Byte> out) override {
-    std::size_t produced = 0;
-    while (produced < out.size() && emitted_ < raw_size_) {
-      std::uint64_t code = 0;
-      unsigned len = 0;
-      for (;;) {
-        code = (code << 1) | (bits_.get_bit() ? 1u : 0u);
-        ++len;
-        if (len > tables_.max_len)
-          AAD_FAIL(ErrorCode::kCorruptData, "invalid Huffman code");
-        const std::uint64_t offset = code - tables_.first_code[len];
-        if (code >= tables_.first_code[len] && offset < tables_.count[len]) {
-          out[produced++] = static_cast<Byte>(
-              tables_.symbols[tables_.symbol_base[len] +
-                              static_cast<std::uint32_t>(offset)]);
-          ++emitted_;
-          break;
-        }
-      }
-    }
-    return produced;
-  }
-
-  std::size_t raw_size() const override { return raw_size_; }
-
- private:
-  DecodeTables tables_;
-  BitReader bits_;
-  std::size_t raw_size_;
-  std::size_t emitted_ = 0;
-};
-
 class HuffmanCodec final : public Codec {
  public:
   CodecId id() const noexcept override { return CodecId::kHuffman; }
-  std::string name() const override { return "huffman"; }
 
   Bytes compress(ByteSpan raw) const override {
     std::array<std::uint64_t, kSymbols> freq{};
@@ -173,14 +129,30 @@ class HuffmanCodec final : public Codec {
     return std::move(w).take();
   }
 
-  std::unique_ptr<DecompressStream> decompress_stream(
-      ByteSpan compressed) const override {
-    ByteReader r(compressed);
-    const std::size_t raw_size = r.u32();
+  void decompress_into(ByteSpan compressed,
+                       std::span<Byte> out) const override {
+    ByteReader r = read_header(compressed, out.size());
     std::array<std::uint8_t, kSymbols> lengths{};
     for (auto& len : lengths) len = r.u8();
-    return std::make_unique<HuffmanStream>(
-        compressed.subspan(4 + kSymbols), raw_size, lengths);
+    const DecodeTables tables = build_decode_tables(lengths);
+    if (!out.empty() && tables.max_len == 0)
+      AAD_FAIL(ErrorCode::kCorruptData, "empty Huffman codebook");
+    BitReader bits(compressed.subspan(r.offset()));
+    for (Byte& symbol : out) {
+      std::uint64_t code = 0;
+      for (unsigned len = 1;; ++len) {
+        if (len > tables.max_len)
+          AAD_FAIL(ErrorCode::kCorruptData, "invalid Huffman code");
+        code = (code << 1) | (bits.get_bit() ? 1u : 0u);
+        const std::uint64_t offset = code - tables.first_code[len];
+        if (code >= tables.first_code[len] && offset < tables.count[len]) {
+          symbol = static_cast<Byte>(
+              tables.symbols[tables.symbol_base[len] +
+                             static_cast<std::uint32_t>(offset)]);
+          break;
+        }
+      }
+    }
   }
 };
 

@@ -9,7 +9,6 @@
 // The compressor uses a 3-byte-prefix hash chain with bounded probe depth —
 // the standard speed/ratio trade-off point for this family.
 #include <algorithm>
-#include <array>
 
 #include "compress/detail.h"
 
@@ -29,79 +28,9 @@ std::size_t hash3(const Byte* p) noexcept {
   return (v * 2654435761u) >> (32 - 15);
 }
 
-class LzssStream final : public DecompressStream {
- public:
-  LzssStream(ByteSpan payload, std::size_t raw_size)
-      : payload_(payload), raw_size_(raw_size) {
-    ring_.fill(0);
-  }
-
-  std::size_t read(std::span<Byte> out) override {
-    std::size_t produced = 0;
-    while (produced < out.size() && emitted_ < raw_size_) {
-      if (match_left_ > 0) {
-        // Continue an in-flight match copy.
-        const Byte b = ring_[match_pos_ & (kWindow - 1)];
-        ++match_pos_;
-        --match_left_;
-        emit(out, produced, b);
-        continue;
-      }
-      if (flag_bits_ == 0) {
-        flags_ = next_byte();
-        flag_bits_ = 8;
-      }
-      const bool literal = (flags_ & 0x80) != 0;
-      flags_ = static_cast<Byte>(flags_ << 1);
-      --flag_bits_;
-      if (literal) {
-        emit(out, produced, next_byte());
-      } else {
-        const Byte b0 = next_byte();
-        const Byte b1 = next_byte();
-        const std::size_t offset =
-            ((static_cast<std::size_t>(b0) << 4) | (b1 >> 4)) + 1;
-        match_left_ = static_cast<std::size_t>(b1 & 0x0F) + kMinMatch;
-        if (offset > write_pos_)
-          AAD_FAIL(ErrorCode::kCorruptData, "LZSS offset before stream start");
-        match_pos_ = write_pos_ - offset;
-      }
-    }
-    return produced;
-  }
-
-  std::size_t raw_size() const override { return raw_size_; }
-
- private:
-  Byte next_byte() {
-    if (pos_ >= payload_.size())
-      AAD_FAIL(ErrorCode::kCorruptData, "LZSS stream truncated");
-    return payload_[pos_++];
-  }
-
-  void emit(std::span<Byte> out, std::size_t& produced, Byte b) {
-    out[produced++] = b;
-    ring_[write_pos_ & (kWindow - 1)] = b;
-    ++write_pos_;
-    ++emitted_;
-  }
-
-  ByteSpan payload_;
-  std::size_t raw_size_;
-  std::size_t pos_ = 0;
-  std::size_t emitted_ = 0;
-  std::array<Byte, kWindow> ring_;
-  std::size_t write_pos_ = 0;   // monotonically increasing; masked for ring
-  std::size_t match_pos_ = 0;
-  std::size_t match_left_ = 0;
-  Byte flags_ = 0;
-  unsigned flag_bits_ = 0;
-};
-
 class LzssCodec final : public Codec {
  public:
   CodecId id() const noexcept override { return CodecId::kLzss; }
-  std::string name() const override { return "lzss"; }
 
   Bytes compress(ByteSpan raw) const override {
     ByteWriter header;
@@ -181,11 +110,46 @@ class LzssCodec final : public Codec {
     return out;
   }
 
-  std::unique_ptr<DecompressStream> decompress_stream(
-      ByteSpan compressed) const override {
-    ByteReader r(compressed);
-    const std::size_t raw_size = r.u32();
-    return std::make_unique<LzssStream>(compressed.subspan(4), raw_size);
+  void decompress_into(ByteSpan compressed,
+                       std::span<Byte> out) const override {
+    const ByteSpan in =
+        compressed.subspan(read_header(compressed, out.size()).offset());
+    std::size_t pos = 0;
+    const auto next_byte = [&] {
+      if (pos >= in.size())
+        AAD_FAIL(ErrorCode::kCorruptData, "LZSS stream truncated");
+      return in[pos++];
+    };
+    Byte flags = 0;
+    unsigned flag_bits = 0;
+    std::size_t produced = 0;
+    while (produced < out.size()) {
+      if (flag_bits == 0) {
+        flags = next_byte();
+        flag_bits = 8;
+      }
+      const bool literal = (flags & 0x80) != 0;
+      flags = static_cast<Byte>(flags << 1);
+      --flag_bits;
+      if (literal) {
+        out[produced++] = next_byte();
+        continue;
+      }
+      const Byte b0 = next_byte();
+      const Byte b1 = next_byte();
+      const std::size_t offset =
+          ((static_cast<std::size_t>(b0) << 4) | (b1 >> 4)) + 1;
+      const std::size_t length = static_cast<std::size_t>(b1 & 0x0F) + kMinMatch;
+      if (offset > produced)
+        AAD_FAIL(ErrorCode::kCorruptData, "LZSS offset before stream start");
+      if (length > out.size() - produced)
+        AAD_FAIL(ErrorCode::kCorruptData, "LZSS match overruns the output");
+      // The match is copied from the output itself, byte by byte, so an
+      // overlapping match (offset < length) re-reads bytes it just wrote.
+      for (const std::size_t end = produced + length; produced < end;
+           ++produced)
+        out[produced] = out[produced - offset];
+    }
   }
 };
 

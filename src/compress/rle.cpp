@@ -14,38 +14,9 @@ constexpr std::size_t kMaxLiteral = 128;
 constexpr std::size_t kMinRepeat = 3;
 constexpr std::size_t kMaxRepeat = 130;
 
-// ---------------------------------------------------------------------------
-// Null codec
-// ---------------------------------------------------------------------------
-
-class NullStream final : public DecompressStream {
- public:
-  NullStream(ByteSpan payload, std::size_t raw_size)
-      : payload_(payload), raw_size_(raw_size) {
-    if (payload.size() != raw_size)
-      AAD_FAIL(ErrorCode::kCorruptData, "stored payload length mismatch");
-  }
-
-  std::size_t read(std::span<Byte> out) override {
-    const std::size_t n = std::min(out.size(), payload_.size() - pos_);
-    std::copy_n(payload_.begin() + static_cast<std::ptrdiff_t>(pos_), n,
-                out.begin());
-    pos_ += n;
-    return n;
-  }
-
-  std::size_t raw_size() const override { return raw_size_; }
-
- private:
-  ByteSpan payload_;
-  std::size_t raw_size_;
-  std::size_t pos_ = 0;
-};
-
 class NullCodec final : public Codec {
  public:
   CodecId id() const noexcept override { return CodecId::kNull; }
-  std::string name() const override { return "null"; }
 
   Bytes compress(ByteSpan raw) const override {
     ByteWriter w;
@@ -54,43 +25,19 @@ class NullCodec final : public Codec {
     return std::move(w).take();
   }
 
-  std::unique_ptr<DecompressStream> decompress_stream(
-      ByteSpan compressed) const override {
-    ByteReader r(compressed);
-    const std::size_t raw_size = r.u32();
-    return std::make_unique<NullStream>(compressed.subspan(4), raw_size);
+  void decompress_into(ByteSpan compressed,
+                       std::span<Byte> out) const override {
+    const ByteSpan payload =
+        compressed.subspan(read_header(compressed, out.size()).offset());
+    if (payload.size() != out.size())
+      AAD_FAIL(ErrorCode::kCorruptData, "stored payload length mismatch");
+    std::copy(payload.begin(), payload.end(), out.begin());
   }
-};
-
-// ---------------------------------------------------------------------------
-// RLE codec
-// ---------------------------------------------------------------------------
-
-class RleStream final : public DecompressStream {
- public:
-  RleStream(ByteSpan payload, std::size_t raw_size)
-      : decoder_(payload), raw_size_(raw_size) {}
-
-  std::size_t read(std::span<Byte> out) override {
-    const std::size_t want =
-        std::min(out.size(), raw_size_ - produced_);
-    const std::size_t got = decoder_.read(out.subspan(0, want));
-    produced_ += got;
-    return got;
-  }
-
-  std::size_t raw_size() const override { return raw_size_; }
-
- private:
-  RleDecoder decoder_;
-  std::size_t raw_size_;
-  std::size_t produced_ = 0;
 };
 
 class RleCodec final : public Codec {
  public:
   CodecId id() const noexcept override { return CodecId::kRle; }
-  std::string name() const override { return "rle"; }
 
   Bytes compress(ByteSpan raw) const override {
     ByteWriter w;
@@ -99,11 +46,10 @@ class RleCodec final : public Codec {
     return std::move(w).take();
   }
 
-  std::unique_ptr<DecompressStream> decompress_stream(
-      ByteSpan compressed) const override {
-    ByteReader r(compressed);
-    const std::size_t raw_size = r.u32();
-    return std::make_unique<RleStream>(compressed.subspan(4), raw_size);
+  void decompress_into(ByteSpan compressed,
+                       std::span<Byte> out) const override {
+    rle_decode(
+        compressed.subspan(read_header(compressed, out.size()).offset()), out);
   }
 };
 
@@ -142,38 +88,26 @@ Bytes rle_encode(ByteSpan raw) {
   return out;
 }
 
-std::size_t RleDecoder::read(std::span<Byte> out) {
-  std::size_t produced = 0;
-  while (produced < out.size()) {
-    if (run_left_ == 0) {
-      if (pos_ >= data_.size()) break;  // end of ops
-      const Byte control = data_[pos_++];
-      if (control < 0x80) {
-        run_is_repeat_ = false;
-        run_left_ = static_cast<std::size_t>(control) + 1;
-        if (pos_ + run_left_ > data_.size())
-          AAD_FAIL(ErrorCode::kCorruptData, "RLE literal run truncated");
-      } else {
-        run_is_repeat_ = true;
-        run_left_ = static_cast<std::size_t>(control - 0x80) + kMinRepeat;
-        if (pos_ >= data_.size())
-          AAD_FAIL(ErrorCode::kCorruptData, "RLE repeat byte missing");
-        repeat_byte_ = data_[pos_++];
-      }
-    }
-    const std::size_t n = std::min(run_left_, out.size() - produced);
-    if (run_is_repeat_) {
-      std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(produced), n,
-                  repeat_byte_);
-    } else {
-      std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(pos_), n,
-                  out.begin() + static_cast<std::ptrdiff_t>(produced));
-      pos_ += n;
-    }
-    run_left_ -= n;
-    produced += n;
+void rle_decode(ByteSpan ops, std::span<Byte> out) {
+  std::size_t pos = 0;
+  for (auto o = out.begin(); o != out.end();) {
+    if (pos >= ops.size())
+      AAD_FAIL(ErrorCode::kCorruptData, "RLE stream truncated");
+    const Byte control = ops[pos++];
+    const bool repeat = control >= 0x80;
+    const std::size_t n = repeat
+                              ? static_cast<std::size_t>(control - 0x80) +
+                                    kMinRepeat
+                              : static_cast<std::size_t>(control) + 1;
+    if (n > static_cast<std::size_t>(out.end() - o))
+      AAD_FAIL(ErrorCode::kCorruptData, "RLE run overruns the output");
+    const std::size_t need = repeat ? 1 : n;
+    if (need > ops.size() - pos)
+      AAD_FAIL(ErrorCode::kCorruptData, "RLE run truncated");
+    const auto in = ops.begin() + static_cast<std::ptrdiff_t>(pos);
+    o = repeat ? std::fill_n(o, n, *in) : std::copy_n(in, n, o);
+    pos += need;
   }
-  return produced;
 }
 
 std::unique_ptr<Codec> make_null() { return std::make_unique<NullCodec>(); }

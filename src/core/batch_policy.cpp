@@ -27,19 +27,10 @@ class GreedyBatchPolicy final : public BatchPolicy {
 
 class WindowedBatchPolicy final : public BatchPolicy {
  public:
-  WindowedBatchPolicy(sim::SimTime window, std::size_t max_batch,
-                      bool cost_aware, sim::SimTime cheap_load)
-      : window_(window),
-        max_batch_(max_batch),
-        cost_aware_(cost_aware),
-        cheap_load_(cheap_load) {}
+  WindowedBatchPolicy(sim::SimTime window, std::size_t max_batch)
+      : window_(window), max_batch_(max_batch) {}
   BatchMode kind() const noexcept override { return BatchMode::kWindowed; }
   BatchDecision decide(const BatchView& view) override {
-    // Holding trades head-of-line latency for amortizing one load across
-    // more members — worthless when the load-cost model says the load is
-    // already cheap (resident, or a delta upgrade of a few dirty frames).
-    if (cost_aware_ && view.est_load_cost <= cheap_load_)
-      return {.commit = true, .limit = max_batch_, .reconsider_at = {}};
     // Commit early once the batch cannot grow (cap reached); otherwise
     // hold until the horizon expires.  A lone request whose window expires
     // commits as a batch of one — windowed degenerates to no-batch when
@@ -55,8 +46,6 @@ class WindowedBatchPolicy final : public BatchPolicy {
  private:
   sim::SimTime window_;
   std::size_t max_batch_;
-  bool cost_aware_;
-  sim::SimTime cheap_load_;
 };
 
 }  // namespace
@@ -83,9 +72,8 @@ std::unique_ptr<BatchPolicy> make_batch_policy(const BatchConfig& config) {
     case BatchMode::kWindowed:
       AAD_REQUIRE(config.window >= sim::SimTime::zero(),
                   "batch window cannot be negative");
-      return std::make_unique<WindowedBatchPolicy>(
-          config.window, config.max_batch, config.cost_aware,
-          config.cheap_load);
+      return std::make_unique<WindowedBatchPolicy>(config.window,
+                                                   config.max_batch);
   }
   AAD_FAIL(ErrorCode::kInvalidArgument, "unknown batch mode");
 }

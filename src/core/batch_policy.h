@@ -58,13 +58,6 @@ struct BatchConfig {
   /// Largest number of requests one batch may drain (>= 1).  Also the
   /// windowed policy's early-commit threshold.
   std::size_t max_batch = 16;
-  /// kWindowed: consult the load-cost model — when the pick's estimated
-  /// load is at most `cheap_load` (a hit, or a delta upgrade touching only
-  /// a few frames), holding buys nothing worth amortizing, so commit
-  /// immediately instead of idling the device for the horizon.  Off by
-  /// default: the hold decision stays bit-exact with the cost-blind policy.
-  bool cost_aware = false;
-  sim::SimTime cheap_load = sim::SimTime::us(40);
 };
 
 /// What the policy sees when the device scheduler has picked a function
@@ -74,10 +67,6 @@ struct BatchView {
   std::size_t queued = 0;     ///< same-function requests ready right now
   sim::SimTime hold_since;    ///< when `function` first became the pick
   sim::SimTime now;
-  /// The card's modeled cost of loading `function` right now
-  /// (Mcu::estimated_load_cost: zero when resident, dirty-frames-only
-  /// under delta reconfiguration).  Only cost_aware policies read it.
-  sim::SimTime est_load_cost;
 };
 
 /// The policy's verdict: commit a batch of up to `limit` requests now, or

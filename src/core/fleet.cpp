@@ -151,13 +151,11 @@ void CoprocessorFleet::dispatch(unsigned client, memory::FunctionId function,
   const unsigned index = route(function);
   Shard& shard = shards_[index];
   ++shard.dispatched;
-  if (fleet_track_ != nullptr)
-    fleet_track_->instant("dispatch", "dispatch", now(), /*request=*/-1,
-                          client, function, index);
+  std::uint64_t id = 0;
   if (retry_.timeout > sim::SimTime::zero()) {
     // The server holds the payload and a 16-byte hook (no allocation
     // inside std::function); the submitter's hook waits in the watch.
-    const std::uint64_t id = shard.server->submit_function_at(
+    id = shard.server->submit_function_at(
         now(), client, function, std::move(input),
         [this, index](const ServerRequest& r) {
           on_watched_complete(index, r);
@@ -166,9 +164,15 @@ void CoprocessorFleet::dispatch(unsigned client, memory::FunctionId function,
         now() + retry_.timeout, [this, index, id] { on_timeout(index, id); });
     shard.watches.emplace(id, Watch{attempts + 1, timeout, std::move(done)});
   } else {
-    shard.server->submit_function_at(now(), client, function,
-                                     std::move(input), std::move(done));
+    id = shard.server->submit_function_at(now(), client, function,
+                                          std::move(input), std::move(done));
   }
+  // Recorded once the card has assigned the request id, so the instant
+  // joins that request's spans on the card's lanes.
+  if (fleet_track_ != nullptr)
+    fleet_track_->instant("dispatch", "dispatch", now(),
+                          static_cast<std::int64_t>(id), client, function,
+                          index);
   if (prefetch_enabled_) maybe_cross_prefetch(client, function, index);
 }
 

@@ -319,7 +319,6 @@ void CoprocessorServer::pump_device() {
         if (pending(ready_id).request.function == fn) ++view.queued;
       view.hold_since = anchor;
       view.now = now();
-      view.est_load_cost = card_.mcu().estimated_load_cost(fn);
       return view;
     };
     // The horizon anchor is PER FUNCTION and survives the pick moving

@@ -35,11 +35,23 @@ ConfigureResult ConfigEngine::configure(
     AAD_FAIL(ErrorCode::kCorruptData,
              "compressed payload CRC mismatch (ROM corruption)");
 
-  const auto codec = compress::make_codec(record.codec, frame_bytes);
-  auto stream = codec->decompress_stream(compressed);
-  if (stream->raw_size() != record.raw_size)
+  // The header is checked against the record before anything is
+  // allocated: a corrupt header never picks the allocation size.
+  if (compress::raw_size(compressed) != record.raw_size)
     AAD_FAIL(ErrorCode::kCorruptData,
              "compressed stream raw size disagrees with record");
+
+  // Decode-before-program: decode the WHOLE image and verify it up front.
+  // A truncated, overlong or CRC-divergent stream is rejected here — before
+  // any frame is programmed or any tracker entry updated — so a corrupted
+  // bitstream can never leave garbage frames on the fabric.  The timing
+  // recurrence below still models the real module streaming window by
+  // window; only the failure atomicity differs.
+  Bytes raw(record.raw_size);
+  compress::make_codec(record.codec, frame_bytes)
+      ->decompress_into(compressed, raw);
+  if (expected_raw_crc != 0 && Crc32::compute(raw) != expected_raw_crc)
+    AAD_FAIL(ErrorCode::kCorruptData, "decoded function image CRC mismatch");
 
   // Per-window stage durations.  Compressed bytes arrive from ROM roughly
   // evenly per window (the decoder consumes as it produces); the data path
@@ -62,32 +74,6 @@ ConfigureResult ConfigEngine::configure(
   ConfigureResult result;
   result.compressed_bytes = compressed.size();
   result.raw_bytes = record.raw_size;
-
-  // Decode-before-program: pull the WHOLE image out of the decompressor
-  // and verify it up front.  A truncated, overlong or CRC-divergent stream
-  // is rejected here — before any frame is programmed or any tracker entry
-  // updated — so a corrupted bitstream can never leave garbage frames on
-  // the fabric.  The timing recurrence below is unchanged: the real module
-  // still streams window by window; only the failure atomicity differs.
-  Bytes raw(static_cast<std::size_t>(windows) * frame_bytes);
-  {
-    std::size_t got = 0;
-    while (got < raw.size()) {
-      const std::size_t n =
-          stream->read(std::span<Byte>(raw.data() + got, raw.size() - got));
-      if (n == 0)
-        AAD_FAIL(ErrorCode::kCorruptData,
-                 "configuration stream ended mid-frame");
-      got += n;
-    }
-    Byte probe;
-    if (stream->read(std::span<Byte>(&probe, 1)) != 0)
-      AAD_FAIL(ErrorCode::kCorruptData,
-               "configuration stream longer than the record footprint");
-    if (expected_raw_crc != 0 && Crc32::compute(raw) != expected_raw_crc)
-      AAD_FAIL(ErrorCode::kCorruptData,
-               "decoded function image CRC mismatch");
-  }
 
   // Pipeline recurrence over the three stages.
   sim::SimTime rom_done = start;

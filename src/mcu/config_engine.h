@@ -2,10 +2,10 @@
 // bit-stream window by window and passes the configuration bit-stream to
 // the FPGA to configure it."
 //
-// One window = one frame.  The engine streams the record's compressed bytes
-// out of ROM, pulls frame-sized windows from the codec's streaming
-// decompressor, and writes each window into the fabric through the
-// configuration port — verifying the payload CRC as it goes.
+// One window = one frame.  The engine checks the CRC of the record's
+// compressed bytes in ROM, decodes the whole image with the record's codec,
+// checks the image CRC, and only then writes each window into the fabric
+// through the configuration port.
 //
 // Timing is a three-stage pipeline (ROM read | decompress | config port):
 // window w's stage can start only when the same stage finished window w-1

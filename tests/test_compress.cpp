@@ -1,9 +1,13 @@
 // Tests for the compression codecs: parameterized roundtrips across codecs
-// and data shapes, streaming window decompression, corruption handling, and
+// and data shapes, a seeded roundtrip sweep over Fibonacci sizes, the
+// token edge cases each decoder must get right, corruption handling, and
 // the ratio ordering properties the experiments rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "bitstream/bitstream.h"
 #include "bitstream/synth.h"
@@ -109,32 +113,6 @@ TEST_P(CodecRoundtrip, OneShotRoundtrip) {
   EXPECT_EQ(codec->decompress(compressed), raw);
 }
 
-TEST_P(CodecRoundtrip, StreamingWindowedRoundtrip) {
-  const auto [id, shape] = GetParam();
-  const auto codec = make_codec(id, kFrameBytes);
-  const Bytes raw = make_shape(shape);
-  const Bytes compressed = codec->compress(raw);
-
-  // Pull in awkward window sizes (prime, tiny, frame-sized, and sizes that
-  // cross the frame-delta history wrap partway through a read) to stress
-  // the incremental paths.
-  for (const std::size_t window :
-       {std::size_t{1}, std::size_t{7}, std::size_t{193}, kFrameBytes,
-        kFrameBytes - 1, kFrameBytes + 1, 2 * kFrameBytes + 3}) {
-    auto stream = codec->decompress_stream(compressed);
-    ASSERT_EQ(stream->raw_size(), raw.size());
-    Bytes got;
-    Bytes buf(window);
-    for (;;) {
-      const std::size_t n = stream->read(buf);
-      if (n == 0) break;
-      got.insert(got.end(), buf.begin(),
-                 buf.begin() + static_cast<std::ptrdiff_t>(n));
-    }
-    EXPECT_EQ(got, raw) << "window=" << window;
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(
     AllCodecsAllShapes, CodecRoundtrip,
     ::testing::Combine(
@@ -150,6 +128,208 @@ INSTANTIATE_TEST_SUITE_P(
       std::erase(name, '-');  // gtest param names must be alphanumeric
       return name;
     });
+
+// --- seeded roundtrip sweep ------------------------------------------------------
+
+/// The Fibonacci numbers F_0..F_n up to `limit` (cryptsuite's `fibonacci`):
+/// sizes scattered from 0 to several frames, almost none a multiple of the
+/// frame size.
+std::vector<std::size_t> fibonacci_sizes(std::size_t limit) {
+  std::vector<std::size_t> sizes;
+  for (std::size_t a = 0, b = 1; a <= limit; b += a, a = b - a)
+    sizes.push_back(a);
+  return sizes;
+}
+
+/// Seeded content of `size` bytes in one of four styles: random literals,
+/// sparse non-zero bytes, a repeated frame with a few per-frame flips (what
+/// the delta codecs target), and short-period repetition (long runs and
+/// overlapping LZSS matches).
+Bytes sweep_content(std::size_t size, unsigned style, std::uint64_t seed) {
+  Prng rng(seed);
+  Bytes b(size, 0);
+  for (std::size_t i = 0; i < size; ++i) {
+    switch (style) {
+      case 0:
+        b[i] = static_cast<Byte>(rng.next());
+        break;
+      case 1:
+        if (rng.next_below(16) == 0) b[i] = static_cast<Byte>(rng.next() | 1);
+        break;
+      case 2:
+        b[i] = i < kFrameBytes ? static_cast<Byte>(rng.next())
+                               : b[i - kFrameBytes];
+        if (rng.next_below(200) == 0) b[i] ^= 0x21;
+        break;
+      default:
+        b[i] = static_cast<Byte>("aab\0\0\0c"[i % 7]);
+        break;
+    }
+  }
+  return b;
+}
+
+TEST(CodecSweep, EveryCodecRoundtripsFibonacciSizes) {
+  std::vector<std::size_t> sizes = fibonacci_sizes(5 * kFrameBytes);
+  for (const std::size_t edge : {kFrameBytes - 1, kFrameBytes, kFrameBytes + 1,
+                                 2 * kFrameBytes, 3 * kFrameBytes + 7})
+    sizes.push_back(edge);
+  for (const CodecId id : all_codec_ids()) {
+    const auto codec = make_codec(id, kFrameBytes);
+    for (const std::size_t size : sizes) {
+      for (unsigned style = 0; style < 4; ++style) {
+        const Bytes raw = sweep_content(size, style, size * 4 + style);
+        const Bytes compressed = codec->compress(raw);
+        ASSERT_EQ(raw_size(compressed), size);
+        Bytes out(size, 0xEE);
+        codec->decompress_into(compressed, out);
+        ASSERT_EQ(out, raw) << to_string(id) << " size=" << size
+                            << " style=" << style;
+      }
+    }
+  }
+}
+
+TEST(CodecSweep, OutputSizeMustMatchTheHeader) {
+  // The caller sizes the output (the engine from its ROM record), so a
+  // header that promises more or fewer bytes is corruption.
+  const Bytes raw = sweep_content(2 * kFrameBytes + 5, 2, 11);
+  for (const CodecId id : all_codec_ids()) {
+    const auto codec = make_codec(id, kFrameBytes);
+    const Bytes compressed = codec->compress(raw);
+    for (const std::size_t size : {raw.size() - 1, raw.size() + 1}) {
+      Bytes out(size);
+      try {
+        codec->decompress_into(compressed, out);
+        ADD_FAILURE() << to_string(id) << " decoded into " << size;
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kCorruptData) << to_string(id);
+      }
+    }
+  }
+}
+
+// --- token edge cases -------------------------------------------------------------
+
+/// A container: the u32 raw_size header, then `body`.
+Bytes container(std::uint32_t raw, std::initializer_list<Byte> body) {
+  Bytes c = {static_cast<Byte>(raw), static_cast<Byte>(raw >> 8),
+             static_cast<Byte>(raw >> 16), static_cast<Byte>(raw >> 24)};
+  c.insert(c.end(), body.begin(), body.end());
+  return c;
+}
+
+TEST(CodecEdges, RleRunsAtTheOpLimits) {
+  // A repeat op covers 3..130 bytes and a literal op 1..128: a 128- or
+  // 130-byte run is one op, a 131-byte run is a full op plus a literal.
+  const auto rle = make_codec(CodecId::kRle);
+  for (const auto& [run, ops_bytes] :
+       {std::pair<std::size_t, std::size_t>{128, 2}, {130, 2}, {131, 4}}) {
+    const Bytes raw(run, 0x6B);
+    const Bytes compressed = rle->compress(raw);
+    EXPECT_EQ(compressed.size(), 4 + ops_bytes) << "run=" << run;
+    EXPECT_EQ(rle->decompress(compressed), raw) << "run=" << run;
+  }
+  // 128 distinct bytes are one full literal op; 129 need a second.
+  Bytes literal(129);
+  for (std::size_t i = 0; i < literal.size(); ++i)
+    literal[i] = static_cast<Byte>(i);
+  for (const std::size_t n : {std::size_t{128}, std::size_t{129}}) {
+    const Bytes raw(literal.begin(),
+                    literal.begin() + static_cast<std::ptrdiff_t>(n));
+    EXPECT_EQ(rle->decompress(rle->compress(raw)), raw) << "literal=" << n;
+  }
+  // The frame-delta codec decodes the same ops.
+  const auto delta = make_codec(CodecId::kFrameDelta, kFrameBytes);
+  for (const std::size_t run : {128, 130, 131}) {
+    const Bytes raw(run, 0x6B);
+    EXPECT_EQ(delta->decompress(delta->compress(raw)), raw) << "run=" << run;
+  }
+}
+
+TEST(CodecEdges, RleRunPastTheOutputIsRejected) {
+  const auto rle = make_codec(CodecId::kRle);
+  // Five bytes promised; a 3-byte repeat then a 4-byte repeat overrun.
+  EXPECT_THROW(rle->decompress(container(5, {0x80, 0x11, 0x81, 0x22})),
+               Error);
+  EXPECT_EQ(rle->decompress(container(7, {0x80, 0x11, 0x81, 0x22})),
+            (Bytes{0x11, 0x11, 0x11, 0x22, 0x22, 0x22, 0x22}));
+}
+
+TEST(CodecEdges, LzssOverlappingMatchCopiesItsOwnOutput) {
+  // Literal 'a', literal 'b', then a match at offset 2 of length 18: the
+  // match reads bytes it is itself writing.
+  const auto lzss = make_codec(CodecId::kLzss);
+  const Bytes compressed = container(20, {0xC0, 'a', 'b', 0x00, 0x1F});
+  Bytes expect;
+  for (int i = 0; i < 10; ++i) expect.insert(expect.end(), {'a', 'b'});
+  EXPECT_EQ(lzss->decompress(compressed), expect);
+  // Offset 1: a run of one byte.
+  EXPECT_EQ(lzss->decompress(container(19, {0x80, 'z', 0x00, 0x0F})),
+            Bytes(19, 'z'));
+  // The encoder emits overlapping matches for short-period data too.
+  const Bytes periodic = sweep_content(3000, 3, 0);
+  EXPECT_EQ(lzss->decompress(lzss->compress(periodic)), periodic);
+}
+
+TEST(CodecEdges, LzssBackReferenceSpansTheWholeWindow) {
+  // 4096 literals, then a match 4096 bytes back: the farthest the 12-bit
+  // offset reaches.
+  Prng rng(4096);
+  Bytes window(4096);
+  for (auto& b : window) b = static_cast<Byte>(rng.next());
+  Bytes compressed = container(4096 + 18, {});
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    if (i % 8 == 0) compressed.push_back(0xFF);
+    compressed.push_back(window[i]);
+  }
+  compressed.insert(compressed.end(), {0x00, 0xFF, 0xFF});
+  Bytes expect = window;
+  expect.insert(expect.end(), window.begin(), window.begin() + 18);
+  const auto lzss = make_codec(CodecId::kLzss);
+  EXPECT_EQ(lzss->decompress(compressed), expect);
+
+  // The encoder reaches that far as well.
+  Bytes raw = window;
+  raw.insert(raw.end(), window.begin(), window.begin() + 100);
+  const Bytes encoded = lzss->compress(raw);
+  EXPECT_LT(encoded.size(), lzss->compress(window).size() + 20);
+  EXPECT_EQ(lzss->decompress(encoded), raw);
+}
+
+TEST(CodecEdges, LzssCorruptTokensAreRejected) {
+  const auto lzss = make_codec(CodecId::kLzss);
+  // A match 2 bytes back after only 1 byte of output.
+  EXPECT_THROW(lzss->decompress(container(4, {0x80, 'a', 0x00, 0x10})),
+               Error);
+  // A match of 18 bytes where only 3 remain.
+  EXPECT_THROW(lzss->decompress(container(4, {0x80, 'a', 0x00, 0x0F})),
+               Error);
+  // Flags promise a literal the stream does not hold.
+  EXPECT_THROW(lzss->decompress(container(2, {0xC0, 'a'})), Error);
+}
+
+TEST(CodecEdges, ZeroRunEndsTheStreamWithoutALiteral) {
+  // The final token of a stream ending in zeros is a bare run.
+  Bytes raw(3 * kFrameBytes + 40, 0);
+  raw[0] = 0x5D;
+  raw[kFrameBytes + 3] = 0x07;
+  for (const CodecId id : {CodecId::kGolomb, CodecId::kDeltaGolomb}) {
+    const auto codec = make_codec(id, kFrameBytes);
+    EXPECT_EQ(codec->decompress(codec->compress(raw)), raw) << to_string(id);
+    // All zeros: the whole stream is one run.
+    const Bytes zeros(2 * kFrameBytes + 1, 0);
+    EXPECT_EQ(codec->decompress(codec->compress(zeros)), zeros)
+        << to_string(id);
+  }
+  // Golomb k = 0: rice(2) = 110 before literal 0x41, then a closing run
+  // rice(1) = 10 — 110 01000001 10, zero-padded.
+  const auto golomb = make_codec(CodecId::kGolomb);
+  EXPECT_EQ(golomb->decompress(container(4, {0x00, 0xC8, 0x30})),
+            (Bytes{0x00, 0x00, 0x41, 0x00}));
+  // The same stream promising one byte: its first run overruns that.
+  EXPECT_THROW(golomb->decompress(container(1, {0x00, 0xC8, 0x30})), Error);
+}
 
 // --- ratio properties -----------------------------------------------------------
 
@@ -255,11 +435,10 @@ TEST(CodecFactory, FrameDeltaNeedsFrameBytes) {
   EXPECT_NO_THROW(make_codec(CodecId::kFrameDelta, 64));
 }
 
-TEST(CodecFactory, AllIdsConstructAndName) {
+TEST(CodecFactory, AllIdsConstruct) {
   for (CodecId id : all_codec_ids()) {
     const auto codec = make_codec(id, 64);
     EXPECT_EQ(codec->id(), id);
-    EXPECT_FALSE(codec->name().empty());
     EXPECT_GT(decompress_cycles_per_byte(id), 0.0);
   }
 }
@@ -271,9 +450,9 @@ TEST(CodecModel, EntropyCodersCostMoreThanCopies) {
             decompress_cycles_per_byte(CodecId::kHuffman));
 }
 
-// --- streaming edge cases -------------------------------------------------------
+// --- container edge cases -------------------------------------------------------
 
-TEST(CodecStreaming, EmptyCompressedInputThrows) {
+TEST(CodecOneShot, EmptyCompressedInputThrows) {
   // The 4-byte raw_size header is mandatory: a zero-length compressed
   // stream is corruption, not an empty payload.
   for (CodecId id : all_codec_ids()) {
@@ -282,55 +461,47 @@ TEST(CodecStreaming, EmptyCompressedInputThrows) {
   }
 }
 
-TEST(CodecStreaming, RawSizeZeroStreamsZeroBytes) {
+TEST(CodecOneShot, RawSizeZeroDecodesZeroBytes) {
   for (CodecId id : all_codec_ids()) {
     const auto codec = make_codec(id, kFrameBytes);
     const Bytes compressed = codec->compress({});
-    auto stream = codec->decompress_stream(compressed);
-    EXPECT_EQ(stream->raw_size(), 0u) << to_string(id);
-    Bytes buf(64);
-    EXPECT_EQ(stream->read(buf), 0u) << to_string(id);
-    EXPECT_EQ(stream->read(buf), 0u) << to_string(id);  // stays drained
+    EXPECT_EQ(raw_size(compressed), 0u) << to_string(id);
+    EXPECT_TRUE(codec->decompress(compressed).empty()) << to_string(id);
+    codec->decompress_into(compressed, std::span<Byte>{});
+    Byte one;
+    EXPECT_THROW(codec->decompress_into(compressed, std::span<Byte>(&one, 1)),
+                 Error)
+        << to_string(id);
   }
 }
 
-TEST(CodecStreaming, SingleFramePayloadDecodes) {
+TEST(CodecOneShot, SingleFramePayloadDecodes) {
   // Exactly one frame: the frame-delta codecs have no previous frame to
-  // reference, so the first window must decode standalone.
+  // reference, so the first frame must decode standalone.
   Prng rng(97);
   Bytes raw(kFrameBytes);
   for (auto& b : raw) b = static_cast<Byte>(rng.next());
   for (CodecId id : all_codec_ids()) {
     const auto codec = make_codec(id, kFrameBytes);
-    const Bytes compressed = codec->compress(raw);
-    auto stream = codec->decompress_stream(compressed);
-    ASSERT_EQ(stream->raw_size(), raw.size()) << to_string(id);
-    Bytes buf(kFrameBytes);
-    ASSERT_EQ(stream->read(buf), kFrameBytes) << to_string(id);
-    EXPECT_EQ(buf, raw) << to_string(id);
-    EXPECT_EQ(stream->read(buf), 0u) << to_string(id);
+    Bytes out(kFrameBytes);
+    codec->decompress_into(codec->compress(raw), out);
+    EXPECT_EQ(out, raw) << to_string(id);
   }
 }
 
-TEST(CodecStreaming, DeltaStreamRebuildsItsOwnHistory) {
+TEST(CodecOneShot, DeltaDecoderRebuildsItsOwnHistory) {
   // Two identical frames make frame 2 a pure copy-previous delta.  Every
-  // FRESH stream over the same bytes starts with cold history and must
-  // rebuild it from frame 1 — no state may leak between streams.
+  // decode over the same bytes, into a buffer holding stale content, must
+  // rebuild frame 1 from the stream before frame 2 reads it.
   const Bytes raw(2 * kFrameBytes, 0x3C);
   for (CodecId id : {CodecId::kFrameDelta, CodecId::kDeltaGolomb}) {
     const auto codec = make_codec(id, kFrameBytes);
     const Bytes compressed = codec->compress(raw);
+    Bytes out(raw.size(), 0xA5);
     for (int round = 0; round < 2; ++round) {
-      auto stream = codec->decompress_stream(compressed);
-      Bytes got;
-      Bytes buf(kFrameBytes);
-      for (;;) {
-        const std::size_t n = stream->read(buf);
-        if (n == 0) break;
-        got.insert(got.end(), buf.begin(),
-                   buf.begin() + static_cast<std::ptrdiff_t>(n));
-      }
-      EXPECT_EQ(got, raw) << to_string(id) << " round=" << round;
+      codec->decompress_into(compressed, out);
+      EXPECT_EQ(out, raw) << to_string(id) << " round=" << round;
+      std::fill(out.begin(), out.end(), Byte{0x5A});
     }
   }
 }

@@ -1,6 +1,6 @@
 // Corrupted-stream sweep: seeded bit flips and truncations of a catalog
-// bitstream's compressed stream, fed to every codec's streaming decoder and
-// to the configuration engine; bit flips in a configured netlist kernel's
+// bitstream's compressed stream, fed to every codec's decoder and to the
+// configuration engine; bit flips in a configured netlist kernel's
 // frames, fed to network extraction and the executor's compiler; and bit
 // flips and wrong-size slices of a serialized ROM record, fed to
 // memory::parse_record.  A corrupt input must end in a clean finish or an
@@ -32,27 +32,15 @@ Bytes catalog_image(const fabric::FrameGeometry& geometry) {
   return bitstream::pack_frame_payloads(spec.make_bitstream(geometry));
 }
 
-// Pull `stream` to its end, `window` bytes per read.  configure() never reads
-// past the record's footprint plus one probe byte, so stop once the stream
-// has produced a frame more than the pristine image: a corrupt raw_size
-// header may promise gigabytes.
-void drain(compress::DecompressStream& stream, std::size_t limit,
-           std::size_t window) {
-  Bytes buf(window);
-  std::size_t total = 0;
-  while (total <= limit) {
-    const std::size_t n = stream.read(buf);
-    if (n == 0) return;
-    total += n;
-  }
-}
-
-// Decoding must finish or throw aad::Error; anything else escapes the test.
+// Decode into a buffer the size of the pristine image, as configure() does
+// with its record's raw size (a corrupt raw_size header may promise
+// gigabytes, and must never choose the allocation).  Decoding must finish
+// or throw aad::Error; anything else escapes the test.
 void decode_or_error(const compress::Codec& codec, ByteSpan compressed,
-                     std::size_t limit, std::size_t window) {
+                     std::size_t raw_size) {
+  Bytes out(raw_size);
   try {
-    const auto stream = codec.decompress_stream(compressed);
-    drain(*stream, limit, window);
+    codec.decompress_into(compressed, out);
   } catch (const Error&) {
   }
 }
@@ -61,7 +49,6 @@ TEST(CorruptStreamSweep, EveryCodecSurvivesBitFlipsAndTruncation) {
   const fabric::FrameGeometry geometry;
   const std::size_t frame_bytes = geometry.frame_bytes();
   const Bytes raw = catalog_image(geometry);
-  const std::size_t limit = raw.size() + frame_bytes;
   for (const CodecId id : compress::all_codec_ids()) {
     SCOPED_TRACE(compress::to_string(id));
     const auto codec = compress::make_codec(id, frame_bytes);
@@ -73,7 +60,7 @@ TEST(CorruptStreamSweep, EveryCodecSurvivesBitFlipsAndTruncation) {
     for (std::size_t bit = 0; bit < 16 * 8; ++bit) {
       Bytes flipped = compressed;
       flipped[bit / 8] ^= static_cast<Byte>(1u << (bit % 8));
-      decode_or_error(*codec, flipped, limit, frame_bytes);
+      decode_or_error(*codec, flipped, raw.size());
     }
     Prng rng(0xF1F1 + static_cast<std::uint64_t>(id));
     for (int trial = 0; trial < 400; ++trial) {
@@ -83,16 +70,14 @@ TEST(CorruptStreamSweep, EveryCodecSurvivesBitFlipsAndTruncation) {
         const std::size_t bit = rng.next_below(flipped.size() * 8);
         flipped[bit / 8] ^= static_cast<Byte>(1u << (bit % 8));
       }
-      decode_or_error(*codec, flipped, limit, frame_bytes);
+      decode_or_error(*codec, flipped, raw.size());
     }
     // Every cut inside the header, then seeded cuts through the body.
     for (std::size_t cut = 0; cut < 16 && cut < compressed.size(); ++cut)
-      decode_or_error(*codec, ByteSpan(compressed).first(cut), limit,
-                      frame_bytes);
+      decode_or_error(*codec, ByteSpan(compressed).first(cut), raw.size());
     for (int trial = 0; trial < 100; ++trial) {
       const std::size_t cut = rng.next_below(compressed.size());
-      decode_or_error(*codec, ByteSpan(compressed).first(cut), limit,
-                      1 + rng.next_below(2 * frame_bytes));
+      decode_or_error(*codec, ByteSpan(compressed).first(cut), raw.size());
     }
   }
 }
@@ -169,6 +154,61 @@ TEST(CorruptStreamSweep, ConfigureRejectsCorruptPayloadWithoutSideEffects) {
       EXPECT_EQ(hashes(engine, geometry), hashes_before) << "seed " << seed;
       rom.rewrite_payload(record.function_id, compressed);
     }
+  }
+}
+
+TEST(CorruptStreamSweep, ConfigureRejectsAGiantRawSizeBeforeAllocating) {
+  // A header whose raw size has bit 31 flipped, stored with a matching
+  // payload CRC so only the engine's header check stands between it and a
+  // 2 GiB allocation.  CI runs this suite under a 2 GiB address-space cap,
+  // so a decode sized from the header fails there even if it would not
+  // here.
+  fabric::Fabric fabric;
+  const auto& geometry = fabric.geometry();
+  const Bytes raw = catalog_image(geometry);
+  const auto frames =
+      static_cast<unsigned>(raw.size() / geometry.frame_bytes());
+  memory::RomImage rom(1u << 20);
+  mcu::ConfigEngineConfig config;
+  config.delta_reconfig = true;
+  mcu::ConfigEngine engine(config);
+  const memory::RomTiming timing;
+  std::vector<fabric::FrameIndex> targets;
+  for (unsigned w = 0; w < frames; ++w)
+    targets.push_back(static_cast<fabric::FrameIndex>(2 * w + 1));
+
+  memory::FunctionId next_id = 1;
+  for (const CodecId id : compress::all_codec_ids()) {
+    SCOPED_TRACE(compress::to_string(id));
+    const Bytes compressed =
+        compress::make_codec(id, geometry.frame_bytes())->compress(raw);
+    memory::RomRecord record;
+    record.function_id = next_id++;
+    record.name = "giant";
+    record.codec = id;
+    record.raw_size = static_cast<std::uint32_t>(raw.size());
+    record.frames = static_cast<std::uint16_t>(frames);
+    record.clb_rows = geometry.clb_rows;
+    const memory::RomRecord clean = rom.store(record, compressed);
+    engine.configure(rom, clean, targets, fabric, timing,
+                     sim::SimTime::zero());
+    const auto frames_before = snapshot(fabric);
+    const auto hashes_before = hashes(engine, geometry);
+
+    Bytes giant = compressed;
+    giant[3] ^= 0x80;  // bit 31 of the little-endian raw_size
+    ASSERT_EQ(compress::raw_size(giant), raw.size() + (std::size_t{1} << 31));
+    record.function_id = next_id++;
+    const memory::RomRecord bad = rom.store(record, giant);
+    try {
+      engine.configure(rom, bad, targets, fabric, timing,
+                       sim::SimTime::zero());
+      ADD_FAILURE() << "a giant raw size loaded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorruptData);
+    }
+    EXPECT_EQ(snapshot(fabric), frames_before);
+    EXPECT_EQ(hashes(engine, geometry), hashes_before);
   }
 }
 

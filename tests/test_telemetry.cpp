@@ -12,7 +12,8 @@
 // overlapped reconfiguration, windowed batching (hold spans), and
 // speculative prefetch (engine-lane speculation) — with the hardware lanes
 // (pci/engine/fabric) staying serialized, because each mirrors a resource
-// the simulator books exclusively.
+// the simulator books exclusively; and the fleet's dispatch instants
+// joining the card-local request they created.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -428,6 +429,55 @@ TEST(ServerTraceTest, PrefetchRunEmitsSpeculativeEngineSpans) {
       EXPECT_GE(e.function, 0);   // what was speculated
       EXPECT_EQ(e.request, -1);   // no demand request owns it
     }
+}
+
+TEST(FleetTraceTest, DispatchInstantCarriesTheCardRequestId) {
+  // Each dispatch instant names the card-local request id, so it joins
+  // that request's pci-in span on the chosen card's lanes — on the plain
+  // path and on the watchdog path (whose timeout here never fires).
+  for (const bool watchdog : {false, true}) {
+    SCOPED_TRACE(watchdog ? "watchdog" : "plain");
+    core::FleetConfig fc;
+    fc.cards = 3;
+    if (watchdog) fc.retry.timeout = sim::SimTime::ms(500);
+    core::CoprocessorFleet fleet(fc);
+    telemetry::TraceSink sink;
+    fleet.attach_trace(sink, "fleet");
+    fleet.download_all();
+
+    const std::vector<memory::FunctionId> functions = {
+        algorithms::function_id(KernelId::kSha256),
+        algorithms::function_id(KernelId::kAes128),
+        algorithms::function_id(KernelId::kCrc32)};
+    const sim::SimTime base = fleet.now();
+    for (std::size_t i = 0; i < 24; ++i) {
+      const memory::FunctionId fn = functions[i % functions.size()];
+      fleet.submit_function_at(base + sim::SimTime::us(20 * (i / 4)),
+                               static_cast<unsigned>(i % 4), fn,
+                               request_input(fn, 1, i),
+                               [](const core::ServerRequest&) {});
+    }
+    fleet.run();
+    const std::vector<TraceEvent> merged = sink.merged();
+
+    const auto dispatch = lane(merged, 0, /*process=*/1);
+    ASSERT_EQ(dispatch.size(), 24u);
+    for (const TraceEvent& d : dispatch) {
+      ASSERT_GE(d.card, 0);
+      ASSERT_GE(d.request, 0);
+      const auto card_process = static_cast<std::uint32_t>(2 + d.card);
+      std::size_t joined = 0;
+      for (const TraceEvent& e : lane_spans(merged, kPciLane, card_process))
+        if (std::strcmp(e.name, "pci-in") == 0 && e.request == d.request) {
+          ++joined;
+          EXPECT_EQ(e.client, d.client);
+          EXPECT_EQ(e.function, d.function);
+          EXPECT_GE(e.ts_ps, d.ts_ps);
+        }
+      EXPECT_EQ(joined, 1u) << "request " << d.request << " on card "
+                            << d.card;
+    }
+  }
 }
 
 }  // namespace
