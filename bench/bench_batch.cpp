@@ -1,6 +1,7 @@
-// Experiment B — same-function request batching (core/batch_policy.h).
+// Experiment B — same-function request batching (ServerConfig::batch in
+// core/server.h).
 //
-// When the device scheduler picks a function, the BatchPolicy can drain
+// When the device policy picks a function, the batch mode can drain
 // every queued request for that same function into one batch that shares a
 // single firmware decode + on-demand load and runs back-to-back fabric
 // windows — one reconfiguration amortized across the batch.  The workload

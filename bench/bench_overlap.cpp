@@ -4,9 +4,9 @@
 // resources: the configuration engine (firmware decode + on-demand load)
 // and the fabric (staging + execution).  With overlap_reconfig on, a queued
 // request's configuration streams through the engine while the fabric still
-// executes the previous request (frames permitting — see
-// core/device_scheduler.h and Mcu::pin), so reconfiguration time hides
-// behind execution instead of serializing after it.  Three tables:
+// executes the previous request (frames permitting — see core/server.h and
+// Mcu::pin), so reconfiguration time hides behind execution instead of
+// serializing after it.  Three tables:
 //
 //   O1 — overlap on/off × device policy on one miss-heavy trace: the
 //        headline makespan win and the per-request wait attribution

@@ -20,7 +20,10 @@ const char* to_string(DispatchPolicy policy) {
 
 CoprocessorFleet::CoprocessorFleet(const FleetConfig& config)
     : policy_(config.policy),
-      cost_routing_(config.cost_routing),
+      // The fleet is homogeneous: every card tracks frame contents, or
+      // none does and no card can ever match a frame.
+      cost_routing_(config.cost_routing &&
+                    config.card.mcu.engine.delta_reconfig),
       faults_(config.faults),
       retry_(config.retry),
       counters_{registry_.counter("fleet.prefetch_routed"),
@@ -313,21 +316,24 @@ void CoprocessorFleet::revive_card(unsigned index) {
   shard.alive = true;
 }
 
-unsigned CoprocessorFleet::least_queued() const {
-  // Lowest ALIVE card index among the minima keeps ties deterministic;
-  // callers never route to a dead card (dispatch fails the request up
-  // front when nothing is alive, so `found` only misses then).
-  unsigned best = 0;
-  bool found = false;
+template <typename Eligible>
+std::optional<unsigned> CoprocessorFleet::least_in_flight(
+    Eligible eligible) const {
+  // Lowest ALIVE card index among the minima keeps ties deterministic.
+  std::optional<unsigned> best;
   for (unsigned i = 0; i < card_count(); ++i) {
-    if (!shards_[i].alive) continue;
-    if (!found ||
-        shards_[i].server->in_flight() < shards_[best].server->in_flight()) {
+    if (!shards_[i].alive || !eligible(i)) continue;
+    if (!best ||
+        shards_[i].server->in_flight() < shards_[*best].server->in_flight())
       best = i;
-      found = true;
-    }
   }
   return best;
+}
+
+unsigned CoprocessorFleet::least_queued() const {
+  // Callers never route to a dead card (dispatch fails the request up
+  // front when nothing is alive, so the fallback only applies then).
+  return least_in_flight([](unsigned) { return true; }).value_or(0);
 }
 
 unsigned CoprocessorFleet::choose(memory::FunctionId function,
@@ -351,24 +357,15 @@ unsigned CoprocessorFleet::choose(memory::FunctionId function,
       return least_queued();
     case DispatchPolicy::kResidencyAffinity: {
       // Strongest signal first: a card whose device stage is holding an
-      // OPEN batch for this function (a windowed BatchPolicy waiting for
-      // more same-function arrivals) — a request routed there joins the
-      // batch and shares its single decode + load, paying no
-      // reconfiguration at all.
-      bool found = false;
-      unsigned best = 0;
-      for (unsigned i = 0; i < card_count(); ++i) {
-        if (!shards_[i].alive) continue;
-        if (!shards_[i].server->open_batch_for(function)) continue;
-        if (!found ||
-            shards_[i].server->in_flight() < shards_[best].server->in_flight()) {
-          best = i;
-          found = true;
-        }
-      }
-      if (found) {
+      // OPEN batch for this function (a windowed batch waiting for more
+      // same-function arrivals) — a request routed there joins the batch
+      // and shares its single decode + load, paying no reconfiguration at
+      // all.
+      if (const auto card = least_in_flight([&](unsigned i) {
+            return shards_[i].server->open_batch_for(function);
+          })) {
         affinity_hit = true;
-        return best;
+        return *card;
       }
       // Second: a card that PREFETCHED this function and still holds the
       // speculation unconsumed.  Stronger than mere residency — the frames
@@ -377,19 +374,11 @@ unsigned CoprocessorFleet::choose(memory::FunctionId function,
       // (an unconsumed marker leaves the frames first in line for
       // stealing).  Inert unless prefetch is enabled.
       if (prefetch_enabled_) {
-        for (unsigned i = 0; i < card_count(); ++i) {
-          if (!shards_[i].alive) continue;
-          if (!shards_[i].server->prefetch_resident(function)) continue;
-          if (!found ||
-              shards_[i].server->in_flight() <
-                  shards_[best].server->in_flight()) {
-            best = i;
-            found = true;
-          }
-        }
-        if (found) {
+        if (const auto card = least_in_flight([&](unsigned i) {
+              return shards_[i].server->prefetch_resident(function);
+            })) {
           prefetch_hit = true;
-          return best;
+          return *card;
         }
       }
       // Otherwise, among the cards already holding the configuration — or
@@ -398,20 +387,12 @@ unsigned CoprocessorFleet::choose(memory::FunctionId function,
       // ahead of us could still evict the function, but
       // residency-at-arrival is the cheap, driver-visible signal —
       // mispredictions just cost one reconfiguration.
-      for (unsigned i = 0; i < card_count(); ++i) {
-        if (!shards_[i].alive) continue;
-        if (!shards_[i].card->mcu().is_resident(function) &&
-            !shards_[i].server->function_inbound(function))
-          continue;
-        if (!found ||
-            shards_[i].server->in_flight() < shards_[best].server->in_flight()) {
-          best = i;
-          found = true;
-        }
-      }
-      if (found) {
+      if (const auto card = least_in_flight([&](unsigned i) {
+            return shards_[i].card->mcu().is_resident(function) ||
+                   shards_[i].server->function_inbound(function);
+          })) {
         affinity_hit = true;
-        return best;
+        return *card;
       }
       // Third tier: no card holds the function, but under delta
       // reconfiguration a cold load is not uniformly expensive — a card
@@ -419,14 +400,14 @@ unsigned CoprocessorFleet::choose(memory::FunctionId function,
       // (an earlier variant, an evicted copy) reloads only the dirty
       // frames.  Route to the cheapest modeled load among cards matching
       // at least one frame (ties: least in flight, then lowest index).
-      // Inert when delta tracking is off: no card ever matches a frame.
       if (cost_routing_) {
+        bool found = false;
+        unsigned best = 0;
         sim::SimTime best_cost;
         for (unsigned i = 0; i < card_count(); ++i) {
           if (!shards_[i].alive) continue;
-          const mcu::Mcu& mcu = shards_[i].card->mcu();
-          if (!mcu.config().engine.delta_reconfig) continue;
-          const mcu::LoadEstimate est = mcu.estimate_load(function);
+          const mcu::LoadEstimate est =
+              shards_[i].card->mcu().estimate_load(function);
           if (!est.known || est.frames_matched == 0) continue;
           if (!found || est.time < best_cost ||
               (est.time == best_cost &&
@@ -504,20 +485,11 @@ void CoprocessorFleet::maybe_cross_prefetch(unsigned client,
   // may evict idle residents.
   unsigned target = chosen;
   if (!shards_[chosen].alive || !prefetch_placeable(chosen, next)) {
-    bool found = false;
-    unsigned best = 0;
-    for (unsigned i = 0; i < card_count(); ++i) {
-      if (i == chosen || !shards_[i].alive) continue;
-      if (!prefetch_placeable(i, next)) continue;
-      if (!found ||
-          shards_[i].server->in_flight() < shards_[best].server->in_flight()) {
-        best = i;
-        found = true;
-      }
-    }
-    if (found) {
+    if (const auto sibling = least_in_flight([&](unsigned i) {
+          return i != chosen && prefetch_placeable(i, next);
+        })) {
       counters_.prefetch_cross.add();
-      target = best;
+      target = *sibling;
     } else if (!shards_[chosen].alive) {
       return;
     }

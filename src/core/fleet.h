@@ -42,6 +42,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -92,10 +93,10 @@ struct FleetConfig {
   CoprocessorConfig card;
   /// Per-card pipeline knobs: device-queue policy (FIFO / resident-first /
   /// shortest-reconfiguration-first), overlapped reconfiguration, and the
-  /// same-function BatchPolicy (ServerConfig::batch).  The fleet dispatch
+  /// same-function batch mode (ServerConfig::batch).  The fleet dispatch
   /// policy and the per-card policies compose: dispatch picks the card,
-  /// the device scheduler orders that card's ready queue, and the batch
-  /// policy coalesces same-function picks into shared-load batches.
+  /// the device policy orders that card's ready queue, and the batch mode
+  /// coalesces same-function picks into shared-load batches.
   ServerConfig server;
   /// kResidencyAffinity only: enable the cheap-delta tier — when no card
   /// holds (or is loading) the function, route to the card whose delta
@@ -304,6 +305,10 @@ class CoprocessorFleet {
     std::unordered_map<std::uint64_t, Watch> watches;
   };
 
+  /// The alive card with the fewest in-flight requests among those for
+  /// which `eligible(index)` holds (ties: lowest index); nullopt when none.
+  template <typename Eligible>
+  std::optional<unsigned> least_in_flight(Eligible eligible) const;
   unsigned least_queued() const;
   unsigned choose(memory::FunctionId function, bool& prefetch_hit,
                   bool& affinity_hit, bool& delta_hit) const;
@@ -342,6 +347,8 @@ class CoprocessorFleet {
             FailReason reason);
 
   DispatchPolicy policy_;
+  /// The cheap-delta routing tier: FleetConfig::cost_routing, and the
+  /// cards run with engine.delta_reconfig on.
   bool cost_routing_;
   /// Shared by every card; declared before shards_ so the cards (which
   /// hold references to it) are destroyed first.

@@ -5,6 +5,14 @@
 namespace aad::core {
 namespace {
 
+// A speculative load may claim free frames, other speculative frames, and
+// frames of DEAD-looking demand residents — never a live one (evicting one
+// trades a probable future hit for a predicted one).  Dead = idle longer
+// than both this floor and this factor times the resident's own mean
+// inter-access gap; see Mcu::prefetch_feasible.
+constexpr sim::SimTime kMinVictimIdle = sim::SimTime::ms(1);
+constexpr double kVictimIdleFactor = 2.0;
+
 sim::SimTime percentile(const std::vector<sim::SimTime>& sorted, double q) {
   if (sorted.empty()) return sim::SimTime::zero();
   // Nearest-rank: the smallest value with at least q of the mass below it,
@@ -38,6 +46,30 @@ class PinGuard {
 
 }  // namespace
 
+const char* to_string(DevicePolicy policy) {
+  switch (policy) {
+    case DevicePolicy::kFifo:
+      return "fifo";
+    case DevicePolicy::kResidentFirst:
+      return "resident-first";
+    case DevicePolicy::kShortestReconfigFirst:
+      return "shortest-reconfig-first";
+  }
+  return "unknown";
+}
+
+const char* to_string(BatchMode mode) {
+  switch (mode) {
+    case BatchMode::kNone:
+      return "none";
+    case BatchMode::kGreedy:
+      return "greedy";
+    case BatchMode::kWindowed:
+      return "windowed";
+  }
+  return "unknown";
+}
+
 LatencySummary summarize_latencies(std::vector<sim::SimTime> latencies) {
   LatencySummary summary{};
   if (latencies.empty()) return summary;
@@ -58,8 +90,6 @@ CoprocessorServer::CoprocessorServer(AgileCoprocessor& card,
                                      const ServerConfig& config)
     : card_(card),
       config_(config),
-      device_scheduler_(make_device_scheduler(config.device_policy)),
-      batch_policy_(make_batch_policy(config.batch)),
       counters_{card.registry().counter("server.submitted"),
                 card.registry().counter("server.cancelled"),
                 card.registry().counter("server.batches"),
@@ -70,7 +100,11 @@ CoprocessorServer::CoprocessorServer(AgileCoprocessor& card,
                 card.registry().counter("server.prefetch_wasted"),
                 card.registry().counter("server.prefetch_hidden_ps"),
                 card.registry().gauge("server.device_queue_depth")},
-      predictor_(config.prefetch.predictor) {}
+      predictor_(config.prefetch.predictor) {
+  AAD_REQUIRE(config.batch.mode != BatchMode::kWindowed ||
+                  config.batch.window >= sim::SimTime::zero(),
+              "batch window cannot be negative");
+}
 
 void CoprocessorServer::attach_trace(telemetry::TraceSink& sink,
                                      const std::string& label,
@@ -154,15 +188,9 @@ std::optional<CoprocessorServer::CancelledRequest> CoprocessorServer::try_cancel
   if (--inbound->second == 0) inbound_.erase(inbound);
   // If this was the open batch's last queued member, retire the anchor so
   // open_batch_for stops advertising a batch nobody can join.
-  if (hold_anchors_.contains(p.request.function)) {
-    bool still_queued = false;
-    for (const std::uint64_t ready_id : device_queue_)
-      if (queue_.at(ready_id).request.function == p.request.function) {
-        still_queued = true;
-        break;
-      }
-    if (!still_queued) hold_anchors_.erase(p.request.function);
-  }
+  if (hold_anchors_.contains(p.request.function) &&
+      queued_for(p.request.function) == 0)
+    hold_anchors_.erase(p.request.function);
   CancelledRequest out;
   out.id = id;
   out.client = p.request.client;
@@ -259,125 +287,115 @@ void CoprocessorServer::pump_device() {
     // The device is planned busy; one wake-up at its next-start instant
     // serves the whole queue (each commit reschedules the next).  Waiting
     // until then — rather than committing windows into the future — is
-    // what lets the DeviceScheduler reorder everything still queued.
+    // what lets the device policy reorder everything still queued.
     schedule_pump(device_available());
     return;
   }
 
+  // The pick decides against the card's configuration state right now —
+  // residency at pick time, not at arrival time.
   std::size_t choice = 0;  // FIFO: the queue is already in arrival order
-  if (device_scheduler_->kind() != DevicePolicy::kFifo) {
-    // The policy decides against the card's configuration state right now
-    // — residency at pick time, not at arrival time.
-    std::vector<DeviceQueueEntry> entries;
-    entries.reserve(device_queue_.size());
-    const mcu::Mcu& mcu = card_.mcu();
-    // SJF's ordering key: the real modeled load cost once the card tracks
-    // frame contents (delta reconfiguration), else frames-as-picoseconds —
-    // a monotone map of the footprint, so orderings (and ties) are exactly
-    // the old frame-count SJF's.
-    const bool cost_model =
-        device_scheduler_->kind() == DevicePolicy::kShortestReconfigFirst &&
-        mcu.config().engine.delta_reconfig;
-    for (const std::uint64_t ready_id : device_queue_) {
-      const Pending& p = pending(ready_id);
-      DeviceQueueEntry entry;
-      entry.id = ready_id;
-      entry.function = p.request.function;
-      entry.ready = p.request.device_ready;
-      entry.resident = mcu.is_resident(entry.function);
-      if (!entry.resident)
-        if (const auto record = mcu.rom().lookup(entry.function))
-          entry.reconfig_frames = record->frames;
-      entry.reconfig_cost = cost_model
-                                ? mcu.estimated_load_cost(entry.function)
-                                : sim::SimTime::ps(entry.reconfig_frames);
-      entries.push_back(entry);
+  const mcu::Mcu& mcu = card_.mcu();
+  switch (config_.device_policy) {
+    case DevicePolicy::kFifo:
+      break;
+    case DevicePolicy::kResidentFirst:
+      for (std::size_t i = 0; i < device_queue_.size(); ++i)
+        if (mcu.is_resident(pending(device_queue_[i]).request.function)) {
+          choice = i;
+          break;
+        }
+      break;  // all misses: oldest first
+    case DevicePolicy::kShortestReconfigFirst: {
+      // The key: zero when resident, the real modeled load cost once the
+      // card tracks frame contents (delta reconfiguration), else the ROM
+      // footprint as picoseconds.  Strict < keeps ties on the earliest
+      // arrival.
+      const bool cost_model = mcu.config().engine.delta_reconfig;
+      sim::SimTime best;
+      for (std::size_t i = 0; i < device_queue_.size(); ++i) {
+        const memory::FunctionId fn =
+            pending(device_queue_[i]).request.function;
+        sim::SimTime key;
+        if (mcu.is_resident(fn)) {
+          key = sim::SimTime::zero();
+        } else if (cost_model) {
+          key = mcu.estimated_load_cost(fn);
+        } else if (const auto record = mcu.rom().lookup(fn)) {
+          key = sim::SimTime::ps(record->frames);
+        }
+        if (i == 0 || key < best) {
+          choice = i;
+          best = key;
+        }
+      }
+      break;
     }
-    choice = device_scheduler_->pick(entries);
-    AAD_CHECK(choice < device_queue_.size(),
-              "device scheduler picked out of range");
   }
   const std::uint64_t id = device_queue_[choice];
 
-  // Batch formation: the scheduler chose WHICH function is served next;
-  // the batch policy decides whether to commit now and how many queued
-  // same-function requests ride along (sharing one decode + load).  The
-  // hold anchor survives across pumps as long as the pick stays on the
-  // same function, so a windowed policy's horizon is measured from the
-  // first time the function became the pick, not from the latest wake-up.
+  // Batch formation: the device policy chose WHICH function is served
+  // next; the batch mode decides whether to commit now and how many queued
+  // same-function requests ride along (sharing one decode + load).  kNone
+  // skips the same-function scans entirely: a batch of one.
   std::uint64_t leader = id;
   memory::FunctionId function = pending(id).request.function;
   std::vector<std::uint64_t> batch{id};
-  if (batch_policy_->kind() != BatchMode::kNone) {
-    // kNone always commits a batch of one, so the same-function queue
-    // scans below would only compute counts its decide() discards — skip
-    // them on what is every pre-batching configuration's hot path.
-    const auto view_for = [this](memory::FunctionId fn, sim::SimTime anchor) {
-      BatchView view;
-      view.function = fn;
-      for (const std::uint64_t ready_id : device_queue_)
-        if (pending(ready_id).request.function == fn) ++view.queued;
-      view.hold_since = anchor;
-      view.now = now();
-      return view;
-    };
+  if (config_.batch.mode != BatchMode::kNone) {
     // The horizon anchor is PER FUNCTION and survives the pick moving
-    // elsewhere (a resident-first scheduler can commit another function
+    // elsewhere (a resident-first policy can commit another function
     // mid-hold): the window is measured from the first time the function
     // became the pick, not from its latest re-pick.  The anchor retires
     // when the function's batch commits.
     const sim::SimTime anchor =
         hold_anchors_.try_emplace(function, now()).first->second;
-    BatchDecision decision = batch_policy_->decide(view_for(function, anchor));
-    if (!decision.commit) {
-      AAD_CHECK(decision.reconsider_at > now(),
-                "batch policy held without a future reconsider time");
+    // Windowed: commit once the batch cannot grow (cap reached) or the
+    // horizon has run out — a lone request whose window expires commits
+    // as a batch of one, so no request is held forever.
+    const sim::SimTime window = config_.batch.window;
+    const auto closed = [&](std::size_t queued, sim::SimTime since) {
+      return queued >= kMaxBatch || now() - since >= window;
+    };
+    if (config_.batch.mode == BatchMode::kWindowed &&
+        !closed(queued_for(function), anchor)) {
       // The pick holds — but a DIFFERENT anchored function whose own
       // horizon has already run out must not keep waiting for the pick to
-      // bounce back to it (a trickle of scheduler-preferred arrivals each
-      // opening a fresh hold would defer it unboundedly).  Ask the policy
-      // about every other anchored function: serve the oldest-anchored
-      // one that commits, and otherwise sleep until the EARLIEST
-      // reconsider time over all of them, so each hold expires on its own
-      // clock even while another function is the pick.
+      // bounce back to it (a trickle of policy-preferred arrivals each
+      // opening a fresh hold would defer it unboundedly).  Serve the
+      // oldest-anchored other function whose hold has closed, and
+      // otherwise sleep until the EARLIEST horizon over all of them, so
+      // each hold expires on its own clock even while another function is
+      // the pick.
       bool found = false;
-      sim::SimTime wake = decision.reconsider_at;
-      memory::FunctionId alt{};
+      sim::SimTime wake = anchor + window;
       sim::SimTime alt_anchor;
       for (const auto& [fn, fn_anchor] : hold_anchors_) {
         if (fn == function) continue;
-        const BatchView view = view_for(fn, fn_anchor);
-        if (view.queued == 0) continue;
-        const BatchDecision d = batch_policy_->decide(view);
-        if (!d.commit) {
-          AAD_CHECK(d.reconsider_at > now(),
-                    "batch policy held without a future reconsider time");
-          wake = std::min(wake, d.reconsider_at);
+        const std::size_t queued = queued_for(fn);
+        if (queued == 0) continue;
+        if (!closed(queued, fn_anchor)) {
+          wake = std::min(wake, fn_anchor + window);
           continue;
         }
         if (!found || fn_anchor < alt_anchor) {
           found = true;
-          alt = fn;
+          function = fn;
           alt_anchor = fn_anchor;
-          decision = d;
         }
       }
       if (!found) {
         schedule_pump(wake);
         return;
       }
-      function = alt;
-      bool leader_found = false;
-      for (const std::uint64_t ready_id : device_queue_)
-        if (pending(ready_id).request.function == function) {
-          leader = ready_id;
-          leader_found = true;
-          break;
-        }
-      AAD_CHECK(leader_found, "anchored function has no queued request");
+      const auto first = std::find_if(
+          device_queue_.begin(), device_queue_.end(), [&](std::uint64_t r) {
+            return pending(r).request.function == function;
+          });
+      AAD_CHECK(first != device_queue_.end(),
+                "anchored function has no queued request");
+      leader = *first;
     }
-    AAD_CHECK(decision.limit >= 1, "batch policy committed an empty batch");
-    batch = collect_batch(leader, decision.limit);
+    batch = collect_batch(leader);
   }
   if (!serve_batch(batch)) {
     // The batch may not take the engine while the fabric is busy (overlap
@@ -401,17 +419,22 @@ void CoprocessorServer::pump_device() {
   pump_device();  // the commit advanced engine_free_; wake up then
 }
 
+std::size_t CoprocessorServer::queued_for(memory::FunctionId function) const {
+  return static_cast<std::size_t>(std::count_if(
+      device_queue_.begin(), device_queue_.end(), [&](std::uint64_t id) {
+        return queue_.at(id).request.function == function;
+      }));
+}
+
 std::vector<std::uint64_t> CoprocessorServer::collect_batch(
-    std::uint64_t leader, std::size_t limit) const {
+    std::uint64_t leader) const {
   std::vector<std::uint64_t> batch{leader};
-  if (limit <= 1) return batch;
   const memory::FunctionId function = queue_.at(leader).request.function;
-  // Leader first (the scheduler's pick), then the other same-function
-  // entries in arrival order.  With the built-in device policies the pick
-  // IS the earliest same-function entry, so the whole batch is in arrival
-  // order.
+  // Leader first (the device policy's pick), then the other same-function
+  // entries in arrival order.  Every policy picks the earliest
+  // same-function entry, so the whole batch is in arrival order.
   for (const std::uint64_t ready_id : device_queue_) {
-    if (batch.size() >= limit) break;
+    if (batch.size() >= kMaxBatch) break;
     if (ready_id == leader) continue;
     if (queue_.at(ready_id).request.function == function)
       batch.push_back(ready_id);
@@ -440,8 +463,8 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
   // handing out free frames — makes the new frame set disjoint from theirs.
   // When overlap is off, or even the limit state (everything non-pinned
   // evicted) cannot place the function, defer: the request waits for the
-  // fabric like the pre-split server, but uncommitted, so the scheduler
-  // can still reorder the queue meanwhile.
+  // fabric like the pre-split server, but uncommitted, so the device
+  // policy can still reorder the queue meanwhile.
   std::vector<memory::FunctionId> pins;
   const bool fabric_busy = fabric_free_ > engine_start;
   if (fabric_busy && !config_.overlap_reconfig) return false;
@@ -700,9 +723,8 @@ void CoprocessorServer::pump_prefetch() {
     // Evictions only out of the dead tail: a prefetch that would displace
     // a live resident is a bad bet and is skipped outright.
     if (est.evictions > 0 &&
-        !mcu.prefetch_feasible(function, now(),
-                               config_.prefetch.min_victim_idle,
-                               config_.prefetch.victim_idle_factor))
+        !mcu.prefetch_feasible(function, now(), kMinVictimIdle,
+                               kVictimIdleFactor))
       continue;
     // Feasibility through the demand machinery: pin the executing AND
     // inbound demand functions around the probe + load, exactly like an

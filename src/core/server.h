@@ -22,22 +22,21 @@
 // window (mcu::Mcu::pin) for the duration of B's load, so the eviction loop
 // can never touch them, and by serializing behind the fabric when
 // mcu::Mcu::load_feasible says the pinned frames fragment the device too
-// much.  The device-ready queue is ordered by a pluggable DeviceScheduler
-// (FIFO baseline — bit-exact with the pre-split single-resource server when
-// overlap_reconfig is off — plus resident-first and
-// shortest-reconfiguration-first; see core/device_scheduler.h).
+// much.  The server orders its device-ready queue by one of three
+// DevicePolicy values: FIFO (data-arrival order; bit-exact with the
+// pre-split single-resource server when overlap_reconfig is off),
+// resident-first and shortest-reconfiguration-first.
 //
-// On top of the scheduler's pick, a pluggable BatchPolicy
-// (core/batch_policy.h) coalesces queued SAME-FUNCTION requests into one
-// batch: the batch shares a single firmware decode and a single on-demand
-// load, then runs back-to-back fabric windows, so one reconfiguration is
-// amortized across every member.  The batch's function holds a pin
-// reference (mcu::Mcu::pin is refcounted) from load commit until its last
-// window retires, so overlapped loads of other functions can never evict
-// it mid-batch.  BatchMode::kNone (the default) serves every request as a
-// batch of one and is bit-exact with the unbatched server; kGreedy drains
-// the queue immediately; kWindowed holds commitment up to a horizon so
-// more same-function arrivals can coalesce.
+// On top of that pick, the BatchMode coalesces queued SAME-FUNCTION
+// requests into one batch: the batch shares a single firmware decode and a
+// single on-demand load, then runs back-to-back fabric windows, so one
+// reconfiguration is amortized across every member.  The batch's function
+// holds a pin reference (mcu::Mcu::pin is refcounted) from load commit
+// until its last window retires, so overlapped loads of other functions
+// can never evict it mid-batch.  BatchMode::kNone (the default) serves
+// every request as a batch of one and is bit-exact with the unbatched
+// server; kGreedy drains the queue immediately; kWindowed holds commitment
+// up to a horizon so more same-function arrivals can coalesce.
 //
 // stats() reports per-request latency percentiles, throughput, and the wait
 // attribution split into bus/engine/fabric, plus the total reconfiguration
@@ -61,18 +60,61 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "core/batch_policy.h"
 #include "core/coprocessor.h"
-#include "core/device_scheduler.h"
 #include "core/predictor.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace_sink.h"
 
 namespace aad::core {
+
+/// Which ready request takes the config engine next.  The reordering
+/// policies trade arrival fairness for configuration locality, and both
+/// can starve a cold request under a steady stream of resident traffic
+/// (classic SJF starvation): they are throughput policies, not fairness
+/// policies.
+enum class DevicePolicy : std::uint8_t {
+  kFifo,                   ///< data-arrival order (bit-exact baseline)
+  /// The first request whose function is configured right now, else the
+  /// oldest: hits cost only the firmware decode, so letting them jump the
+  /// queue keeps the fabric fed while misses wait.
+  kResidentFirst,
+  /// The smallest reconfiguration estimate, ties to the earliest arrival:
+  /// zero when resident, the card's modeled load cost
+  /// (Mcu::estimated_load_cost) under delta reconfiguration, and the ROM
+  /// frame footprint otherwise.
+  kShortestReconfigFirst,
+};
+
+const char* to_string(DevicePolicy policy);
+
+/// How the device stage coalesces queued same-function requests behind the
+/// device policy's pick (which still chooses WHICH function is served).
+enum class BatchMode : std::uint8_t {
+  kNone,      ///< batches of one — bit-exact with the unbatched server
+  kGreedy,    ///< drain every queued same-function request immediately
+  /// Hold commitment up to `window` after the function first became the
+  /// pick, betting head-of-line latency against a bigger batch; commit
+  /// early once kMaxBatch same-function requests are waiting.  A lone
+  /// request commits alone when its window expires — never starved.
+  kWindowed,
+};
+
+const char* to_string(BatchMode mode);
+
+/// The most requests one batch drains (kGreedy, kWindowed); also the
+/// windowed mode's early-commit threshold.
+inline constexpr std::size_t kMaxBatch = 16;
+
+struct BatchConfig {
+  BatchMode mode = BatchMode::kNone;
+  /// kWindowed: how long the device may sit on an uncommitted pick waiting
+  /// for more same-function arrivals, measured from the instant the
+  /// function first became the pick.  Must not be negative.
+  sim::SimTime window = sim::SimTime::us(50);
+};
 
 /// Why a request surfaced as failed instead of completing with output.
 enum class FailReason : std::uint8_t {
@@ -117,7 +159,7 @@ struct ServerRequest {
   /// load was a hit, the fabric was idle, or overlap is disabled.
   sim::SimTime hidden_reconfig;
 
-  // Batch accounting (core/batch_policy.h).  Without batching every
+  // Batch accounting (BatchConfig).  Without batching every
   // request is its own batch of one.
   std::uint64_t batch_id = 0;    ///< device commit this request rode, dense
   std::uint32_t batch_size = 1;  ///< members of that commit
@@ -200,10 +242,6 @@ struct ServerStats {
   bool operator==(const ServerStats&) const = default;
 };
 
-/// Per-server policy knobs.  The defaults (FIFO + overlap) serve requests
-/// in data-arrival order while hiding reconfigurations behind execution;
-/// {kFifo, overlap_reconfig = false} reproduces the pre-split
-/// single-resource device stage bit-exactly (the regression tests pin this).
 /// Speculative configuration prefetch (core/predictor.h).  When the card is
 /// fully idle, the server consults a per-client Markov predictor trained on
 /// its completion stream and speculatively streams the predicted next
@@ -216,23 +254,19 @@ struct ServerStats {
 struct PrefetchConfig {
   bool enabled = false;
   PredictorConfig predictor;
-  /// A speculative load may claim free frames, other speculative frames,
-  /// and frames of DEAD-looking demand residents — never a live one
-  /// (evicting one trades a probable future hit for a predicted one).
-  /// Dead = idle longer than both this floor and `victim_idle_factor`
-  /// times the resident's own mean inter-access gap; see
-  /// Mcu::prefetch_feasible.
-  sim::SimTime min_victim_idle = sim::SimTime::ms(1);
-  double victim_idle_factor = 2.0;
 };
 
+/// Per-server policy knobs.  The defaults (FIFO + overlap) serve requests
+/// in data-arrival order while hiding reconfigurations behind execution;
+/// {kFifo, overlap_reconfig = false} reproduces the pre-split
+/// single-resource device stage bit-exactly (the regression tests pin this).
 struct ServerConfig {
   DevicePolicy device_policy = DevicePolicy::kFifo;
   /// Stream a queued request's configuration while the fabric executes
   /// another (frames permitting).  Off = decode+load+execute serialize per
   /// request, exactly the old one-busy-until-scalar device stage.
   bool overlap_reconfig = true;
-  /// Same-function request coalescing (core/batch_policy.h).  The default
+  /// Same-function request coalescing (BatchMode).  The default
   /// (BatchMode::kNone) serves every request as a batch of one, bit-exact
   /// with the unbatched server.
   BatchConfig batch;
@@ -279,7 +313,7 @@ class CoprocessorServer {
   std::size_t in_flight() const noexcept { return in_flight_; }
   const ServerConfig& config() const noexcept { return config_; }
   /// Requests whose input DMA finished but the config engine has not yet
-  /// accepted them (what the DeviceScheduler reorders).
+  /// accepted them (what the DevicePolicy reorders).
   std::size_t device_queue_depth() const noexcept {
     return device_queue_.size();
   }
@@ -405,13 +439,15 @@ class CoprocessorServer {
   }
   /// Ensure a pump_device wake-up fires no later than `when`.
   void schedule_pump(sim::SimTime when);
-  /// Commit the policy's next pick to the engine + fabric; reschedules
-  /// itself at the device's next-start instant while requests are waiting.
+  /// Pick the next ready request (DevicePolicy), form its batch
+  /// (BatchMode) and commit it to the engine + fabric; reschedules itself
+  /// at the device's next-start instant while requests are waiting.
   void pump_device();
-  /// Queued same-function batch mates of `leader` (the scheduler's pick),
-  /// leader first, the rest in arrival order, capped at `limit`.
-  std::vector<std::uint64_t> collect_batch(std::uint64_t leader,
-                                           std::size_t limit) const;
+  /// Ready requests queued for `function`.
+  std::size_t queued_for(memory::FunctionId function) const;
+  /// Queued same-function batch mates of `leader` (the device policy's
+  /// pick), leader first, the rest in arrival order, capped at kMaxBatch.
+  std::vector<std::uint64_t> collect_batch(std::uint64_t leader) const;
   /// Plan the batch's shared engine window (leader decode + load) and its
   /// back-to-back fabric windows, and mutate the MCU accordingly.
   /// Returns false — nothing committed, every member stays queued — when
@@ -441,8 +477,6 @@ class CoprocessorServer {
 
   AgileCoprocessor& card_;
   ServerConfig config_;
-  std::unique_ptr<DeviceScheduler> device_scheduler_;
-  std::unique_ptr<BatchPolicy> batch_policy_;
   std::map<std::uint64_t, Pending> queue_;  ///< in-flight, by request id
   std::vector<std::uint64_t> device_queue_;  ///< ready ids, arrival order
   /// In-flight requests whose load has not yet committed, by function.
@@ -453,8 +487,8 @@ class CoprocessorServer {
   sim::SimTime fabric_free_;         ///< fabric busy-until
   std::vector<FabricCommitment> executing_;  ///< fabric windows not yet over
   std::optional<sim::SimTime> pump_wake_;  ///< earliest pending pump event
-  /// When each queued function FIRST became the scheduler's pick: the
-  /// windowed policy's horizon anchors, kept across pick changes (a
+  /// When each queued function FIRST became the device policy's pick: the
+  /// windowed mode's horizon anchors, kept across pick changes (a
   /// non-FIFO device policy can commit other functions mid-hold) and
   /// across fabric refusals, retired when the function's batch commits.
   /// Every entry is an open batch (open_batch_for) a new same-function

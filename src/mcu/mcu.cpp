@@ -425,13 +425,13 @@ LoadEstimate Mcu::estimate_load(memory::FunctionId id) const {
 
 LoadResult Mcu::ensure_loaded(memory::FunctionId id) {
   sim::SimTime elapsed;
-  const LoadResult result = load_at(id, scheduler_.now(), &elapsed);
+  const LoadResult result = load_invoke(id, scheduler_.now(), &elapsed);
   scheduler_.advance(elapsed);
   return result;
 }
 
-LoadResult Mcu::load_at(memory::FunctionId id, sim::SimTime start,
-                        sim::SimTime* elapsed, LoadStages* stages) {
+LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
+                            sim::SimTime* elapsed, LoadStages* stages) {
   LoadResult result;
   sim::SimTime t = start;
   *elapsed = sim::SimTime::zero();
@@ -589,21 +589,6 @@ sim::SimTime Mcu::decode_invoke() {
   return firmware_cost(config_.command_overhead_cycles);
 }
 
-LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
-                            sim::SimTime* elapsed) {
-  return load_at(id, start, elapsed);
-}
-
-PreparedInvoke Mcu::prepare_invoke(memory::FunctionId id, sim::SimTime start) {
-  PreparedInvoke prep;
-  prep.firmware_time = decode_invoke();
-  sim::SimTime load_elapsed;
-  prep.load = load_at(id, start + prep.firmware_time, &load_elapsed,
-                      &prep.load_stages);
-  prep.time = prep.firmware_time + load_elapsed;
-  return prep;
-}
-
 ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input) {
   const auto it = loaded_.find(id);
   AAD_CHECK(it != loaded_.end(), "execute_invoke on a non-resident function");
@@ -646,22 +631,21 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input) {
 }
 
 InvokeResult Mcu::invoke(memory::FunctionId id, ByteSpan input) {
-  const sim::SimTime start = scheduler_.now();
-  const PreparedInvoke prep = prepare_invoke(id, start);
-  ExecutedInvoke run = execute_invoke(id, input);
-  scheduler_.advance(prep.time + run.time);
-
   InvokeResult result;
+  result.firmware_time = decode_invoke();
+  sim::SimTime load_elapsed;
+  result.load = load_invoke(id, scheduler_.now() + result.firmware_time,
+                            &load_elapsed, &result.load_stages);
+  ExecutedInvoke run = execute_invoke(id, input);
+  const sim::SimTime prepare = result.firmware_time + load_elapsed;
+  scheduler_.advance(prepare + run.time);
+
   result.output = std::move(run.output);
-  result.load = prep.load;
-  result.load_stages = prep.load_stages;
   result.exec_cycles = run.exec_cycles;
   result.exec_time = run.exec_time;
   result.io_time = run.io_time;
-  result.firmware_time = prep.firmware_time;
-  result.evict_time =
-      prep.time - prep.firmware_time - prep.load.reconfig_time;
-  result.total = prep.time + run.time;
+  result.evict_time = load_elapsed - result.load.reconfig_time;
+  result.total = prepare + run.time;
   return result;
 }
 

@@ -91,16 +91,8 @@ struct InvokeResult {
   sim::SimTime total;
 };
 
-/// Stage 1 of the staged invoke path: firmware command decode plus the
-/// on-demand load (§2.5), as if it began at a caller-chosen start time.
-struct PreparedInvoke {
-  LoadResult load;
-  LoadStages load_stages;
-  sim::SimTime firmware_time;  ///< command decode
-  sim::SimTime time;           ///< firmware + evictions + reconfiguration
-};
-
-/// Stage 2: RAM staging in, fabric execution, output collection.
+/// The fabric stage of the staged invoke path: RAM staging in, fabric
+/// execution, output collection.
 struct ExecutedInvoke {
   Bytes output;
   std::int64_t exec_cycles = 0;
@@ -187,7 +179,8 @@ class Mcu {
 
   /// Execute `id` on `input`.  Loads on demand, stages data through local
   /// RAM, runs on the fabric, collects the output.  Advances simulated time.
-  /// (Synchronous compatibility shim over the staged path below.)
+  /// (decode_invoke + load_invoke + execute_invoke back-to-back from now —
+  /// the server's three staged steps — then one clock advance.)
   InvokeResult invoke(memory::FunctionId id, ByteSpan input);
 
   // --- the staged path (event-driven pipeline) -----------------------------
@@ -209,17 +202,14 @@ class Mcu {
 
   /// The on-demand load (§2.5) as of `start`: hit check, allocation,
   /// eviction loop (pinned functions are never chosen as victims), streaming
-  /// configuration.  `*elapsed` receives the full duration (zero on a hit).
+  /// configuration.  `*elapsed` receives the full duration (zero on a hit);
+  /// `*stages`, when given, the configuration engine's stage sums (left
+  /// untouched on a hit).
   LoadResult load_invoke(memory::FunctionId id, sim::SimTime start,
-                         sim::SimTime* elapsed);
-
-  /// decode_invoke + load_invoke back-to-back (the serialized device stage);
-  /// kept as the composition so the synchronous shim and the no-overlap
-  /// server path stay bit-exact with the split primitives.
-  PreparedInvoke prepare_invoke(memory::FunctionId id, sim::SimTime start);
+                         sim::SimTime* elapsed, LoadStages* stages = nullptr);
 
   /// Data-in, fabric execution, output collection.
-  /// Requires `id` resident (load_invoke/prepare_invoke was called).
+  /// Requires `id` resident (load_invoke was called).
   ExecutedInvoke execute_invoke(memory::FunctionId id, ByteSpan input);
 
   // --- pinning (overlapped reconfiguration + batching) ---------------------
@@ -349,7 +339,7 @@ class Mcu {
   /// the free list would hand out, or an in-place upgrade — evict one
   /// same-footprint resident whose frames mostly already match and reuse
   /// its exact frame set.  nullopt when only the eviction loop can place
-  /// the function.  Shared by load_at and estimate_load so the estimator
+  /// the function.  Shared by load_invoke and estimate_load so the estimator
   /// predicts what the loader then does.
   struct DeltaPlan {
     std::vector<fabric::FrameIndex> frames;
@@ -367,8 +357,6 @@ class Mcu {
   // staged path: mutate state, never touch the scheduler.
   sim::SimTime firmware_cost(unsigned cycles) const;
   sim::SimTime evict_cost(memory::FunctionId id);
-  LoadResult load_at(memory::FunctionId id, sim::SimTime start,
-                     sim::SimTime* elapsed, LoadStages* stages = nullptr);
   DefragResult defragment_at(sim::SimTime start);
 
   netlist::LutExecutor& executor_for(LoadedFunction& fn);

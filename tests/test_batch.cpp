@@ -1,14 +1,17 @@
-// Tests for same-function request batching (core/batch_policy.h): the
-// none policy serves every request as a batch of one (bit-exact with the
+// Tests for same-function request batching (BatchMode in core/server.h):
+// the none mode serves every request as a batch of one (bit-exact with the
 // unbatched server), greedy drains the same-function queue behind one
-// decode + load, the windowed policy degenerates to no-batch on a lone
-// request and coalesces late arrivals inside its horizon, the batch's pin
+// decode + load and splits it at kMaxBatch, the windowed mode degenerates
+// to no-batch on a lone request, coalesces late arrivals inside its
+// horizon and commits early once kMaxBatch requests wait, the batch's pin
 // reference survives an overlapped load's pin/unpin cycle (eviction
 // pressure mid-batch), and a single-card fleet with batching is bit-exact
 // with a bare CoprocessorServer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <vector>
 
 #include "core/fleet.h"
@@ -126,6 +129,81 @@ TEST(BatchPolicyTest, GreedyDrainsSameFunctionQueueBehindOneLoad) {
   EXPECT_EQ(stats.total_amortized_reconfig, leader->prepare_time * 3);
 }
 
+TEST(BatchPolicyTest, GreedySplitsALongQueueAtTheBatchCap) {
+  // Twenty cold SHA-256 requests queue behind a cold ModExp blocker; when
+  // the engine frees, greedy drains the first kMaxBatch (16) of them, in
+  // arrival order, behind one load, and the remaining four form a second
+  // batch.
+  AgileCoprocessor card;
+  card.download(KernelId::kModExp);
+  card.download(KernelId::kSha256);
+  ServerConfig sc;
+  sc.batch.mode = BatchMode::kGreedy;
+  CoprocessorServer server(card, sc);
+  server.submit(0, KernelId::kModExp, kernel_input(KernelId::kModExp, 8, 1));
+  constexpr unsigned kQueued = 20;
+  for (unsigned c = 1; c <= kQueued; ++c)
+    server.submit(c, KernelId::kSha256, kernel_input(KernelId::kSha256, 2, c));
+  server.run();
+
+  std::map<std::uint64_t, std::vector<unsigned>> batches;  // id -> clients
+  for (const ServerRequest& r : server.completed())
+    if (r.function == algorithms::function_id(KernelId::kSha256)) {
+      batches[r.batch_id].push_back(r.client);
+      EXPECT_EQ(r.batch_size, r.client <= kMaxBatch ? kMaxBatch : 4u);
+    }
+  ASSERT_EQ(batches.size(), 2u);
+  std::vector<unsigned> first = batches.begin()->second;
+  std::vector<unsigned> second = std::next(batches.begin())->second;
+  std::sort(first.begin(), first.end());
+  std::sort(second.begin(), second.end());
+  ASSERT_EQ(first.size(), kMaxBatch);
+  EXPECT_EQ(first.front(), 1u);
+  EXPECT_EQ(first.back(), 16u);
+  EXPECT_EQ(second, (std::vector<unsigned>{17, 18, 19, 20}));
+  EXPECT_EQ(server.stats().coalesced_loads, (kMaxBatch - 1) + 3);
+}
+
+TEST(BatchPolicyTest, WindowedCommitsTheInstantTheBatchCapIsQueued) {
+  // A long horizon, and kMaxBatch + 1 same-function requests arriving
+  // back to back on an idle card: the hold opened by the first commits the
+  // instant the 16th is queued, well before the horizon.  The 17th reaches
+  // the device after that commit, opens its own hold once the engine is
+  // free, and commits alone when that hold's window runs out.
+  AgileCoprocessor card;
+  card.download(KernelId::kSha256);
+  ServerConfig sc;
+  sc.batch.mode = BatchMode::kWindowed;
+  sc.batch.window = sim::SimTime::ms(5);
+  CoprocessorServer server(card, sc);
+  for (unsigned c = 0; c <= kMaxBatch; ++c)
+    server.submit(c, KernelId::kSha256, kernel_input(KernelId::kSha256, 2, c));
+  server.run();
+
+  ASSERT_EQ(server.completed().size(), kMaxBatch + 1);
+  std::vector<ServerRequest> requests(server.completed().begin(),
+                                      server.completed().end());
+  std::sort(requests.begin(), requests.end(),
+            [](const ServerRequest& a, const ServerRequest& b) {
+              return a.device_ready < b.device_ready;
+            });
+  const ServerRequest& opener = requests.front();
+  const ServerRequest& capper = requests[kMaxBatch - 1];
+  const ServerRequest& late = requests.back();
+  for (std::size_t i = 0; i < kMaxBatch; ++i) {
+    EXPECT_EQ(requests[i].batch_id, opener.batch_id);
+    EXPECT_EQ(requests[i].batch_size, kMaxBatch);
+    EXPECT_EQ(requests[i].device_start, capper.device_ready);
+  }
+  EXPECT_LT(capper.device_ready, opener.device_ready + sc.batch.window);
+  EXPECT_GT(late.device_ready, capper.device_ready);
+  EXPECT_EQ(late.batch_size, 1u);
+  // The 17th became the pick when the batch's load freed the engine, and
+  // its own horizon runs from there.
+  EXPECT_EQ(late.device_start,
+            opener.device_start + opener.prepare_time + sc.batch.window);
+}
+
 TEST(BatchPolicyTest, WindowExpiryWithSingleRequestDegeneratesToNoBatch) {
   // One lone request under the windowed policy: nothing coalesces, the
   // hold expires, and the request commits as a batch of one — delayed by
@@ -188,7 +266,7 @@ TEST(BatchPolicyTest, WindowedCoalescesArrivalsInsideTheHorizon) {
 }
 
 TEST(BatchPolicyTest, WindowedHoldSurvivesThePickMovingToAnotherFunction) {
-  // Composing windowed batching with a resident-first device scheduler:
+  // Composing windowed batching with a resident-first device policy:
   // cold MatMul opens a hold, then a resident SHA-256 request arrives and
   // resident-first re-picks SHA-256 mid-hold, opening a second hold.
   // MatMul's horizon anchor must survive that interleaving — measured
@@ -305,7 +383,7 @@ TEST(BatchPolicyTest, EvictionPressureMidBatchKeepsTheFunctionPinned) {
 }
 
 TEST(BatchPolicyTest, SingleCardFleetWithBatchingIsBitExactWithServer) {
-  // FleetConfig::server threads the batch policy through to every shard;
+  // FleetConfig::server threads the batch mode through to every shard;
   // a one-card fleet running greedy batching must reproduce the bare
   // server's timings event for event.
   const auto trace = bursty_trace(23);

@@ -10,7 +10,7 @@
 // request submitted straight to the card's server), CRC-reject + refetch
 // recovery, watchdog timeouts retrying on a survivor and spending their
 // attempts across deaths, cold fabric after revival, and a differential
-// test that every DeviceScheduler x BatchPolicy combination completes the
+// test that every DevicePolicy x BatchMode combination completes the
 // exact same request set as the FIFO/no-batch baseline.
 #include <gtest/gtest.h>
 
@@ -666,12 +666,12 @@ TEST(FaultModeTest, IdleWatchdogIsTimingNeutral) {
   EXPECT_EQ(run_fleet(false), run_fleet(true));
 }
 
-// --- differential: schedulers and batchers preserve the served set ----------
+// --- differential: device policies and batch modes preserve the served set --
 
-// Every DeviceScheduler x BatchPolicy combination must complete exactly the
+// Every DevicePolicy x BatchMode combination must complete exactly the
 // same multiset of (client, function, output) as the FIFO/no-batch
-// baseline on the same trace — policies reorder and coalesce work, they
-// never change what gets computed.
+// baseline on the same trace — the device stage reorders and coalesces
+// work, it never changes what gets computed.
 TEST(DifferentialTest, AllCombosCompleteSameRequestSet) {
   const workload::MultiClientTrace trace = bursty_trace(77, 4, 2, 4);
   const auto served_set = [&trace](DevicePolicy dp, BatchMode bm) {

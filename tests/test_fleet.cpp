@@ -312,7 +312,7 @@ TEST(CoprocessorFleetTest, PolicyNamesRoundTrip) {
 }
 
 TEST(CoprocessorFleetTest, DevicePolicyComposesWithDispatchPolicy) {
-  // Dispatch picks the card, the device scheduler orders that card's ready
+  // Dispatch picks the card, the device policy orders that card's ready
   // queue: the FleetConfig.server knobs reach every shard, the run
   // completes, and the overlap accounting aggregates fleet-wide.
   const auto trace = skewed_trace(31);

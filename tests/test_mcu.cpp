@@ -530,26 +530,41 @@ TEST_F(McuFixture, LoadFeasibleHonorsPinnedLimitState) {
   mcu_.unpin(mm);
 }
 
-TEST_F(McuFixture, DecodeAndLoadComposeIntoPrepare) {
-  // The split primitives must reproduce prepare_invoke exactly: same
-  // durations, same residency outcome — the no-overlap server path's
-  // bit-exactness rests on this.
+TEST_F(McuFixture, DecodeLoadExecuteComposeIntoInvoke) {
+  // invoke is decode_invoke + load_invoke + execute_invoke back-to-back —
+  // the server's three staged steps — so the staged primitives must
+  // reproduce its breakdown exactly: same durations, same output.
   provision(KernelId::kAdder32);
-  provision(KernelId::kParity32);
   const auto a = algorithms::function_id(KernelId::kAdder32);
-  const auto p = algorithms::function_id(KernelId::kParity32);
+  const Bytes input = algorithms::spec(KernelId::kAdder32).make_input(2, 3);
 
   const sim::SimTime start = scheduler_.now();
   const sim::SimTime decode = mcu_.decode_invoke();
   EXPECT_GT(decode, sim::SimTime::zero());
   sim::SimTime load_elapsed;
-  const LoadResult load = mcu_.load_invoke(a, start + decode, &load_elapsed);
+  LoadStages stages;
+  const LoadResult load =
+      mcu_.load_invoke(a, start + decode, &load_elapsed, &stages);
   EXPECT_FALSE(load.hit);
   EXPECT_GT(load_elapsed, sim::SimTime::zero());
+  EXPECT_GT(stages.configure, sim::SimTime::zero());
+  const ExecutedInvoke run = mcu_.execute_invoke(a, input);
+  EXPECT_EQ(scheduler_.now(), start);  // the staged path never advances time
 
-  const PreparedInvoke prep = mcu_.prepare_invoke(p, start);
-  EXPECT_EQ(prep.firmware_time, decode);  // same fixed command decode
-  EXPECT_EQ(prep.time, prep.firmware_time + prep.load.reconfig_time);
+  // The same cold load again (first-fit hands back the same frames).
+  mcu_.evict(a);
+  const sim::SimTime before = scheduler_.now();
+  const InvokeResult sync = mcu_.invoke(a, input);
+  EXPECT_EQ(sync.firmware_time, decode);
+  EXPECT_FALSE(sync.load.hit);
+  EXPECT_EQ(sync.load.reconfig_time, load.reconfig_time);
+  EXPECT_EQ(sync.evict_time, load_elapsed - load.reconfig_time);
+  EXPECT_EQ(sync.load_stages.configure, stages.configure);
+  EXPECT_EQ(sync.exec_time, run.exec_time);
+  EXPECT_EQ(sync.io_time, run.io_time);
+  EXPECT_EQ(sync.output, run.output);
+  EXPECT_EQ(sync.total, decode + load_elapsed + run.time);
+  EXPECT_EQ(scheduler_.now() - before, sync.total);
   EXPECT_EQ(mcu_.stats().invocations, 2u);  // decode_invoke counts the call
 }
 

@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 
+#include "bitstream/synth.h"
 #include "core/fleet.h"
 #include "core/server.h"
 #include "workload/multiclient.h"
@@ -552,6 +553,77 @@ TEST(CoprocessorServerPolicyTest, ShortestReconfigFirstPicksSmallFootprint) {
   ASSERT_EQ(sjf.size(), 4u);
   EXPECT_EQ(sjf[2], 3u);  // 10-frame SHA-256 before 16-frame FFT
   EXPECT_EQ(sjf[3], 2u);
+}
+
+TEST(CoprocessorServerPolicyTest, ShortestReconfigFirstUsesTheDeltaLoadCost) {
+  // Under delta reconfiguration the SJF key is the modeled load cost, not
+  // the footprint.  A 12-frame XTEA variant whose sibling's frames are
+  // still on the fabric (all but kDirty match) reloads cheaper than cold
+  // 10-frame SHA-256, so it is served first even though it arrived second
+  // and is larger; without delta tracking the footprint key serves
+  // SHA-256 first.
+  constexpr memory::FunctionId kV0 = 9000;
+  constexpr memory::FunctionId kV1 = 9001;
+  constexpr unsigned kFrames = 12;
+  constexpr unsigned kDirty = 2;
+  const auto sha = algorithms::function_id(KernelId::kSha256);
+  const auto& xtea = algorithms::spec(KernelId::kXtea);
+  const Bytes blocker = kernel_input(KernelId::kAes128, 512, 1);
+  const auto completion_order = [&](bool delta) {
+    CoprocessorConfig cc;
+    cc.mcu.engine.delta_reconfig = delta;
+    AgileCoprocessor card(cc);
+    card.download(KernelId::kAes128);
+    card.download(KernelId::kSha256);
+    bitstream::SynthParams params;
+    params.frames = kFrames;
+    params.seed = 11;
+    const auto geometry = card.fabric().geometry();
+    const bitstream::Bitstream v0 = bitstream::synthesize_behavioral(
+        xtea.name, algorithms::function_id(KernelId::kXtea),
+        xtea.input_width, xtea.output_width, geometry, params);
+    params.seed = 12;
+    const bitstream::Bitstream alt = bitstream::synthesize_behavioral(
+        xtea.name, algorithms::function_id(KernelId::kXtea),
+        xtea.input_width, xtea.output_width, geometry, params);
+    bitstream::Bitstream v1 = v0;
+    for (unsigned d = 0; d < kDirty; ++d) v1.frames[d] = alt.frames[d];
+    card.download_bitstream(kV0, v0);
+    card.download_bitstream(kV1, v1);
+
+    ServerConfig sc;
+    sc.device_policy = DevicePolicy::kShortestReconfigFirst;
+    sc.overlap_reconfig = false;  // serialize: ordering is the observable
+    CoprocessorServer server(card, sc);
+    server.submit(0, KernelId::kAes128, blocker);  // make resident
+    server.submit_function(0, kV0, xtea.make_input(1, 4));
+    server.run();
+    card.mcu().evict(kV0);  // its frames stay on the fabric
+    const mcu::Mcu& mcu = card.mcu();
+    EXPECT_GT(mcu.rom().lookup(kV1)->frames, mcu.rom().lookup(sha)->frames);
+    if (delta) {
+      EXPECT_LT(mcu.estimated_load_cost(kV1), mcu.estimated_load_cost(sha));
+    }
+
+    server.submit(1, KernelId::kAes128, blocker);  // occupy the fabric
+    server.submit(2, KernelId::kSha256, kernel_input(KernelId::kSha256, 2, 3));
+    server.submit_function(3, kV1, xtea.make_input(1, 5));
+    server.run();
+    std::vector<unsigned> clients;
+    for (const ServerRequest& r : server.completed())
+      clients.push_back(r.client);
+    return clients;
+  };
+
+  const auto footprint = completion_order(/*delta=*/false);
+  ASSERT_EQ(footprint.size(), 5u);
+  EXPECT_EQ(footprint[3], 2u);  // 10-frame SHA-256 before 12-frame XTEA
+  EXPECT_EQ(footprint[4], 3u);
+
+  const auto cost = completion_order(/*delta=*/true);
+  ASSERT_EQ(cost.size(), 5u);
+  EXPECT_EQ(cost[3], 3u);  // the cheap delta reload jumps SHA-256
+  EXPECT_EQ(cost[4], 2u);
 }
 
 TEST(CoprocessorServerTest, PowerOffOnASharedSchedulerCancelsOnlyItsOwnEvents) {
