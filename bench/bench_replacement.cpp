@@ -45,7 +45,7 @@ RunResult run_trace(mcu::PolicyKind policy, const workload::Trace& trace) {
         static_cast<KernelId>(request.function));
     const Bytes input = spec.make_input(request.payload_blocks, 1);
     total_us += cp.invoke_function(request.function, input)
-                    .latency.microseconds();
+                    .latency().microseconds();
   }
   const auto& stats = cp.stats().device;
   return RunResult{

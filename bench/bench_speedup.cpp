@@ -40,8 +40,8 @@ void sweep_kernel(KernelId id, const std::vector<std::size_t>& blocks) {
     const auto host = cp.run_on_host(id, input);
 
     const double sw = host.latency.microseconds();
-    const double w = warm.latency.microseconds();
-    const double c = cold.latency.microseconds();
+    const double w = warm.latency().microseconds();
+    const double c = cold.latency().microseconds();
     bench::print_row(
         {std::to_string(input.size()), bench::fmt("%.1f", sw),
          bench::fmt("%.1f", w), bench::fmt("%.1f", c),
@@ -84,9 +84,9 @@ void run_netlist_reality_check() {
     const auto host = cp.run_on_host(id, input);
     bench::print_row(
         {spec.name, bench::fmt("%.2f", host.latency.microseconds()),
-         bench::fmt("%.2f", warm.latency.microseconds()),
+         bench::fmt("%.2f", warm.latency().microseconds()),
          bench::fmt("%.3fx", host.latency.microseconds() /
-                                 warm.latency.microseconds())},
+                                 warm.latency().microseconds())},
         widths);
   }
 }

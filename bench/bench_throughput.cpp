@@ -196,7 +196,7 @@ void open_loop_sweep() {
 
     sim::SimTime max_wait;
     for (const auto& r : server.completed())
-      max_wait = std::max(max_wait, r.bus_wait + r.device_wait);
+      max_wait = std::max(max_wait, r.bus_wait() + r.device_wait());
 
     bench::print_row(
         {bench::fmt("%.0f", us), bench::fmt("%.0f", stats.throughput_rps),

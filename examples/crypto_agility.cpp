@@ -66,12 +66,12 @@ int main() {
         const auto enc = card.invoke(s.cipher, packet);
         const auto mac = card.invoke(s.digest, enc.output);
         const double us =
-            enc.latency.microseconds() + mac.latency.microseconds();
+            enc.latency().microseconds() + mac.latency().microseconds();
         total_us += us;
         ++packet_count;
         const double reconfig_us =
-            enc.device.load.reconfig_time.microseconds() +
-            mac.device.load.reconfig_time.microseconds();
+            enc.load.reconfig_time.microseconds() +
+            mac.load.reconfig_time.microseconds();
         std::printf("%-7llu %-35s %-7s %-7s %-12.1f %.1f\n",
                     static_cast<unsigned long long>(seq[s.peer]++), s.peer,
                     aad::algorithms::spec(s.cipher).name.c_str(),

@@ -88,9 +88,9 @@ int main() {
     PerClient& t = tenants[r.client];
     ++t.requests;
     t.latency += r.latency();
-    t.engine_wait += r.engine_wait;
+    t.engine_wait += r.engine_wait();
     t.fabric_wait += r.fabric_wait;
-    t.bus_wait += r.bus_wait;
+    t.bus_wait += r.bus_wait();
     t.hidden += r.hidden_reconfig;
     if (r.load.hit) ++t.hits;
   }

@@ -45,13 +45,13 @@ int main() {
   std::puts(std::string(68, '-').c_str());
 
   auto show = [&](const char* phase, int step,
-                  const aad::core::InvokeOutcome& out, const char* kernel) {
+                  const aad::core::ServerRequest& out, const char* kernel) {
     unsigned frames = 0;
     for (const auto& [fn, entry] : card.mcu().frame_table())
       frames += static_cast<unsigned>(entry.frames.size());
     std::printf("%-12s %-5d %-8s %-12.1f %-4s %u/48\n", phase, step, kernel,
-                out.latency.microseconds(),
-                out.device.load.hit ? "yes" : "NO", frames);
+                out.latency().microseconds(),
+                out.load.hit ? "yes" : "NO", frames);
   };
 
   for (int cycle = 0; cycle < 2; ++cycle) {

@@ -55,7 +55,7 @@ void run_policy(mcu::PolicyKind kind, const workload::Trace& trace) {
         algorithms::spec(static_cast<KernelId>(request.function));
     total_us +=
         card.invoke_function(request.function, spec.make_input(1, 1))
-            .latency.microseconds();
+            .latency().microseconds();
   }
   const auto& stats = card.stats().device;
   std::printf("%-8s hit-rate %5.1f%%   evictions %4llu   frames %5llu   "

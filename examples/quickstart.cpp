@@ -36,13 +36,13 @@ int main() {
   const auto cold = card.invoke(KernelId::kSha256, payload);
   std::printf("\nSHA-256 (cold): %.1f us end-to-end, of which %.1f us was "
               "streaming partial reconfiguration of %u frames\n",
-              cold.latency.microseconds(),
-              cold.device.load.reconfig_time.microseconds(),
-              cold.device.load.frames_configured);
+              cold.latency().microseconds(),
+              cold.load.reconfig_time.microseconds(),
+              cold.load.frames_configured);
 
   const auto warm = card.invoke(KernelId::kSha256, payload);
   std::printf("SHA-256 (warm): %.1f us — config hit, no reconfiguration\n",
-              warm.latency.microseconds());
+              warm.latency().microseconds());
 
   std::printf("digest: ");
   for (aad::Byte b : warm.output) std::printf("%02x", b);
@@ -54,7 +54,7 @@ int main() {
   const auto crc_result = card.invoke(KernelId::kCrc32, payload);
   std::printf("\nCRC-32 via the fabric (%lld cycles on the 100 MHz fabric): "
               "0x%02x%02x%02x%02x\n",
-              static_cast<long long>(crc_result.device.exec_cycles),
+              static_cast<long long>(crc_result.exec_cycles),
               crc_result.output[3], crc_result.output[2],
               crc_result.output[1], crc_result.output[0]);
 

@@ -37,11 +37,11 @@ int main() {
       return 1;
     }
     host_total += sw.latency.milliseconds();
-    card_total += hw.latency.milliseconds();
+    card_total += hw.latency().milliseconds();
     std::printf("%-10d %-6d %-10.2f %-10.2f %-8.2f %s\n", handshake, 1024,
-                sw.latency.milliseconds(), hw.latency.milliseconds(),
-                sw.latency.milliseconds() / hw.latency.milliseconds(),
-                hw.device.load.hit ? "yes" : "no");
+                sw.latency.milliseconds(), hw.latency().milliseconds(),
+                sw.latency.milliseconds() / hw.latency().milliseconds(),
+                hw.load.hit ? "yes" : "no");
   }
 
   std::printf("\ntotal: host %.2f ms vs card %.2f ms -> %.2fx; the first "

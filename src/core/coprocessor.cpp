@@ -1,5 +1,7 @@
 #include "core/coprocessor.h"
 
+#include "core/server.h"
+
 namespace aad::core {
 
 AgileCoprocessor::AgileCoprocessor(const CoprocessorConfig& config,
@@ -51,35 +53,23 @@ void AgileCoprocessor::download_all(std::optional<compress::CodecId> codec) {
   for (const auto& spec : algorithms::catalog()) download(spec.id, codec);
 }
 
-InvokeOutcome AgileCoprocessor::invoke_function(memory::FunctionId id,
+ServerRequest AgileCoprocessor::invoke_function(memory::FunctionId id,
                                                 ByteSpan input) {
-  InvokeOutcome outcome;
-  const sim::SimTime begin = scheduler_.now();
-
-  // Command setup + input DMA into local RAM.
-  {
-    sim::SimTime pci = pci_command_overhead(4);
-    pci += bus_.dma_to_device(input.size());
-    scheduler_.advance(pci);
-    outcome.pci_time += pci;
-  }
-
-  outcome.device = mcu_.invoke(id, input);
-
-  // Output DMA + completion status.
-  {
-    sim::SimTime pci = bus_.dma_from_device(outcome.device.output.size());
-    pci += bus_.register_read();
-    scheduler_.advance(pci);
-    outcome.pci_time += pci;
-  }
-
-  outcome.output = outcome.device.output;
-  outcome.latency = scheduler_.now() - begin;
-  return outcome;
+  AAD_REQUIRE(scheduler_.idle(),
+              "synchronous invoke needs a scheduler with no pending events");
+  CoprocessorServer server(*this);
+  server.submit_function(/*client=*/0, id, Bytes(input.begin(), input.end()));
+  server.run();
+  const ServerRequest& record = server.completed().front();
+  // A lone request on its own card fails only on a bitstream the re-fetch
+  // path could not repair; the blocking API reports that by throwing.
+  if (record.failed)
+    AAD_FAIL(ErrorCode::kCorruptData, "function " + std::to_string(id) +
+                                          " failed its configuration CRC");
+  return record;
 }
 
-InvokeOutcome AgileCoprocessor::invoke(algorithms::KernelId kernel,
+ServerRequest AgileCoprocessor::invoke(algorithms::KernelId kernel,
                                        ByteSpan input) {
   return invoke_function(algorithms::function_id(kernel), input);
 }

@@ -11,17 +11,21 @@
 //   aad::core::AgileCoprocessor cp;
 //   cp.download(aad::algorithms::KernelId::kAes128);    // provision ROM
 //   auto r = cp.invoke(aad::algorithms::KernelId::kAes128, input);
-//   // r.output    — the function result (bit-exact with software)
-//   // r.latency   — simulated end-to-end time, reconfiguration included
+//   // r.output       — the function result (bit-exact with software)
+//   // r.latency()    — simulated end-to-end time, reconfiguration included
+//   // r.load, r.load_stages, r.evict_time() — where the time went
 //
-// Every method advances the embedded discrete-event clock; stats() and the
-// returned outcomes expose where the time went.
+// Every method advances the embedded discrete-event clock.  invoke() is a
+// one-request run of a CoprocessorServer (core/server.h) on this card, so
+// it returns the same ServerRequest record, with the same stage breakdown,
+// as the event-driven path.
 #pragma once
 
 #include <memory>
 #include <optional>
 
 #include "algorithms/kernels.h"
+#include "core/request.h"
 #include "fabric/fabric.h"
 #include "mcu/mcu.h"
 #include "pci/pci.h"
@@ -34,13 +38,6 @@ struct CoprocessorConfig {
   fabric::Fabric::Config fabric;
   mcu::McuConfig mcu;
   pci::PciTiming pci;
-};
-
-struct InvokeOutcome {
-  Bytes output;
-  mcu::InvokeResult device;   ///< MCU-side breakdown
-  sim::SimTime pci_time;      ///< host<->card transfer time
-  sim::SimTime latency;       ///< end-to-end, as the host experiences it
 };
 
 struct HostOutcome {
@@ -63,9 +60,10 @@ class AgileCoprocessor {
   /// CoprocessorFleet path): all cards see one simulated clock, so
   /// cross-card overlap is simulated faithfully.  `scheduler` must outlive
   /// the card.  Caution: the synchronous paths (invoke, preload, evict,
-  /// provisioning) advance the SHARED clock and execute any events pending
-  /// on it — only use them while the other owners of the scheduler are
-  /// quiescent (the fleet's download_* calls, benches between runs).
+  /// provisioning) advance the SHARED clock — only use them while the other
+  /// owners of the scheduler are quiescent (the fleet's download_* calls,
+  /// benches between runs).  invoke() checks this and throws when the
+  /// scheduler has events pending.
   AgileCoprocessor(const CoprocessorConfig& config, sim::Scheduler& scheduler);
 
   // --- provisioning ---------------------------------------------------------
@@ -86,11 +84,19 @@ class AgileCoprocessor {
 
   // --- execution ------------------------------------------------------------
 
-  /// Execute `kernel` on `input` via the card (reconfiguring on demand).
-  InvokeOutcome invoke(algorithms::KernelId kernel, ByteSpan input);
+  /// Execute `kernel` on `input` via the card (reconfiguring on demand):
+  /// submit it to a fresh CoprocessorServer (default ServerConfig) on this
+  /// card, run that server to completion and return the request's record.
+  /// Requires a scheduler with no pending events (kInvalidArgument
+  /// otherwise): the run drains the whole queue, so it would execute other
+  /// owners' events too.  Throws kCorruptData when the load is rejected on
+  /// a CRC mismatch the re-fetch path cannot repair.  The run counts in the
+  /// card's `server.*` registry counters, which every server on the card
+  /// shares.
+  ServerRequest invoke(algorithms::KernelId kernel, ByteSpan input);
 
   /// Execute an arbitrary provisioned function id.
-  InvokeOutcome invoke_function(memory::FunctionId id, ByteSpan input);
+  ServerRequest invoke_function(memory::FunctionId id, ByteSpan input);
 
   /// Host-only baseline: same computation, no card (E4's comparator).
   HostOutcome run_on_host(algorithms::KernelId kernel, ByteSpan input);

@@ -5,6 +5,12 @@
 #include <utility>
 
 namespace aad::core {
+namespace {
+
+/// Watchdog redispatch delay multiplier per retry.
+constexpr double kBackoffFactor = 2.0;
+
+}  // namespace
 
 const char* to_string(DispatchPolicy policy) {
   switch (policy) {
@@ -241,7 +247,7 @@ void CoprocessorFleet::on_timeout(unsigned card, std::uint64_t id) {
   }
   counters_.retries.add();
   const double scale =
-      std::pow(retry_.backoff, static_cast<double>(attempts - 1));
+      std::pow(kBackoffFactor, static_cast<double>(attempts - 1));
   const sim::SimTime delay = sim::SimTime::ps(static_cast<std::int64_t>(
       static_cast<double>(retry_.backoff_base.picoseconds()) * scale));
   redispatch_at(now() + delay, cancelled->client, cancelled->function,

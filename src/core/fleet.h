@@ -74,14 +74,13 @@ const char* to_string(DispatchPolicy policy);
 /// Request watchdog at the fleet edge.  A dispatched request that has not
 /// completed within `timeout` is pulled back (CoprocessorServer::try_cancel
 /// — a committed request rides to completion instead) and redispatched
-/// after an exponentially growing backoff, up to `max_retries` extra
+/// after a backoff that doubles per retry, up to `max_retries` extra
 /// attempts; exhaustion surfaces the request as failed (FailReason::
 /// kTimeout).  `timeout` zero disables the watchdog: the fleet then keeps
 /// no per-request state and schedules no timeout events.
 struct RetryConfig {
   sim::SimTime timeout;               ///< zero = watchdog disabled
   unsigned max_retries = 2;           ///< redispatches after the first try
-  double backoff = 2.0;               ///< delay multiplier per retry
   sim::SimTime backoff_base = sim::SimTime::us(100);  ///< first retry delay
 };
 

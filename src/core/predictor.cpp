@@ -1,6 +1,12 @@
 #include "core/predictor.h"
 
 namespace aad::core {
+namespace {
+
+/// Minimum observations in a row before it is trusted at all.
+constexpr std::uint64_t kMinSamples = 2;
+
+}  // namespace
 
 void FunctionPredictor::observe(unsigned client,
                                 memory::FunctionId function) {
@@ -40,7 +46,7 @@ std::optional<Prediction> FunctionPredictor::predict_after(
   const auto rit = cit->second.rows.find(function);
   if (rit == cit->second.rows.end()) return std::nullopt;
   const Row& row = rit->second;
-  if (row.total < config_.min_samples) return std::nullopt;
+  if (row.total < kMinSamples) return std::nullopt;
 
   // std::map iterates in ascending id order, so `>` alone gives the
   // lowest-id tie-break.

@@ -33,8 +33,6 @@ struct PredictorConfig {
   /// Minimum share of a row's observations the best successor must hold
   /// before the predictor speaks.  Below it: no prediction, no prefetch.
   double min_confidence = 0.55;
-  /// Minimum observations in a row before it is trusted at all.
-  unsigned min_samples = 2;
   /// Halve a row's counts once its total exceeds this (0 = never decay).
   unsigned decay_limit = 64;
 };
@@ -55,9 +53,9 @@ class FunctionPredictor {
   void observe(unsigned client, memory::FunctionId function);
 
   /// Most likely next function for `client` given its last completion, or
-  /// nullopt when the row is unseen, too thin (`min_samples`) or too flat
-  /// (`min_confidence`).  Ties break toward the lowest function id so the
-  /// prediction is a pure function of the table.
+  /// nullopt when the row is unseen, too thin (fewer than two
+  /// observations) or too flat (`min_confidence`).  Ties break toward the
+  /// lowest function id so the prediction is a pure function of the table.
   std::optional<Prediction> predict(unsigned client) const;
 
   /// Same, but conditioned on an explicit current function instead of the

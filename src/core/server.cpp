@@ -5,14 +5,6 @@
 namespace aad::core {
 namespace {
 
-// A speculative load may claim free frames, other speculative frames, and
-// frames of DEAD-looking demand residents — never a live one (evicting one
-// trades a probable future hit for a predicted one).  Dead = idle longer
-// than both this floor and this factor times the resident's own mean
-// inter-access gap; see Mcu::prefetch_feasible.
-constexpr sim::SimTime kMinVictimIdle = sim::SimTime::ms(1);
-constexpr double kVictimIdleFactor = 2.0;
-
 sim::SimTime percentile(const std::vector<sim::SimTime>& sorted, double q) {
   if (sorted.empty()) return sim::SimTime::zero();
   // Nearest-rank: the smallest value with at least q of the mass below it,
@@ -254,7 +246,6 @@ void CoprocessorServer::begin_pci_in(std::uint64_t id) {
   const pci::BusGrant grant = bus.acquire(now(), duration);
   p.request.pci_in_start = grant.start;
   p.request.pci_in_time = duration;
-  p.request.bus_wait += grant.queue_delay;
   if (pci_track_ != nullptr)
     pci_track_->span("pci", "pci-in", grant.start, grant.end, id,
                      p.request.client, p.request.function);
@@ -264,7 +255,6 @@ void CoprocessorServer::begin_pci_in(std::uint64_t id) {
 void CoprocessorServer::device_ready(std::uint64_t id) {
   Pending& p = pending(id);
   p.chain_event.reset();  // from here the device queue carries the request
-  p.request.device_ready = now();
   device_queue_.push_back(id);
   counters_.queue_depth.set(static_cast<std::int64_t>(device_queue_.size()));
   pump_device();
@@ -487,7 +477,6 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
   }
   const sim::SimTime fabric_busy_until = fabric_free_;
 
-  p.request.engine_wait = engine_start - p.request.device_ready;
   p.request.device_start = engine_start;
 
   p.request.decode_time = mcu.decode_invoke();
@@ -497,7 +486,7 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
     PinGuard guard(mcu, std::move(pins));
     try {
       p.request.load = mcu.load_invoke(p.request.function, load_start,
-                                       &load_elapsed);
+                                       &load_elapsed, &p.request.load_stages);
     } catch (const Error& error) {
       if (error.code() != ErrorCode::kCorruptData) throw;
       // Corrupted bitstream the MCU's re-fetch path could not repair: the
@@ -537,7 +526,6 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
   const sim::SimTime fabric_start = std::max(engine_end, fabric_free_);
   p.request.fabric_wait = fabric_start - engine_end;
   p.request.fabric_start = fabric_start;
-  p.request.device_wait = p.request.engine_wait + p.request.fabric_wait;
 
   mcu::ExecutedInvoke run =
       mcu.execute_invoke(p.request.function, p.input);
@@ -585,11 +573,9 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
     if (--member_inbound->second == 0) inbound_.erase(member_inbound);
 
     q.request.device_start = engine_start;
-    q.request.engine_wait = engine_start - q.request.device_ready;
     const sim::SimTime member_start = fabric_free_;
     q.request.fabric_start = member_start;
     q.request.fabric_wait = member_start - engine_end;
-    q.request.device_wait = q.request.engine_wait + q.request.fabric_wait;
 
     mcu::ExecutedInvoke member_run =
         mcu.execute_invoke(function, q.input);
@@ -645,7 +631,6 @@ void CoprocessorServer::begin_pci_out(std::uint64_t id) {
   const pci::BusGrant grant = bus.acquire(now(), duration);
   p.request.pci_out_start = grant.start;
   p.request.pci_out_time = duration;
-  p.request.bus_wait += grant.queue_delay;
   if (pci_track_ != nullptr)
     pci_track_->span("pci", "pci-out", grant.start, grant.end, id,
                      p.request.client, p.request.function);
@@ -722,9 +707,7 @@ void CoprocessorServer::pump_prefetch() {
     if (!est.known) continue;
     // Evictions only out of the dead tail: a prefetch that would displace
     // a live resident is a bad bet and is skipped outright.
-    if (est.evictions > 0 &&
-        !mcu.prefetch_feasible(function, now(), kMinVictimIdle,
-                               kVictimIdleFactor))
+    if (est.evictions > 0 && !mcu.prefetch_feasible(function, now()))
       continue;
     // Feasibility through the demand machinery: pin the executing AND
     // inbound demand functions around the probe + load, exactly like an
@@ -840,9 +823,9 @@ ServerStats CoprocessorServer::pooled_stats(
       last_complete = std::max(last_complete, r.complete_time);
       latencies.push_back(r.latency());
       r.load.hit ? ++stats.config_hits : ++stats.config_misses;
-      stats.total_bus_wait += r.bus_wait;
-      stats.total_device_wait += r.device_wait;
-      stats.total_engine_wait += r.engine_wait;
+      stats.total_bus_wait += r.bus_wait();
+      stats.total_device_wait += r.device_wait();
+      stats.total_engine_wait += r.engine_wait();
       stats.total_fabric_wait += r.fabric_wait;
       stats.total_hidden_reconfig += r.hidden_reconfig;
       if (r.hidden_reconfig > sim::SimTime::zero()) ++stats.overlapped_loads;

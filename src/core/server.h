@@ -1,8 +1,7 @@
 // CoprocessorServer: the event-driven, multi-client front end of the card.
 //
-// The synchronous AgileCoprocessor::invoke folds a whole invocation into one
-// blocking call.  The server instead drives every request through the
-// discrete-event scheduler as five staged events,
+// The server drives every request through the discrete-event scheduler as
+// five staged events,
 //
 //   submit ──► PCI data-in ──► decode ──► load ──► execute ──► PCI data-out
 //                              └─ config engine ─┘   fabric
@@ -42,7 +41,9 @@
 // attribution split into bus/engine/fabric, plus the total reconfiguration
 // time hidden behind execution.  One server pipelines one card;
 // core::CoprocessorFleet (fleet.h) shards N of these pipelines behind a
-// dispatch policy that composes with the per-card device policy.
+// dispatch policy that composes with the per-card device policy.  The
+// synchronous AgileCoprocessor::invoke is a one-request run of a default
+// server, so this file is the only definition of the stage breakdown.
 //
 // Typical use:
 //
@@ -54,6 +55,8 @@
 //   server.submit(/*client=*/0, KernelId::kAes128, input_a);
 //   server.submit(/*client=*/1, KernelId::kSha256, input_b);
 //   server.run();                       // drain the event queue
+//   const auto& r = server.completed()[0];  // r.latency(), r.bus_wait(),
+//                                           // r.evict_time(), r.load_stages
 //   auto st = server.stats();           // p50/p99 latency, hidden reconfig
 #pragma once
 
@@ -65,6 +68,7 @@
 
 #include "core/coprocessor.h"
 #include "core/predictor.h"
+#include "core/request.h"
 #include "telemetry/registry.h"
 #include "telemetry/trace_sink.h"
 
@@ -114,67 +118,6 @@ struct BatchConfig {
   /// for more same-function arrivals, measured from the instant the
   /// function first became the pick.  Must not be negative.
   sim::SimTime window = sim::SimTime::us(50);
-};
-
-/// Why a request surfaced as failed instead of completing with output.
-enum class FailReason : std::uint8_t {
-  kNone = 0,
-  kCardDeath,   ///< the card powered off with the request on it, no survivor
-  kTimeout,     ///< the fleet's watchdog expired and retries were exhausted
-  kCrcReject,   ///< corrupted bitstream: load rejected even after re-fetch
-};
-
-/// One completed (or in-flight) request, with its full time breakdown.
-struct ServerRequest {
-  /// This server's submission order, dense from 0.  A fleet-level failed
-  /// record (CoprocessorFleet: no survivor, retries exhausted) carries the
-  /// id and submit_time of the request's last placement on a card, or 0
-  /// and the failure instant when it failed at dispatch.
-  std::uint64_t id = 0;
-  unsigned client = 0;           ///< logical client that issued it
-  memory::FunctionId function = 0;
-  Bytes output;
-  mcu::LoadResult load;          ///< hit/miss + reconfiguration breakdown
-  std::int64_t exec_cycles = 0;
-
-  sim::SimTime submit_time;      ///< arrival at the host driver
-  sim::SimTime pci_in_start;     ///< bus granted for the input DMA
-  sim::SimTime device_ready;     ///< input DMA done; entered the device queue
-  sim::SimTime device_start;     ///< config engine begins firmware decode
-  sim::SimTime fabric_start;     ///< fabric begins RAM staging + execution
-  sim::SimTime pci_out_start;    ///< bus granted for the output DMA
-  sim::SimTime complete_time;    ///< host observes completion
-
-  sim::SimTime pci_in_time;      ///< command setup + input DMA occupancy
-  sim::SimTime decode_time;      ///< firmware command decode
-  sim::SimTime prepare_time;     ///< decode + eviction + reconfiguration
-  sim::SimTime execute_time;     ///< RAM staging + fabric execution
-  sim::SimTime pci_out_time;     ///< output DMA + status occupancy
-  sim::SimTime bus_wait;         ///< PCI arbitration queuing delay
-  sim::SimTime engine_wait;      ///< device_ready -> config engine grant
-  sim::SimTime fabric_wait;      ///< load done -> fabric grant
-  sim::SimTime device_wait;      ///< engine_wait + fabric_wait
-  /// Reconfiguration (+eviction) time that ran while another request's
-  /// fabric execution was still in flight — the overlap win.  Zero when the
-  /// load was a hit, the fabric was idle, or overlap is disabled.
-  sim::SimTime hidden_reconfig;
-
-  // Batch accounting (BatchConfig).  Without batching every
-  // request is its own batch of one.
-  std::uint64_t batch_id = 0;    ///< device commit this request rode, dense
-  std::uint32_t batch_size = 1;  ///< members of that commit
-  /// True when this request shared a batch-mate's decode + load instead of
-  /// paying its own engine occupancy (decode_time and prepare_time are
-  /// zero; the load was the batch leader's).
-  bool coalesced_load = false;
-
-  /// Terminal failure: the request is done (its completion hook fired
-  /// exactly once) but produced no output.  Failed records are excluded
-  /// from latency/throughput statistics.
-  bool failed = false;
-  FailReason fail_reason = FailReason::kNone;
-
-  sim::SimTime latency() const noexcept { return complete_time - submit_time; }
 };
 
 struct LatencySummary {

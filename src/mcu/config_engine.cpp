@@ -5,6 +5,14 @@
 #include "common/crc32.h"
 
 namespace aad::mcu {
+namespace {
+
+/// Difference-based flow: the readback compare, engine cycles per byte.
+constexpr double kCompareCyclesPerByte = 0.25;
+/// Delta reconfiguration: the frame-table lookup per skipped window.
+constexpr std::int64_t kDeltaCheckCycles = 32;
+
+}  // namespace
 
 std::uint64_t window_content_hash(ByteSpan window) noexcept {
   std::uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
@@ -64,8 +72,7 @@ ConfigureResult ConfigEngine::configure(
   const sim::SimTime dec_t = config_.engine_clock.cycles(
       static_cast<std::int64_t>(cpb * static_cast<double>(frame_bytes)));
   const sim::SimTime cfg_t = fabric.port().frame_time(geometry);
-  const sim::SimTime check_t = config_.engine_clock.cycles(
-      static_cast<std::int64_t>(config_.delta_check_cycles));
+  const sim::SimTime check_t = config_.engine_clock.cycles(kDeltaCheckCycles);
 
   const bool delta = config_.delta_reconfig;
   if (delta && frame_hashes_.size() < geometry.frame_count)
@@ -116,7 +123,7 @@ ConfigureResult ConfigEngine::configure(
     } else if (skip) {
       ++result.frames_skipped;
       this_cfg_t = config_.engine_clock.cycles(static_cast<std::int64_t>(
-          config_.compare_cycles_per_byte * static_cast<double>(frame_bytes)));
+          kCompareCyclesPerByte * static_cast<double>(frame_bytes)));
     } else {
       fabric.configure_frame(targets[w], words);
     }
@@ -155,8 +162,7 @@ sim::SimTime ConfigEngine::estimate_time(std::size_t compressed_bytes,
   const double cpb = compress::decompress_cycles_per_byte(codec);
   const sim::SimTime dec_t = config_.engine_clock.cycles(
       static_cast<std::int64_t>(cpb * static_cast<double>(frame_bytes)));
-  const sim::SimTime check_t = config_.engine_clock.cycles(
-      static_cast<std::int64_t>(config_.delta_check_cycles));
+  const sim::SimTime check_t = config_.engine_clock.cycles(kDeltaCheckCycles);
 
   sim::SimTime rom_done = sim::SimTime::zero();
   sim::SimTime dec_done = sim::SimTime::zero();

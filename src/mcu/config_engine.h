@@ -30,10 +30,9 @@ struct ConfigEngineConfig {
   /// decompressed window against the frame's current configuration and
   /// skip the config-port write when they already match.  Re-loading a
   /// function into the frames it occupied before eviction then costs only
-  /// the ROM + decompress stages.  The compare itself costs
-  /// `compare_cycles_per_byte` on the engine clock.
+  /// the ROM + decompress stages.  The compare itself costs a quarter
+  /// engine cycle per frame byte.
   bool difference_based = false;
-  double compare_cycles_per_byte = 0.25;
   /// Delta reconfiguration: the engine keeps a content hash per fabric
   /// frame (driver metadata — eviction frees frames but does not erase the
   /// fabric, so the record survives the function that wrote it).  A window
@@ -43,9 +42,8 @@ struct ConfigEngineConfig {
   /// skip avoids the ROM and decompress stages too, and it matches across
   /// functions — an incremental variant of a resident function streams
   /// only its dirty frames.
+  /// Each skipped window costs a 32-cycle frame-table lookup.
   bool delta_reconfig = false;
-  /// Per skipped window: frame-table lookup cost (engine cycles).
-  double delta_check_cycles = 32.0;
 };
 
 struct ConfigureResult {

@@ -11,6 +11,17 @@ namespace {
 /// of the fastest compete on compressed size instead.
 constexpr double kAutoCodecSlack = 0.05;
 
+/// The random replacement policy's seed: fixed, so every run replays.
+constexpr std::uint64_t kPolicySeed = 1;
+
+// A speculative load may claim free frames, other speculative frames, and
+// frames of DEAD-looking demand residents — never a live one (evicting one
+// trades a probable future hit for a predicted one).  Dead = idle for at
+// least this floor and this factor times the resident's own mean
+// inter-access gap; see prefetch_feasible.
+constexpr sim::SimTime kMinVictimIdle = sim::SimTime::ms(1);
+constexpr double kVictimIdleFactor = 2.0;
+
 }  // namespace
 
 Mcu::Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler,
@@ -24,7 +35,7 @@ Mcu::Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler,
       ram_(config.ram_capacity),
       engine_(config.engine),
       free_list_(fabric.geometry().frame_count),
-      policy_(make_policy(config.policy, config.policy_seed)),
+      policy_(make_policy(config.policy, kPolicySeed)),
       counters_{registry.counter("mcu.invocations"),
                 registry.counter("mcu.config_hits"),
                 registry.counter("mcu.config_misses"),
@@ -194,8 +205,7 @@ bool Mcu::load_feasible(memory::FunctionId id) const {
   return placement_possible(record->frames, config_.allocation, blocked);
 }
 
-bool Mcu::prefetch_feasible(memory::FunctionId id, sim::SimTime now,
-                            sim::SimTime min_idle, double idle_factor) const {
+bool Mcu::prefetch_feasible(memory::FunctionId id, sim::SimTime now) const {
   if (loaded_.contains(id)) return true;  // hit: no frames touched
   const auto record = rom_.lookup(id);
   if (!record) return false;  // speculating on an unprovisioned id: drop it
@@ -211,14 +221,14 @@ bool Mcu::prefetch_feasible(memory::FunctionId id, sim::SimTime now,
       } else if (const auto t = table_.find(fn); t != table_.end()) {
         const FrameTableEntry& frt = t->second;
         const sim::SimTime idle = now - frt.last_access;
-        sim::SimTime threshold = min_idle;
+        sim::SimTime threshold = kMinVictimIdle;
         if (frt.access_count > 1) {
           const double mean_gap_ps =
               static_cast<double>((frt.last_access - frt.loaded_at)
                                       .picoseconds()) /
               static_cast<double>(frt.access_count - 1);
           const auto scaled = sim::SimTime::ps(
-              static_cast<std::int64_t>(mean_gap_ps * idle_factor));
+              static_cast<std::int64_t>(mean_gap_ps * kVictimIdleFactor));
           if (scaled > threshold) threshold = scaled;
         }
         evictable = idle >= threshold;
@@ -601,7 +611,7 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input) {
   ram_.reset_allocation();
   const std::size_t in_off = ram_.allocate(input.size());
   ram_.write(in_off, input);
-  run.io_time = config_.ram_timing.access_time(input.size());
+  sim::SimTime io = config_.ram_timing.access_time(input.size());
 
   // Execute.
   HardwareResult hw;
@@ -617,36 +627,16 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input) {
     hw.output = model.compute(input);
     hw.cycles = model.cycles(input.size());
   }
-  run.exec_time = fabric_.execution_time(hw.cycles);
   run.exec_cycles = hw.cycles;
 
   // Output-collection module: stage result through local RAM.
   const std::size_t out_off = ram_.allocate(hw.output.size());
   ram_.write(out_off, hw.output);
-  run.io_time += config_.ram_timing.access_time(hw.output.size());
+  io += config_.ram_timing.access_time(hw.output.size());
 
   run.output = std::move(hw.output);
-  run.time = run.io_time + run.exec_time;
+  run.time = io + fabric_.execution_time(hw.cycles);
   return run;
-}
-
-InvokeResult Mcu::invoke(memory::FunctionId id, ByteSpan input) {
-  InvokeResult result;
-  result.firmware_time = decode_invoke();
-  sim::SimTime load_elapsed;
-  result.load = load_invoke(id, scheduler_.now() + result.firmware_time,
-                            &load_elapsed, &result.load_stages);
-  ExecutedInvoke run = execute_invoke(id, input);
-  const sim::SimTime prepare = result.firmware_time + load_elapsed;
-  scheduler_.advance(prepare + run.time);
-
-  result.output = std::move(run.output);
-  result.exec_cycles = run.exec_cycles;
-  result.exec_time = run.exec_time;
-  result.io_time = run.io_time;
-  result.evict_time = load_elapsed - result.load.reconfig_time;
-  result.total = prepare + run.time;
-  return result;
 }
 
 }  // namespace aad::mcu

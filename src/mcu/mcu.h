@@ -47,7 +47,6 @@ struct McuConfig {
   /// the failure (the server fails the request cleanly).
   bool refetch_on_crc_reject = true;
   PolicyKind policy = PolicyKind::kLru;
-  std::uint64_t policy_seed = 1;
   compress::CodecId codec = compress::CodecId::kFrameDelta;
   memory::RomTiming rom_timing;
   memory::RamTiming ram_timing;
@@ -66,8 +65,7 @@ struct LoadResult {
 /// Where a load's reconfig_time went: the configuration pipeline's
 /// per-stage sums (ConfigureResult's bounds; the stages overlap, so they add
 /// up to more than the pipelined load) and the firmware table update after
-/// it.  Zero on hit.  Kept out of LoadResult, which every retained server
-/// request embeds.
+/// it.  Zero on hit.
 struct LoadStages {
   sim::SimTime rom;
   sim::SimTime decompress;
@@ -75,30 +73,14 @@ struct LoadStages {
   sim::SimTime firmware;
 };
 
-struct InvokeResult {
-  Bytes output;
-  LoadResult load;
-  LoadStages load_stages;
-  std::int64_t exec_cycles = 0;
-  sim::SimTime exec_time;
-  sim::SimTime io_time;             ///< data-in + data-out staging
-  sim::SimTime firmware_time;       ///< command decode
-  /// Making room before the stream: eviction firmware plus any
-  /// defragmentation pass.  Zero on hit and on loads that fit free frames.
-  sim::SimTime evict_time;
-  /// firmware + evict + load.reconfig_time + exec + io: exactly the time
-  /// the invoke advanced the clock.
-  sim::SimTime total;
-};
-
-/// The fabric stage of the staged invoke path: RAM staging in, fabric
-/// execution, output collection.
+/// The fabric stage of an invocation: RAM staging in, fabric execution,
+/// output collection.
 struct ExecutedInvoke {
   Bytes output;
   std::int64_t exec_cycles = 0;
-  sim::SimTime exec_time;
-  sim::SimTime io_time;  ///< data-in + data-out staging
-  sim::SimTime time;     ///< io + exec total
+  /// Data-in + data-out RAM staging plus the fabric's execution time for
+  /// exec_cycles (Fabric::execution_time).
+  sim::SimTime time;
 };
 
 /// Snapshot of the device's `mcu.*` registry counters (see
@@ -177,14 +159,9 @@ class Mcu {
   /// Make `id` resident (§2.5's algorithm).  Advances simulated time.
   LoadResult ensure_loaded(memory::FunctionId id);
 
-  /// Execute `id` on `input`.  Loads on demand, stages data through local
-  /// RAM, runs on the fabric, collects the output.  Advances simulated time.
-  /// (decode_invoke + load_invoke + execute_invoke back-to-back from now —
-  /// the server's three staged steps — then one clock advance.)
-  InvokeResult invoke(memory::FunctionId id, ByteSpan input);
-
   // --- the staged path (event-driven pipeline) -----------------------------
-  // The CoprocessorServer drives invocations as discrete events, so stages
+  // The CoprocessorServer drives every invocation — the synchronous
+  // AgileCoprocessor::invoke included — as discrete events, so stages
   // of different requests can overlap (request B's PCI transfer during
   // request A's reconfiguration).  These methods mutate device state
   // immediately — the caller has already reserved the device for the
@@ -268,15 +245,14 @@ class Mcu {
   /// Stricter than load_feasible: a prefetch that would have to evict a
   /// live resident is a bad bet — it trades a probable future hit for a
   /// predicted one — and the pump skips it.  A resident counts as dead
-  /// once its idle time exceeds both `min_idle` and `idle_factor` times
-  /// its own mean inter-access gap (from the Frame Replacement Table), so
-  /// a function touched every 100us dies in hundreds of microseconds while
-  /// a slow 3ms cycle stays protected for multiples of that.  (LRU
-  /// eviction consumes most-idle victims first, so when this probe passes
-  /// the subsequent load evicts only the dead tail; fragmentation can in
-  /// rare cases force one extra victim.)  Pure query.
-  bool prefetch_feasible(memory::FunctionId id, sim::SimTime now,
-                         sim::SimTime min_idle, double idle_factor) const;
+  /// once its idle time reaches both a 1 ms floor and twice its own mean
+  /// inter-access gap (from the Frame Replacement Table), so a function
+  /// touched every 100us is dead after 1 ms idle while a slow 3ms cycle
+  /// stays protected for 6 ms.  (LRU eviction consumes most-idle victims
+  /// first, so when this probe passes the subsequent load evicts only the
+  /// dead tail; fragmentation can in rare cases force one extra victim.)
+  /// Pure query.
+  bool prefetch_feasible(memory::FunctionId id, sim::SimTime now) const;
 
   /// The load-cost model (see LoadEstimate).  Resident functions cost
   /// zero; a miss is modeled from its placement prediction — including the

@@ -25,8 +25,8 @@ struct MapStats {
 };
 
 /// Map `netlist` to a LUT4 network.  The result validates and, by
-/// construction, computes the same function (see tests/netlist for the
-/// differential check against the gate-level Simulator).
+/// construction, computes the same function (tests/test_lutmap.cpp checks
+/// it against the gate-level oracle in tests/netlist_oracle.h).
 LutNetwork map_to_luts(const Netlist& netlist, MapStats* stats = nullptr);
 
 }  // namespace aad::netlist

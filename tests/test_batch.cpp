@@ -185,7 +185,7 @@ TEST(BatchPolicyTest, WindowedCommitsTheInstantTheBatchCapIsQueued) {
                                       server.completed().end());
   std::sort(requests.begin(), requests.end(),
             [](const ServerRequest& a, const ServerRequest& b) {
-              return a.device_ready < b.device_ready;
+              return a.device_ready() < b.device_ready();
             });
   const ServerRequest& opener = requests.front();
   const ServerRequest& capper = requests[kMaxBatch - 1];
@@ -193,10 +193,10 @@ TEST(BatchPolicyTest, WindowedCommitsTheInstantTheBatchCapIsQueued) {
   for (std::size_t i = 0; i < kMaxBatch; ++i) {
     EXPECT_EQ(requests[i].batch_id, opener.batch_id);
     EXPECT_EQ(requests[i].batch_size, kMaxBatch);
-    EXPECT_EQ(requests[i].device_start, capper.device_ready);
+    EXPECT_EQ(requests[i].device_start, capper.device_ready());
   }
-  EXPECT_LT(capper.device_ready, opener.device_ready + sc.batch.window);
-  EXPECT_GT(late.device_ready, capper.device_ready);
+  EXPECT_LT(capper.device_ready(), opener.device_ready() + sc.batch.window);
+  EXPECT_GT(late.device_ready(), capper.device_ready());
   EXPECT_EQ(late.batch_size, 1u);
   // The 17th became the pick when the batch's load freed the engine, and
   // its own horizon runs from there.
@@ -305,11 +305,11 @@ TEST(BatchPolicyTest, WindowedHoldSurvivesThePickMovingToAnotherFunction) {
   ASSERT_NE(warm_sha, nullptr);
   // SHA-256 reached the device later and was the resident-first pick when
   // MatMul's horizon ran out.
-  EXPECT_GT(warm_sha->device_ready, mm->device_ready);
+  EXPECT_GT(warm_sha->device_ready(), mm->device_ready());
   // MatMul commits exactly one window after it FIRST became the pick —
   // its anchor survived SHA-256 stealing the pick, and its expiry
   // overrode SHA-256's still-open hold.
-  EXPECT_EQ(mm->device_start, mm->device_ready + sc.batch.window);
+  EXPECT_EQ(mm->device_start, mm->device_ready() + sc.batch.window);
   // SHA-256's own expired hold then takes the engine the moment MatMul's
   // engine window releases it.
   EXPECT_EQ(warm_sha->device_start, mm->device_start + mm->prepare_time);

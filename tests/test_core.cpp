@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/coprocessor.h"
+#include "sim/scheduler.h"
 
 namespace aad::core {
 namespace {
@@ -18,7 +19,7 @@ TEST(CoprocessorEndToEnd, EveryKernelMatchesHostBaseline) {
     const auto hw = cp.invoke(spec.id, input);
     const auto sw = cp.run_on_host(spec.id, input);
     EXPECT_EQ(hw.output, sw.output) << spec.name;
-    EXPECT_GT(hw.latency, sim::SimTime::zero()) << spec.name;
+    EXPECT_GT(hw.latency(), sim::SimTime::zero()) << spec.name;
   }
 }
 
@@ -29,9 +30,9 @@ TEST(CoprocessorEndToEnd, SecondCallIsConfigHit) {
   const Bytes input = spec.make_input(4, 5);
   const auto cold = cp.invoke(KernelId::kSha256, input);
   const auto warm = cp.invoke(KernelId::kSha256, input);
-  EXPECT_FALSE(cold.device.load.hit);
-  EXPECT_TRUE(warm.device.load.hit);
-  EXPECT_LT(warm.latency, cold.latency);
+  EXPECT_FALSE(cold.load.hit);
+  EXPECT_TRUE(warm.load.hit);
+  EXPECT_LT(warm.latency(), cold.latency());
   EXPECT_EQ(warm.output, cold.output);
 }
 
@@ -65,7 +66,7 @@ TEST(CoprocessorApi, PreloadMakesFirstInvokeAHit) {
   EXPECT_FALSE(load.hit);
   const auto& spec = algorithms::spec(KernelId::kXtea);
   const auto result = cp.invoke(KernelId::kXtea, spec.make_input(1, 9));
-  EXPECT_TRUE(result.device.load.hit);
+  EXPECT_TRUE(result.load.hit);
 }
 
 TEST(CoprocessorApi, EvictForcesReconfiguration) {
@@ -75,7 +76,7 @@ TEST(CoprocessorApi, EvictForcesReconfiguration) {
   cp.invoke(KernelId::kCrc32, spec.make_input(8, 1));
   cp.evict(KernelId::kCrc32);
   const auto again = cp.invoke(KernelId::kCrc32, spec.make_input(8, 1));
-  EXPECT_FALSE(again.device.load.hit);
+  EXPECT_FALSE(again.load.hit);
 }
 
 TEST(CoprocessorApi, StatsAndTimeAdvance) {
@@ -93,26 +94,29 @@ TEST(CoprocessorApi, StatsAndTimeAdvance) {
 }
 
 TEST(CoprocessorApi, InvokeStagesSumExactlyToLatency) {
-  // The synchronous path's breakdown is exact: PCI, firmware decode,
-  // evictions, load, execution and RAM staging add up to the host-observed
-  // latency in integer picoseconds, cold and warm, for every kernel — on a
-  // fresh card per kernel, and on one shared card whose later loads must
-  // evict earlier kernels to make room.
+  // The synchronous invoke is a one-request server run, so its record
+  // carries the server's breakdown, and on an idle card it is exact: PCI
+  // in, firmware decode, evictions, load, fabric (RAM staging + execution)
+  // and PCI out add up to the host-observed latency in integer
+  // picoseconds, cold and warm, for every kernel — on a fresh card per
+  // kernel, and on one shared card whose later loads must evict earlier
+  // kernels to make room.
   const auto ps = [](sim::SimTime t) { return t.picoseconds(); };
   const auto check = [&](AgileCoprocessor& cp,
                          const algorithms::KernelSpec& spec, bool cold) {
-    const InvokeOutcome r = cp.invoke(spec.id, spec.make_input(2, 7));
-    const mcu::InvokeResult& d = r.device;
-    EXPECT_EQ(ps(r.pci_time) + ps(d.firmware_time) + ps(d.evict_time) +
-                  ps(d.load.reconfig_time) + ps(d.exec_time) +
-                  ps(d.io_time),
-              ps(r.latency))
+    const ServerRequest r = cp.invoke(spec.id, spec.make_input(2, 7));
+    EXPECT_EQ(ps(r.pci_in_time) + ps(r.decode_time) + ps(r.evict_time()) +
+                  ps(r.load.reconfig_time) + ps(r.execute_time) +
+                  ps(r.pci_out_time),
+              ps(r.latency()))
         << spec.name << (cold ? " cold" : " warm");
-    EXPECT_EQ(ps(r.pci_time) + ps(d.total), ps(r.latency)) << spec.name;
-    EXPECT_EQ(d.load.hit, !cold) << spec.name;
-    EXPECT_EQ(d.evict_time == sim::SimTime::zero(), d.load.evictions == 0)
+    // Alone on the card, the request never waits for a resource.
+    EXPECT_EQ(ps(r.bus_wait()), 0) << spec.name;
+    EXPECT_EQ(ps(r.device_wait()), 0) << spec.name;
+    EXPECT_EQ(r.load.hit, !cold) << spec.name;
+    EXPECT_EQ(r.evict_time() == sim::SimTime::zero(), r.load.evictions == 0)
         << spec.name;
-    const mcu::LoadStages& l = d.load_stages;
+    const mcu::LoadStages& l = r.load_stages;
     for (const sim::SimTime stage :
          {l.rom, l.decompress, l.configure, l.firmware}) {
       if (cold)
@@ -120,7 +124,7 @@ TEST(CoprocessorApi, InvokeStagesSumExactlyToLatency) {
       else
         EXPECT_EQ(stage, sim::SimTime::zero()) << spec.name;
     }
-    return d.load.evictions;
+    return r.load.evictions;
   };
   for (const auto& spec : algorithms::catalog()) {
     AgileCoprocessor cp;
@@ -136,6 +140,88 @@ TEST(CoprocessorApi, InvokeStagesSumExactlyToLatency) {
   }
   EXPECT_GT(evictions, 0u);  // the shared card did evict
 }
+
+TEST(CoprocessorApi, InvokeMatchesTheStagedDeviceCalls) {
+  // The one stage composition is the server's: an invoke's record equals
+  // decode_invoke + load_invoke + execute_invoke issued by hand on an
+  // identical card at the same instants, plus the PCI command and DMA
+  // costs around them.
+  const auto& spec = algorithms::spec(KernelId::kAes128);
+  const memory::FunctionId fid = algorithms::function_id(spec.id);
+  const Bytes input = spec.make_input(4, 3);
+  AgileCoprocessor card;
+  card.download(spec.id);
+  AgileCoprocessor twin;
+  twin.download(spec.id);
+  ASSERT_EQ(card.now(), twin.now());
+
+  const ServerRequest r = card.invoke(spec.id, input);
+
+  mcu::Mcu& mcu = twin.mcu();
+  const sim::SimTime pci_in =
+      twin.pci_command_overhead(4) + twin.bus().dma_to_device(input.size());
+  const sim::SimTime decode = mcu.decode_invoke();
+  sim::SimTime load_elapsed;
+  mcu::LoadStages stages;
+  const mcu::LoadResult load = mcu.load_invoke(
+      fid, twin.now() + pci_in + decode, &load_elapsed, &stages);
+  const mcu::ExecutedInvoke run = mcu.execute_invoke(fid, input);
+  const sim::SimTime pci_out = twin.bus().dma_from_device(run.output.size()) +
+                               twin.bus().register_read();
+
+  EXPECT_EQ(r.pci_in_time, pci_in);
+  EXPECT_EQ(r.decode_time, decode);
+  EXPECT_EQ(r.prepare_time, decode + load_elapsed);
+  EXPECT_EQ(r.load.reconfig_time, load.reconfig_time);
+  EXPECT_EQ(r.load.frames_configured, load.frames_configured);
+  EXPECT_EQ(r.load_stages.configure, stages.configure);
+  EXPECT_EQ(r.load_stages.firmware, stages.firmware);
+  EXPECT_EQ(r.execute_time, run.time);
+  EXPECT_EQ(r.exec_cycles, run.exec_cycles);
+  EXPECT_EQ(r.output, run.output);
+  EXPECT_EQ(r.pci_out_time, pci_out);
+  EXPECT_EQ(r.latency(), pci_in + decode + load_elapsed + run.time + pci_out);
+}
+
+TEST(CoprocessorApi, InvokeRefusesASchedulerWithPendingEvents) {
+  // The one-request run drains the scheduler; with another owner's event
+  // pending it would run that too, so it must refuse before touching
+  // anything.
+  sim::Scheduler scheduler;
+  AgileCoprocessor card(CoprocessorConfig{}, scheduler);
+  card.download(KernelId::kAdder32);
+  bool fired = false;
+  scheduler.schedule_at(card.now() + sim::SimTime::ms(5),
+                        [&fired] { fired = true; });
+  const sim::SimTime before = card.now();
+  const Bytes input = algorithms::spec(KernelId::kAdder32).make_input(1, 1);
+  try {
+    card.invoke(KernelId::kAdder32, input);
+    FAIL() << "invoke ran with an event pending";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  }
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(scheduler.pending(), 1u);
+  EXPECT_EQ(card.now(), before);
+  EXPECT_EQ(card.stats().device.invocations, 0u);
+  EXPECT_EQ(card.stats().bus.grants, 0u);
+
+  // Once the other owner's work has drained, the card serves again.
+  scheduler.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(card.invoke(KernelId::kAdder32, input).output,
+            algorithms::spec(KernelId::kAdder32).software(input));
+}
+
+// Every server retains one ServerRequest per completed request (a
+// perfbench reconfig_churn repetition keeps 20k of them), so the record's
+// size is peak RSS: 32 more bytes once raised that workload's
+// host_peak_rss_mb by 8%.  The derived waits are accessors for this reason.
+#if defined(__x86_64__) && defined(__GLIBCXX__)
+static_assert(sizeof(ServerRequest) <= 224,
+              "ServerRequest grew: every retained record costs peak RSS");
+#endif
 
 TEST(CoprocessorApi, CodecChoiceAffectsRomFootprint) {
   AgileCoprocessor null_cp;
@@ -155,9 +241,9 @@ TEST(CoprocessorApi, ColdInvokeCostsMoreThanWarmByReconfig) {
   const auto cold = cp.invoke(KernelId::kFft, input);
   const auto warm = cp.invoke(KernelId::kFft, input);
   const double gap_us =
-      cold.latency.microseconds() - warm.latency.microseconds();
+      cold.latency().microseconds() - warm.latency().microseconds();
   const double reconfig_us =
-      cold.device.load.reconfig_time.microseconds();
+      cold.load.reconfig_time.microseconds();
   EXPECT_NEAR(gap_us, reconfig_us, reconfig_us * 0.25 + 5.0);
 }
 

@@ -10,7 +10,7 @@
 #include "fabric/fabric.h"
 #include "netlist/generators.h"
 #include "netlist/lutmap.h"
-#include "netlist/simulate.h"
+#include "netlist_oracle.h"
 
 namespace aad::fabric {
 namespace {

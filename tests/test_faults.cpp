@@ -424,6 +424,18 @@ TEST(CrcRejectTest, WithoutRefetchFailsCleanly) {
   EXPECT_EQ(card.mcu().pinned_count(), 0u);
   EXPECT_EQ(server.stats().failed, 1u);
   EXPECT_EQ(server.in_flight(), 0u);
+
+  // The blocking API runs the same server path and reports the reject by
+  // throwing instead of returning a record without output.
+  try {
+    card.invoke_function(bad, algorithms::bank_input(bad, 1, 2));
+    ADD_FAILURE() << "a synchronous invoke of a corrupted bitstream returned";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCorruptData);
+  }
+  EXPECT_FALSE(card.mcu().is_resident(bad));
+  EXPECT_EQ(card.mcu().pinned_count(), 0u);
+  EXPECT_TRUE(card.scheduler().idle());
 }
 
 // --- watchdog timeouts ------------------------------------------------------

@@ -86,8 +86,8 @@ TEST(CoprocessorFleetTest, SingleCardFleetIsBitExactWithServer) {
     EXPECT_EQ(direct[i].output, sharded[i].output);
     EXPECT_EQ(direct[i].submit_time, sharded[i].submit_time);
     EXPECT_EQ(direct[i].complete_time, sharded[i].complete_time);
-    EXPECT_EQ(direct[i].bus_wait, sharded[i].bus_wait);
-    EXPECT_EQ(direct[i].device_wait, sharded[i].device_wait);
+    EXPECT_EQ(direct[i].bus_wait(), sharded[i].bus_wait());
+    EXPECT_EQ(direct[i].device_wait(), sharded[i].device_wait());
     EXPECT_EQ(direct[i].load.hit, sharded[i].load.hit);
   }
   // Every ServerStats field of the fleet matches the bare server's: the

@@ -19,7 +19,7 @@
 #include "fabric/fabric.h"
 #include "lut_oracle.h"
 #include "netlist/generators.h"
-#include "netlist/simulate.h"
+#include "netlist_oracle.h"
 
 namespace aad::netlist {
 namespace {

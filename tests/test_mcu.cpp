@@ -53,32 +53,31 @@ TEST_F(McuFixture, StoreFunctionWritesRomRecord) {
   EXPECT_GT(scheduler_.now(), sim::SimTime::zero());  // ROM programming time
 }
 
-TEST_F(McuFixture, InvokeUnprovisionedFunctionFails) {
+TEST_F(McuFixture, LoadUnprovisionedFunctionFails) {
   try {
-    Bytes in(8, 0);
-    mcu_.invoke(9999, in);
+    mcu_.ensure_loaded(9999);
     FAIL() << "expected NotFound";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kNotFound);
   }
 }
 
-TEST_F(McuFixture, FirstInvokeMissesThenHits) {
+TEST_F(McuFixture, FirstLoadMissesThenHits) {
   provision(KernelId::kAdder32);
-  const auto& spec = algorithms::spec(KernelId::kAdder32);
-  const Bytes input = spec.make_input(1, 42);
+  const auto fid = algorithms::function_id(KernelId::kAdder32);
 
-  const auto first = mcu_.invoke(algorithms::function_id(KernelId::kAdder32),
-                                 input);
-  EXPECT_FALSE(first.load.hit);
-  EXPECT_GT(first.load.frames_configured, 0u);
-  EXPECT_GT(first.load.reconfig_time, sim::SimTime::zero());
+  const sim::SimTime t0 = scheduler_.now();
+  const auto first = mcu_.ensure_loaded(fid);
+  EXPECT_FALSE(first.hit);
+  EXPECT_GT(first.frames_configured, 0u);
+  EXPECT_GT(first.reconfig_time, sim::SimTime::zero());
+  EXPECT_EQ(scheduler_.now() - t0, first.reconfig_time);
 
-  const auto second = mcu_.invoke(algorithms::function_id(KernelId::kAdder32),
-                                  input);
-  EXPECT_TRUE(second.load.hit);
-  EXPECT_EQ(second.load.reconfig_time, sim::SimTime::zero());
-  EXPECT_LT(second.total, first.total);
+  const sim::SimTime t1 = scheduler_.now();
+  const auto second = mcu_.ensure_loaded(fid);
+  EXPECT_TRUE(second.hit);
+  EXPECT_EQ(second.reconfig_time, sim::SimTime::zero());
+  EXPECT_EQ(scheduler_.now(), t1);  // a hit costs the load nothing
 
   EXPECT_EQ(mcu_.stats().config_hits, 1u);
   EXPECT_EQ(mcu_.stats().config_misses, 1u);
@@ -87,11 +86,12 @@ TEST_F(McuFixture, FirstInvokeMissesThenHits) {
 TEST_F(McuFixture, NetlistKernelComputesCorrectlyFromPlane) {
   provision(KernelId::kAdder32);
   const auto& spec = algorithms::spec(KernelId::kAdder32);
+  const auto fid = algorithms::function_id(KernelId::kAdder32);
+  mcu_.ensure_loaded(fid);
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     const Bytes input = spec.make_input(1, seed);
-    const auto result =
-        mcu_.invoke(algorithms::function_id(KernelId::kAdder32), input);
-    EXPECT_EQ(result.output, spec.software(input)) << "seed " << seed;
+    EXPECT_EQ(mcu_.execute_invoke(fid, input).output, spec.software(input))
+        << "seed " << seed;
   }
 }
 
@@ -99,8 +99,9 @@ TEST_F(McuFixture, SequentialNetlistKernelCrc32) {
   provision(KernelId::kCrc32);
   const auto& spec = algorithms::spec(KernelId::kCrc32);
   const Bytes input = spec.make_input(64, 7);
-  const auto result =
-      mcu_.invoke(algorithms::function_id(KernelId::kCrc32), input);
+  const auto fid = algorithms::function_id(KernelId::kCrc32);
+  mcu_.ensure_loaded(fid);
+  const ExecutedInvoke result = mcu_.execute_invoke(fid, input);
   EXPECT_EQ(result.output, spec.software(input));
   // Cycle count is real: one per byte plus the drain cycle.
   EXPECT_EQ(result.exec_cycles,
@@ -111,8 +112,9 @@ TEST_F(McuFixture, BehavioralKernelUsesCycleModel) {
   provision(KernelId::kXtea);
   const auto& spec = algorithms::spec(KernelId::kXtea);
   const Bytes input = spec.make_input(4, 3);
-  const auto result =
-      mcu_.invoke(algorithms::function_id(KernelId::kXtea), input);
+  const auto fid = algorithms::function_id(KernelId::kXtea);
+  mcu_.ensure_loaded(fid);
+  const ExecutedInvoke result = mcu_.execute_invoke(fid, input);
   EXPECT_EQ(result.output, spec.software(input));
   EXPECT_EQ(result.exec_cycles, spec.fabric_cycles(input.size()));
 }
@@ -183,11 +185,11 @@ TEST_F(McuFixture, ReloadAfterEvictionStillCorrect) {
   const auto& spec = algorithms::spec(KernelId::kCrc32);
   const Bytes input = spec.make_input(16, 5);
   const auto fid = algorithms::function_id(KernelId::kCrc32);
-  const auto r1 = mcu_.invoke(fid, input);
+  mcu_.ensure_loaded(fid);
+  const ExecutedInvoke r1 = mcu_.execute_invoke(fid, input);
   mcu_.evict(fid);
-  const auto r2 = mcu_.invoke(fid, input);
-  EXPECT_FALSE(r2.load.hit);
-  EXPECT_EQ(r1.output, r2.output);
+  EXPECT_FALSE(mcu_.ensure_loaded(fid).hit);
+  EXPECT_EQ(mcu_.execute_invoke(fid, input).output, r1.output);
 }
 
 TEST_F(McuFixture, ResetFabricDropsEverything) {
@@ -296,7 +298,7 @@ TEST_F(DiffMcuFixture, ReloadIntoSameFramesSkipsAllWrites) {
 
   // The function still computes from the (untouched) configuration plane.
   const Bytes input = spec.make_input(1, 17);
-  EXPECT_EQ(mcu_.invoke(fid, input).output, spec.software(input));
+  EXPECT_EQ(mcu_.execute_invoke(fid, input).output, spec.software(input));
 }
 
 TEST_F(DiffMcuFixture, DifferentContentStillWritten) {
@@ -314,7 +316,8 @@ TEST_F(DiffMcuFixture, DifferentContentStillWritten) {
   EXPECT_GT(load.frames_configured, 0u);
   const auto& spec = algorithms::spec(KernelId::kParity32);
   const Bytes input = spec.make_input(1, 3);
-  EXPECT_EQ(mcu_.invoke(algorithms::function_id(KernelId::kParity32), input)
+  EXPECT_EQ(mcu_.execute_invoke(algorithms::function_id(KernelId::kParity32),
+                                input)
                 .output,
             spec.software(input));
 }
@@ -344,9 +347,11 @@ TEST_F(McuFixture, DefragmentCompactsFreeSpace) {
   for (KernelId id : {KernelId::kAes128, KernelId::kMatMul}) {
     const auto& spec = algorithms::spec(id);
     const Bytes input = spec.make_input(1, 9);
-    const auto r = mcu_.invoke(algorithms::function_id(id), input);
-    EXPECT_TRUE(r.load.hit) << spec.name;
-    EXPECT_EQ(r.output, spec.software(input)) << spec.name;
+    EXPECT_TRUE(mcu_.ensure_loaded(algorithms::function_id(id)).hit)
+        << spec.name;
+    EXPECT_EQ(mcu_.execute_invoke(algorithms::function_id(id), input).output,
+              spec.software(input))
+        << spec.name;
   }
 }
 
@@ -399,9 +404,11 @@ TEST_F(McuFixture, StatsAccumulateAcrossInvokes) {
   provision(KernelId::kParity32);
   const auto a = algorithms::function_id(KernelId::kAdder32);
   const auto p = algorithms::function_id(KernelId::kParity32);
-  mcu_.invoke(a, algorithms::spec(KernelId::kAdder32).make_input(1, 1));
-  mcu_.invoke(p, algorithms::spec(KernelId::kParity32).make_input(1, 1));
-  mcu_.invoke(a, algorithms::spec(KernelId::kAdder32).make_input(1, 2));
+  for (const memory::FunctionId fid : {a, p, a}) {
+    mcu_.decode_invoke();  // counts the invocation
+    mcu_.ensure_loaded(fid);
+    mcu_.execute_invoke(fid, algorithms::bank_input(fid, 1, 1));
+  }
   const McuStats& s = mcu_.stats();
   EXPECT_EQ(s.invocations, 3u);
   EXPECT_EQ(s.config_misses, 2u);
@@ -530,10 +537,12 @@ TEST_F(McuFixture, LoadFeasibleHonorsPinnedLimitState) {
   mcu_.unpin(mm);
 }
 
-TEST_F(McuFixture, DecodeLoadExecuteComposeIntoInvoke) {
-  // invoke is decode_invoke + load_invoke + execute_invoke back-to-back —
-  // the server's three staged steps — so the staged primitives must
-  // reproduce its breakdown exactly: same durations, same output.
+TEST_F(McuFixture, StagedCallsReturnDurationsWithoutAdvancingTime) {
+  // The server composes decode_invoke + load_invoke + execute_invoke into
+  // its engine and fabric windows (tests/test_core.cpp checks that
+  // composition against AgileCoprocessor::invoke).  The primitives
+  // themselves only return durations, and the synchronous ensure_loaded is
+  // load_invoke plus exactly that clock advance.
   provision(KernelId::kAdder32);
   const auto a = algorithms::function_id(KernelId::kAdder32);
   const Bytes input = algorithms::spec(KernelId::kAdder32).make_input(2, 3);
@@ -546,26 +555,24 @@ TEST_F(McuFixture, DecodeLoadExecuteComposeIntoInvoke) {
   const LoadResult load =
       mcu_.load_invoke(a, start + decode, &load_elapsed, &stages);
   EXPECT_FALSE(load.hit);
-  EXPECT_GT(load_elapsed, sim::SimTime::zero());
+  EXPECT_EQ(load_elapsed, load.reconfig_time);  // free frames: no eviction
   EXPECT_GT(stages.configure, sim::SimTime::zero());
+  EXPECT_GT(stages.firmware, sim::SimTime::zero());
   const ExecutedInvoke run = mcu_.execute_invoke(a, input);
+  EXPECT_GT(run.time, fabric_.execution_time(run.exec_cycles));  // + staging
   EXPECT_EQ(scheduler_.now(), start);  // the staged path never advances time
 
   // The same cold load again (first-fit hands back the same frames).
   mcu_.evict(a);
   const sim::SimTime before = scheduler_.now();
-  const InvokeResult sync = mcu_.invoke(a, input);
-  EXPECT_EQ(sync.firmware_time, decode);
-  EXPECT_FALSE(sync.load.hit);
-  EXPECT_EQ(sync.load.reconfig_time, load.reconfig_time);
-  EXPECT_EQ(sync.evict_time, load_elapsed - load.reconfig_time);
-  EXPECT_EQ(sync.load_stages.configure, stages.configure);
-  EXPECT_EQ(sync.exec_time, run.exec_time);
-  EXPECT_EQ(sync.io_time, run.io_time);
-  EXPECT_EQ(sync.output, run.output);
-  EXPECT_EQ(sync.total, decode + load_elapsed + run.time);
-  EXPECT_EQ(scheduler_.now() - before, sync.total);
-  EXPECT_EQ(mcu_.stats().invocations, 2u);  // decode_invoke counts the call
+  const LoadResult again = mcu_.ensure_loaded(a);
+  EXPECT_FALSE(again.hit);
+  EXPECT_EQ(again.reconfig_time, load.reconfig_time);
+  EXPECT_EQ(scheduler_.now() - before, load_elapsed);
+  const ExecutedInvoke rerun = mcu_.execute_invoke(a, input);
+  EXPECT_EQ(rerun.output, run.output);
+  EXPECT_EQ(rerun.time, run.time);
+  EXPECT_EQ(mcu_.stats().invocations, 1u);  // only decode_invoke counts
 }
 
 // --- delta reconfiguration (frame-content tracking) ---------------------------
@@ -634,7 +641,7 @@ TEST_F(DeltaMcuFixture, ReloadAfterEvictionSkipsEveryMatchedFrame) {
 
   const auto& spec = algorithms::spec(KernelId::kXtea);
   const Bytes input = spec.make_input(1, 5);
-  EXPECT_EQ(mcu_.invoke(kV0, input).output, spec.software(input));
+  EXPECT_EQ(mcu_.execute_invoke(kV0, input).output, spec.software(input));
 }
 
 TEST_F(DeltaMcuFixture, CrossFunctionMatchStreamsOnlyDirtyFrames) {
@@ -707,9 +714,9 @@ TEST_F(DeltaMcuFixture, AutoCodecPicksARealCodecAndRecordsIt) {
 
   // The pick is the stored codec: the load decompresses with it.
   const Bytes input = spec.make_input(1, 9);
-  EXPECT_EQ(mcu_.invoke(algorithms::function_id(KernelId::kXtea), input)
-                .output,
-            spec.software(input));
+  const auto fid = algorithms::function_id(KernelId::kXtea);
+  mcu_.ensure_loaded(fid);
+  EXPECT_EQ(mcu_.execute_invoke(fid, input).output, spec.software(input));
 }
 
 // Randomized property test: a seeded stream of pin / unpin / invoke /
@@ -753,8 +760,9 @@ TEST_F(McuFixture, RandomizedPinLoadEvictProperty) {
       case 1:
       case 2: {  // invoke: load (evicting under pressure) + execute
         if (!mcu_.is_resident(id) && !mcu_.load_feasible(id)) break;
-        const auto result =
-            mcu_.invoke(id, algorithms::bank_input(id, 1, rng.next()));
+        mcu_.ensure_loaded(id);
+        const ExecutedInvoke result =
+            mcu_.execute_invoke(id, algorithms::bank_input(id, 1, rng.next()));
         ASSERT_FALSE(result.output.empty());
         ASSERT_TRUE(mcu_.is_resident(id));
         break;
@@ -795,8 +803,8 @@ TEST_F(McuFixture, RandomizedPinLoadEvictProperty) {
   EXPECT_EQ(mcu_.pinned_count(), 0u);
   for (const memory::FunctionId id : bank) {
     if (!mcu_.is_resident(id)) continue;
-    EXPECT_FALSE(
-        mcu_.invoke(id, algorithms::bank_input(id, 1, 999)).output.empty());
+    EXPECT_FALSE(mcu_.execute_invoke(id, algorithms::bank_input(id, 1, 999))
+                     .output.empty());
   }
 }
 

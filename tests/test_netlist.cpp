@@ -7,7 +7,7 @@
 #include "common/prng.h"
 #include "netlist/generators.h"
 #include "netlist/netlist.h"
-#include "netlist/simulate.h"
+#include "netlist_oracle.h"
 
 namespace aad::netlist {
 namespace {

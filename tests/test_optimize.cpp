@@ -7,7 +7,7 @@
 #include "netlist/generators.h"
 #include "netlist/lutmap.h"
 #include "netlist/optimize.h"
-#include "netlist/simulate.h"
+#include "netlist_oracle.h"
 
 namespace aad::netlist {
 namespace {

@@ -60,9 +60,9 @@ TEST(PredictorTest, SelfTransitionsCarryNoSignal) {
 }
 
 TEST(PredictorTest, ConfidenceAndSampleGating) {
-  PredictorConfig pc;  // min_confidence 0.55, min_samples 2
+  PredictorConfig pc;  // min_confidence 0.55; rows need two samples
   FunctionPredictor p(pc);
-  // One observation: below min_samples.
+  // One observation: below the two-sample minimum.
   p.observe(0, 10);
   p.observe(0, 20);
   EXPECT_FALSE(p.predict_after(0, 10).has_value());
@@ -216,26 +216,23 @@ TEST(McuStealTest, PrefetchFeasibleProtectsLiveResidents) {
   sim::SimTime elapsed;
   mcu.load_invoke(t.a, sim::SimTime::us(0), &elapsed);
   mcu.load_invoke(t.b, sim::SimTime::us(100), &elapsed);
-  const sim::SimTime min_idle = sim::SimTime::ms(1);
-
   // Residents touched 200us ago are live: speculating c may not displace
   // them even though load_feasible (the demand rule) would allow it.
   const sim::SimTime soon = sim::SimTime::us(300);
   EXPECT_TRUE(mcu.load_feasible(t.c));
-  EXPECT_FALSE(mcu.prefetch_feasible(t.c, soon, min_idle, 2.0));
+  EXPECT_FALSE(mcu.prefetch_feasible(t.c, soon));
 
   // Resident functions are vacuously feasible; unknown ids never are.
-  EXPECT_TRUE(mcu.prefetch_feasible(t.a, soon, min_idle, 2.0));
-  EXPECT_FALSE(mcu.prefetch_feasible(999999u, soon, min_idle, 2.0));
+  EXPECT_TRUE(mcu.prefetch_feasible(t.a, soon));
+  EXPECT_FALSE(mcu.prefetch_feasible(999999u, soon));
 
-  // Once both residents have idled past the floor they are dead and the
+  // Once both residents have idled past the 1ms floor they are dead and the
   // same speculation becomes feasible.
-  EXPECT_TRUE(
-      mcu.prefetch_feasible(t.c, sim::SimTime::ms(50), min_idle, 2.0));
+  EXPECT_TRUE(mcu.prefetch_feasible(t.c, sim::SimTime::ms(50)));
 
   // Other speculative residents are always fair game, idle or not.
   mcu.mark_speculative(t.b);
-  EXPECT_TRUE(mcu.prefetch_feasible(t.c, soon, min_idle, 2.0));
+  EXPECT_TRUE(mcu.prefetch_feasible(t.c, soon));
 }
 
 // The frequency-aware half of the gate: a resident reaccessed on a slow
@@ -258,16 +255,13 @@ TEST(McuStealTest, PrefetchFeasibleScalesWithObservedCadence) {
   mcu.load_invoke(t.a, sim::SimTime::ms(4), &elapsed);
   mcu.load_invoke(t.a, sim::SimTime::ms(8), &elapsed);
 
-  const sim::SimTime min_idle = sim::SimTime::ms(1);
   // At 9ms: b (accessed once, threshold = the 1ms floor) has idled 9ms
   // and is dead, but c does not fit in b\'s frames alone; a has idled
   // only 1ms < 2 x 4ms, so it still blocks the placement.
-  EXPECT_FALSE(
-      mcu.prefetch_feasible(t.c, sim::SimTime::ms(9), min_idle, 2.0))
+  EXPECT_FALSE(mcu.prefetch_feasible(t.c, sim::SimTime::ms(9)))
       << "resident on a 4ms cadence was treated as dead at 1ms idle";
   // At 20ms a has idled 12ms > 2 x 4ms: both dead, speculation allowed.
-  EXPECT_TRUE(
-      mcu.prefetch_feasible(t.c, sim::SimTime::ms(20), min_idle, 2.0));
+  EXPECT_TRUE(mcu.prefetch_feasible(t.c, sim::SimTime::ms(20)));
 }
 
 // --- server: pump accounting ------------------------------------------------
