@@ -65,6 +65,34 @@ std::uint32_t lfsr_step(std::uint32_t state) {
   return (state >> 1) | (fb << 31);
 }
 
+// --- custom netlist drivers --------------------------------------------------
+
+HardwareResult crc32_driver(netlist::LutExecutor& executor, ByteSpan input) {
+  Byte bus[2] = {0, 1};  // byte[8] + valid[1]
+  for (Byte byte : input) {
+    bus[0] = byte;
+    executor.step(bus, {});
+  }
+  HardwareResult hw{Bytes(executor.output_bytes()),
+                    static_cast<std::int64_t>(input.size()) + 1};
+  executor.step({}, hw.output);  // drain cycle, valid = 0
+  return hw;
+}
+
+HardwareResult lfsr32_driver(netlist::LutExecutor& executor, ByteSpan input) {
+  AAD_REQUIRE(input.size() == 8, "lfsr32 expects seed||steps");
+  const std::uint32_t steps = load_le32(input, 4);
+  AAD_REQUIRE(steps <= 1u << 16, "lfsr32 steps capped at 65536");
+
+  const Byte load[5] = {input[0], input[1], input[2], input[3], 1};
+  executor.step(load, {});  // init[32] + load[1]
+  for (std::uint32_t i = 0; i < steps; ++i) executor.step({}, {});
+  HardwareResult hw{Bytes(executor.output_bytes()),
+                    static_cast<std::int64_t>(steps) + 2};
+  executor.step({}, hw.output);  // pre-latch read
+  return hw;
+}
+
 // --- netlist bitstream builders ---------------------------------------------
 
 Bitstream netlist_bitstream(const netlist::Netlist& nl, KernelId id,
@@ -271,6 +299,7 @@ std::vector<KernelSpec> build_catalog() {
             return out;
           },
       .fabric_cycles = nullptr,
+      .driver = crc32_driver,
       .host_time =
           [](std::size_t bytes) {
             return host_ns_from_cycles(5.0 * static_cast<double>(bytes));
@@ -303,6 +332,7 @@ std::vector<KernelSpec> build_catalog() {
             return out;
           },
       .fabric_cycles = nullptr,
+      .driver = lfsr32_driver,
       .host_time =
           [](std::size_t) { return host_ns_from_cycles(2.0 * 256); },
       .make_bitstream =
@@ -661,47 +691,30 @@ std::vector<KernelSpec> build_catalog() {
   return out;
 }
 
-// --- custom netlist drivers --------------------------------------------------
-
-mcu::HardwareResult crc32_driver(netlist::LutExecutor& executor,
-                                 ByteSpan input) {
-  Byte bus[2] = {0, 1};  // byte[8] + valid[1]
-  for (Byte byte : input) {
-    bus[0] = byte;
-    executor.step(bus, {});
-  }
-  mcu::HardwareResult hw{Bytes(executor.output_bytes()),
-                         static_cast<std::int64_t>(input.size()) + 1};
-  executor.step({}, hw.output);  // drain cycle, valid = 0
-  return hw;
-}
-
-mcu::HardwareResult lfsr32_driver(netlist::LutExecutor& executor,
-                                  ByteSpan input) {
-  AAD_REQUIRE(input.size() == 8, "lfsr32 expects seed||steps");
-  const std::uint32_t steps = load_le32(input, 4);
-  AAD_REQUIRE(steps <= 1u << 16, "lfsr32 steps capped at 65536");
-
-  const Byte load[5] = {input[0], input[1], input[2], input[3], 1};
-  executor.step(load, {});  // init[32] + load[1]
-  for (std::uint32_t i = 0; i < steps; ++i) executor.step({}, {});
-  mcu::HardwareResult hw{Bytes(executor.output_bytes()),
-                         static_cast<std::int64_t>(steps) + 2};
-  executor.step({}, hw.output);  // pre-latch read
-  return hw;
-}
-
 }  // namespace
+
+HardwareResult run_combinational(netlist::LutExecutor& executor,
+                                 ByteSpan input) {
+  HardwareResult hw{Bytes(executor.output_bytes()), 1};
+  executor.step(input, hw.output);
+  return hw;
+}
 
 const std::vector<KernelSpec>& catalog() {
   static const std::vector<KernelSpec> kCatalog = build_catalog();
   return kCatalog;
 }
 
-const KernelSpec& spec(KernelId id) {
+const KernelSpec* find_spec(std::uint32_t kernel_id) {
   for (const KernelSpec& s : catalog())
-    if (s.id == id) return s;
-  AAD_FAIL(ErrorCode::kNotFound, "unknown kernel id");
+    if (function_id(s.id) == kernel_id) return &s;
+  return nullptr;
+}
+
+const KernelSpec& spec(KernelId id) {
+  const KernelSpec* s = find_spec(function_id(id));
+  if (s == nullptr) AAD_FAIL(ErrorCode::kNotFound, "unknown kernel id");
+  return *s;
 }
 
 std::vector<std::uint32_t> function_bank() {
@@ -714,19 +727,6 @@ std::vector<std::uint32_t> function_bank() {
 Bytes bank_input(std::uint32_t function, std::size_t blocks,
                  std::uint64_t seed) {
   return spec(static_cast<KernelId>(function)).make_input(blocks, seed);
-}
-
-void register_runtimes(mcu::RuntimeRegistry& registry) {
-  registry.register_netlist_driver(function_id(KernelId::kCrc32),
-                                   crc32_driver);
-  registry.register_netlist_driver(function_id(KernelId::kLfsr32),
-                                   lfsr32_driver);
-  for (const KernelSpec& s : catalog()) {
-    if (s.kind != FunctionKind::kBehavioral) continue;
-    registry.register_behavioral(
-        function_id(s.id),
-        mcu::BehavioralModel{s.software, s.fabric_cycles});
-  }
 }
 
 }  // namespace aad::algorithms

@@ -5,6 +5,8 @@
 //     stream per DESIGN.md's substitution policy),
 //   * a fabric cycle model (netlist kernels count real executor cycles;
 //     behavioral kernels use a calibrated per-block model),
+//   * for netlist kernels with a sequential bus protocol, the driver that
+//     frames bytes onto the resident LUT network,
 //   * a host-CPU time model for the speedup experiment (E4), representing
 //     a ~3 GHz 2005-era desktop running the same software implementation.
 #pragma once
@@ -16,10 +18,37 @@
 
 #include "bitstream/bitstream.h"
 #include "common/bytebuffer.h"
-#include "mcu/runtime.h"
+#include "netlist/lutnetwork.h"
 #include "sim/time.h"
 
 namespace aad::algorithms {
+
+// How the microcontroller runs a resident function (Mcu::execute_invoke).
+// Netlist functions execute *from the configuration plane*: after every
+// (re)configuration the MCU extracts the LUT network out of the configured
+// frames and compiles it into a netlist::LutExecutor, which it then steps.  Buses cross that boundary packed: input bus bit i is
+// bit i % 8 of byte i / 8 (LSB-first, short inputs zero-padded), and the
+// output bus comes back as ceil(output_width / 8) bytes framed the same way.
+// A kernel's NetlistDriver describes its data framing (how bytes map to
+// input-bus beats and output bits back to bytes); kernels without one run
+// the default single-shot combinational contract (run_combinational).
+// Behavioral functions (the documented substitution for kernels too large
+// to gate-map) take their bytes from the kernel's `software` and charge
+// fabric time from its `fabric_cycles`.
+
+struct HardwareResult {
+  Bytes output;
+  std::int64_t cycles = 0;  ///< fabric clock cycles consumed
+};
+
+/// Drives a resident netlist function for one invocation.
+using NetlistDriver = HardwareResult (*)(netlist::LutExecutor&, ByteSpan);
+
+/// The default netlist contract: the input bytes are the packed input bus
+/// (zero-padded; more bytes than the bus holds is an error), one
+/// combinational step, and the packed output bus back.
+HardwareResult run_combinational(netlist::LutExecutor& executor,
+                                 ByteSpan input);
 
 enum class KernelId : std::uint32_t {
   // Netlist kernels: really placed, configured and executed from the
@@ -61,6 +90,9 @@ struct KernelSpec {
   /// Fabric cycles for `input_bytes` (behavioral kernels only; netlist
   /// kernels report real executor cycles at run time).
   std::function<std::int64_t(std::size_t)> fabric_cycles;
+  /// Netlist kernels with a sequential bus protocol (crc32, lfsr32): how
+  /// the MCU drives the resident network.  Null runs run_combinational.
+  NetlistDriver driver = nullptr;
   /// Host-only execution time for `input_bytes` (E4 baseline).
   std::function<sim::SimTime(std::size_t)> host_time;
   /// Build the configuration bitstream for `geometry`.
@@ -77,6 +109,10 @@ const std::vector<KernelSpec>& catalog();
 /// Lookup; throws kNotFound for an unknown id.
 const KernelSpec& spec(KernelId id);
 
+/// The catalog kernel whose function id is `kernel_id` (a bitstream's or
+/// ROM record's kernel_id), or nullptr when the catalog has none.
+const KernelSpec* find_spec(std::uint32_t kernel_id);
+
 /// The ROM/MCU function id of a kernel (stable across runs).
 constexpr std::uint32_t function_id(KernelId id) noexcept {
   return static_cast<std::uint32_t>(id);
@@ -92,8 +128,5 @@ std::vector<std::uint32_t> function_bank();
 /// wrap it to mix a trace-local seed base with the request index.
 Bytes bank_input(std::uint32_t function, std::size_t blocks,
                  std::uint64_t seed);
-
-/// Register every behavioral model and custom netlist driver.
-void register_runtimes(mcu::RuntimeRegistry& registry);
 
 }  // namespace aad::algorithms

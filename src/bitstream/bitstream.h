@@ -38,7 +38,7 @@ struct BitstreamInfo {
   fabric::FrameGeometry geometry;    ///< device the stream was built for
   std::uint32_t input_width = 0;     ///< input bus bits per cycle
   std::uint32_t output_width = 0;    ///< output bus bits per cycle
-  std::uint32_t kernel_id = 0;       ///< behavioral model key (0 = none)
+  std::uint32_t kernel_id = 0;       ///< catalog kernel id (0 = none)
 
   bool operator==(const BitstreamInfo&) const = default;
 };

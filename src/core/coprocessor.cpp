@@ -11,9 +11,7 @@ AgileCoprocessor::AgileCoprocessor(const CoprocessorConfig& config,
       scheduler_(shared != nullptr ? *shared : *owned_scheduler_),
       fabric_(config.fabric),
       bus_(config.pci),
-      mcu_(fabric_, scheduler_, registry_, runtime_, config.mcu) {
-  algorithms::register_runtimes(runtime_);
-}
+      mcu_(fabric_, scheduler_, registry_, config.mcu) {}
 
 AgileCoprocessor::AgileCoprocessor(const CoprocessorConfig& config)
     : AgileCoprocessor(config, std::make_unique<sim::Scheduler>(), nullptr) {}

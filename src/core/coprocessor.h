@@ -63,7 +63,7 @@ class AgileCoprocessor {
   /// provisioning) advance the SHARED clock — only use them while the other
   /// owners of the scheduler are quiescent (the fleet's download_* calls,
   /// benches between runs).  invoke() checks this and throws when the
-  /// scheduler has events pending.
+  /// scheduler has events pending or the card has a live server.
   AgileCoprocessor(const CoprocessorConfig& config, sim::Scheduler& scheduler);
 
   // --- provisioning ---------------------------------------------------------
@@ -87,12 +87,12 @@ class AgileCoprocessor {
   /// Execute `kernel` on `input` via the card (reconfiguring on demand):
   /// submit it to a fresh CoprocessorServer (default ServerConfig) on this
   /// card, run that server to completion and return the request's record.
-  /// Requires a scheduler with no pending events (kInvalidArgument
-  /// otherwise): the run drains the whole queue, so it would execute other
-  /// owners' events too.  Throws kCorruptData when the load is rejected on
-  /// a CRC mismatch the re-fetch path cannot repair.  The run counts in the
-  /// card's `server.*` registry counters, which every server on the card
-  /// shares.
+  /// Requires a scheduler with no pending events and no live server on the
+  /// card (kInvalidArgument otherwise, with nothing run): the run drains
+  /// the whole queue, so it would execute other owners' events too, and it
+  /// would count in the live server's `server.*` counters without a record
+  /// there.  Throws kCorruptData when the load is rejected on a CRC
+  /// mismatch the re-fetch path cannot repair.
   ServerRequest invoke(algorithms::KernelId kernel, ByteSpan input);
 
   /// Execute an arbitrary provisioned function id.
@@ -133,8 +133,10 @@ class AgileCoprocessor {
   telemetry::Registry registry_;  ///< before mcu_: subsystems register here
   fabric::Fabric fabric_;
   pci::PciBus bus_;
-  mcu::RuntimeRegistry runtime_;
   mcu::Mcu mcu_;
+  /// A CoprocessorServer is live on this card (it sets and clears this).
+  bool served_ = false;
+  friend class CoprocessorServer;
 };
 
 }  // namespace aad::core

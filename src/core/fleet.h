@@ -231,10 +231,12 @@ class CoprocessorFleet {
   }
   DispatchPolicy policy() const noexcept { return policy_; }
   /// Direct access to one shard.  Inspection (mcu(), stats(), bus()) is
-  /// always safe; the card's SYNCHRONOUS paths (invoke, preload, evict,
+  /// always safe; the card's SYNCHRONOUS paths (preload, evict,
   /// defragment — and provisioning) advance the fleet-shared clock and
   /// execute any pending events on it, so only use them while the fleet is
-  /// quiescent (no requests in flight), as download*/the benches do.
+  /// quiescent (no requests in flight), as download*/the benches do.  The
+  /// card's invoke throws kInvalidArgument: the shard's server is live, and
+  /// a card serves through one server at a time.
   AgileCoprocessor& card(unsigned index);
   CoprocessorServer& server(unsigned index);
   const CoprocessorServer& server(unsigned index) const;

@@ -93,10 +93,14 @@ CoprocessorServer::CoprocessorServer(AgileCoprocessor& card,
                 card.registry().counter("server.prefetch_hidden_ps"),
                 card.registry().gauge("server.device_queue_depth")},
       predictor_(config.prefetch.predictor) {
+  AAD_REQUIRE(!card.served_, "the card already has a live CoprocessorServer");
   AAD_REQUIRE(config.batch.mode != BatchMode::kWindowed ||
                   config.batch.window >= sim::SimTime::zero(),
               "batch window cannot be negative");
+  card.served_ = true;
 }
+
+CoprocessorServer::~CoprocessorServer() { card_.served_ = false; }
 
 void CoprocessorServer::attach_trace(telemetry::TraceSink& sink,
                                      const std::string& label,

@@ -224,9 +224,15 @@ class CoprocessorServer {
   using Completion = std::function<void(const ServerRequest&)>;
 
   /// The card must outlive the server.  Functions are provisioned through
-  /// the card as before (download / download_all).
+  /// the card as before (download / download_all).  A card has at most one
+  /// live server, which owns its `server.*` counters: constructing a
+  /// second one (the synchronous invoke included) throws kInvalidArgument
+  /// until the first is destroyed.
   explicit CoprocessorServer(AgileCoprocessor& card,
                              const ServerConfig& config = {});
+  ~CoprocessorServer();
+  CoprocessorServer(const CoprocessorServer&) = delete;
+  CoprocessorServer& operator=(const CoprocessorServer&) = delete;
 
   // --- submission ----------------------------------------------------------
 
@@ -255,11 +261,6 @@ class CoprocessorServer {
   sim::SimTime now() const noexcept { return card_.now(); }
   std::size_t in_flight() const noexcept { return in_flight_; }
   const ServerConfig& config() const noexcept { return config_; }
-  /// Requests whose input DMA finished but the config engine has not yet
-  /// accepted them (what the DevicePolicy reorders).
-  std::size_t device_queue_depth() const noexcept {
-    return device_queue_.size();
-  }
   /// Is any in-flight request for `function` heading to this card whose
   /// load has not yet committed?  The fleet's residency-affinity router
   /// counts an inbound configuration like a resident one: by the time a

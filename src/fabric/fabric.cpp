@@ -15,11 +15,6 @@ sim::SimTime Fabric::configure_frame(FrameIndex frame,
   return config_.port.frame_time(config_.geometry);
 }
 
-sim::SimTime Fabric::configure_full(std::span<const Word> words) {
-  memory_.write_full(words);
-  return config_.port.full_time(config_.geometry);
-}
-
 void Fabric::erase() { memory_.clear(); }
 
 netlist::LutNetwork Fabric::extract_network(

@@ -39,9 +39,6 @@ class Fabric {
   /// Partially reconfigure one frame; returns the config-port time spent.
   sim::SimTime configure_frame(FrameIndex frame, std::span<const Word> words);
 
-  /// Fully reconfigure the device; returns the config-port time spent.
-  sim::SimTime configure_full(std::span<const Word> words);
-
   /// Erase the configuration plane (no timing; models power-up).
   void erase();
 

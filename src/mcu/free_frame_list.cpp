@@ -38,11 +38,6 @@ FreeFrameList::FreeFrameList(unsigned frame_count)
   AAD_REQUIRE(frame_count >= 1, "device must have at least one frame");
 }
 
-bool FreeFrameList::is_free(fabric::FrameIndex frame) const {
-  AAD_REQUIRE(frame < free_.size(), "frame index out of range");
-  return free_[frame];
-}
-
 std::optional<std::vector<fabric::FrameIndex>>
 FreeFrameList::select_contiguous(unsigned count, bool best_fit) const {
   unsigned best_start = 0;

@@ -42,7 +42,6 @@ class FreeFrameList {
     return static_cast<unsigned>(free_.size());
   }
   unsigned free_count() const noexcept { return free_frames_; }
-  bool is_free(fabric::FrameIndex frame) const;
 
   /// Try to reserve `count` frames.  Returns the chosen frames (ascending)
   /// or nullopt when the strategy cannot satisfy the request — note that

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "algorithms/kernels.h"
 #include "common/crc32.h"
 
 namespace aad::mcu {
@@ -25,11 +26,9 @@ constexpr double kVictimIdleFactor = 2.0;
 }  // namespace
 
 Mcu::Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler,
-         telemetry::Registry& registry, const RuntimeRegistry& runtime,
-         const McuConfig& config)
+         telemetry::Registry& registry, const McuConfig& config)
     : fabric_(fabric),
       scheduler_(scheduler),
-      runtime_(runtime),
       config_(config),
       rom_(config.rom_capacity),
       ram_(config.ram_capacity),
@@ -564,6 +563,7 @@ LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
   LoadedFunction fn;
   fn.record = *record;
   fn.frames = *frames;
+  fn.spec = algorithms::find_spec(record->kernel_id);
   loaded_.emplace(id, std::move(fn));
 
   FrameTableEntry entry;
@@ -614,18 +614,21 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input) {
   sim::SimTime io = config_.ram_timing.access_time(input.size());
 
   // Execute.
-  HardwareResult hw;
+  algorithms::HardwareResult hw;
   if (fn.record.kind == bitstream::FunctionKind::kNetlist) {
     auto& executor = executor_for(fn);
     executor.reset();
-    const NetlistDriver* driver =
-        runtime_.find_netlist_driver(fn.record.kernel_id);
-    hw = driver ? (*driver)(executor, input)
-                : RuntimeRegistry::run_combinational(executor, input);
+    const algorithms::NetlistDriver driver =
+        fn.spec != nullptr ? fn.spec->driver : nullptr;
+    hw = driver ? driver(executor, input)
+                : algorithms::run_combinational(executor, input);
   } else {
-    const BehavioralModel& model = runtime_.behavioral(fn.record.kernel_id);
-    hw.output = model.compute(input);
-    hw.cycles = model.cycles(input.size());
+    AAD_REQUIRE(fn.spec != nullptr &&
+                    fn.spec->kind == bitstream::FunctionKind::kBehavioral,
+                "no behavioral model for kernel " +
+                    std::to_string(fn.record.kernel_id));
+    hw.output = fn.spec->software(input);
+    hw.cycles = fn.spec->fabric_cycles(input.size());
   }
   run.exec_cycles = hw.cycles;
 

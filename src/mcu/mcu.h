@@ -24,11 +24,15 @@
 #include "mcu/config_engine.h"
 #include "mcu/free_frame_list.h"
 #include "mcu/replacement.h"
-#include "mcu/runtime.h"
 #include "memory/ram.h"
 #include "memory/rom.h"
+#include "netlist/lutnetwork.h"
 #include "sim/scheduler.h"
 #include "telemetry/registry.h"
+
+namespace aad::algorithms {
+struct KernelSpec;
+}  // namespace aad::algorithms
 
 namespace aad::mcu {
 
@@ -138,8 +142,7 @@ class Mcu {
   /// `mcu.*` counters there at construction and bumps the handles on the
   /// hot path.  Must outlive the Mcu.
   Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler,
-      telemetry::Registry& registry, const RuntimeRegistry& runtime,
-      const McuConfig& config = {});
+      telemetry::Registry& registry, const McuConfig& config = {});
 
   // --- provisioning (host -> ROM, via PCI at the core layer) --------------
 
@@ -185,7 +188,12 @@ class Mcu {
   LoadResult load_invoke(memory::FunctionId id, sim::SimTime start,
                          sim::SimTime* elapsed, LoadStages* stages = nullptr);
 
-  /// Data-in, fabric execution, output collection.
+  /// Data-in, fabric execution, output collection, run from the catalog
+  /// kernel the record's kernel_id names (algorithms/kernels.h): a netlist
+  /// function steps its extracted network through the kernel's driver, or
+  /// run_combinational when it has none or the id is outside the catalog; a
+  /// behavioral function takes the kernel's software and fabric_cycles, and
+  /// throws kInvalidArgument when its id names no behavioral kernel.
   /// Requires `id` resident (load_invoke was called).
   ExecutedInvoke execute_invoke(memory::FunctionId id, ByteSpan input);
 
@@ -306,6 +314,9 @@ class Mcu {
   struct LoadedFunction {
     memory::RomRecord record;
     std::vector<fabric::FrameIndex> frames;
+    /// The catalog kernel of record.kernel_id, resolved at load (null when
+    /// the catalog has none).
+    const algorithms::KernelSpec* spec = nullptr;
     // Netlist functions: the compiled network, re-extracted from the
     // configuration plane on first use after (re)configuration.
     std::optional<netlist::LutExecutor> executor;
@@ -339,7 +350,6 @@ class Mcu {
 
   fabric::Fabric& fabric_;
   sim::Scheduler& scheduler_;
-  const RuntimeRegistry& runtime_;
   McuConfig config_;
 
   memory::RomImage rom_;

@@ -43,26 +43,4 @@ std::string frame_table_report(const Mcu& mcu) {
   return out.str();
 }
 
-std::string load_cost_report(const Mcu& mcu) {
-  std::ostringstream out;
-  out << "Load-cost model (" << mcu.rom().records().size()
-      << " provisioned):\n";
-  for (const auto& record : mcu.rom().records()) {
-    const LoadEstimate est = mcu.estimate_load(record.function_id);
-    out << "  fn " << record.function_id << " [" << record.name << "] "
-        << compress::to_string(record.codec) << " "
-        << record.compressed_size << "B/" << record.frames << "f: ";
-    if (est.resident) {
-      out << "resident\n";
-      continue;
-    }
-    out << "load " << sim::to_string(est.time);
-    if (est.frames_matched)
-      out << " (" << est.frames_matched << " frames delta-matched)";
-    if (est.evictions) out << " +" << est.evictions << " eviction";
-    out << "\n";
-  }
-  return out.str();
-}
-
 }  // namespace aad::mcu

@@ -17,9 +17,4 @@ std::string frame_map(const Mcu& mcu);
 /// frames occupied, last-access timestamp, access count.
 std::string frame_table_report(const Mcu& mcu);
 
-/// The load-cost model's view of every provisioned function: codec,
-/// compressed bytes, footprint, delta-matched frames and the modeled load
-/// cost if it were requested right now (see Mcu::estimate_load).
-std::string load_cost_report(const Mcu& mcu);
-
 }  // namespace aad::mcu

@@ -37,7 +37,7 @@ struct RomRecord {
   std::uint16_t clb_rows = 0;         ///< geometry echo (load-time check)
   std::uint32_t input_width = 0;      ///< input bus bits per cycle
   std::uint32_t output_width = 0;     ///< output bus bits per cycle
-  std::uint32_t kernel_id = 0;        ///< runtime-registry key
+  std::uint32_t kernel_id = 0;        ///< catalog kernel id
   std::uint32_t payload_crc = 0;      ///< CRC-32 of the compressed stream
 
   bool operator==(const RomRecord&) const = default;

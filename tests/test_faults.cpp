@@ -400,33 +400,37 @@ TEST(CrcRejectTest, WithoutRefetchFailsCleanly) {
   const memory::FunctionId good = bank[1];
   ASSERT_TRUE(card.mcu().rom().corrupt_payload(bad, 99, 8));
 
-  CoprocessorServer server(card, {});
-  bool bad_fired = false, good_fired = false;
-  server.submit_function(0, bad, algorithms::bank_input(bad, 1, 0),
-                         [&bad_fired](const ServerRequest& done) {
-                           bad_fired = true;
-                           EXPECT_TRUE(done.failed);
-                           EXPECT_EQ(done.fail_reason, FailReason::kCrcReject);
-                         });
-  server.submit_function(1, good, algorithms::bank_input(good, 1, 1),
-                         [&good_fired](const ServerRequest& done) {
-                           good_fired = true;
-                           EXPECT_FALSE(done.failed);
-                         });
-  server.run();
+  {
+    CoprocessorServer server(card, {});
+    bool bad_fired = false, good_fired = false;
+    server.submit_function(0, bad, algorithms::bank_input(bad, 1, 0),
+                           [&bad_fired](const ServerRequest& done) {
+                             bad_fired = true;
+                             EXPECT_TRUE(done.failed);
+                             EXPECT_EQ(done.fail_reason,
+                                       FailReason::kCrcReject);
+                           });
+    server.submit_function(1, good, algorithms::bank_input(good, 1, 1),
+                           [&good_fired](const ServerRequest& done) {
+                             good_fired = true;
+                             EXPECT_FALSE(done.failed);
+                           });
+    server.run();
 
-  EXPECT_TRUE(bad_fired);
-  EXPECT_TRUE(good_fired);
-  EXPECT_EQ(card.mcu().stats().crc_rejects, 1u);
-  EXPECT_EQ(card.mcu().stats().refetches, 0u);
-  EXPECT_FALSE(card.mcu().is_resident(bad));
-  EXPECT_TRUE(card.mcu().is_resident(good));
-  EXPECT_EQ(card.mcu().pinned_count(), 0u);
-  EXPECT_EQ(server.stats().failed, 1u);
-  EXPECT_EQ(server.in_flight(), 0u);
+    EXPECT_TRUE(bad_fired);
+    EXPECT_TRUE(good_fired);
+    EXPECT_EQ(card.mcu().stats().crc_rejects, 1u);
+    EXPECT_EQ(card.mcu().stats().refetches, 0u);
+    EXPECT_FALSE(card.mcu().is_resident(bad));
+    EXPECT_TRUE(card.mcu().is_resident(good));
+    EXPECT_EQ(card.mcu().pinned_count(), 0u);
+    EXPECT_EQ(server.stats().failed, 1u);
+    EXPECT_EQ(server.in_flight(), 0u);
+  }
 
-  // The blocking API runs the same server path and reports the reject by
-  // throwing instead of returning a record without output.
+  // The blocking API runs the same server path, once the card's own server
+  // is gone, and reports the reject by throwing instead of returning a
+  // record without output.
   try {
     card.invoke_function(bad, algorithms::bank_input(bad, 1, 2));
     ADD_FAILURE() << "a synchronous invoke of a corrupted bitstream returned";

@@ -481,5 +481,50 @@ TEST(CoprocessorFleetTest, MoreThanOneThreadThrows) {
   EXPECT_THROW(CoprocessorFleet{fc}, Error);
 }
 
+
+// A fleet card's server is live for the fleet's lifetime, so the card's
+// synchronous invoke throws kInvalidArgument even while the fleet is
+// quiescent, and runs nothing: the fleet's stats still conserve and no
+// card's clock or bus grants move.  preload and evict stay allowed.
+TEST(CoprocessorFleetTest, CardInvokeThrowsWhileTheFleetServes) {
+  FleetConfig fc;
+  fc.cards = 2;
+  fc.policy = DispatchPolicy::kRoundRobin;
+  CoprocessorFleet fleet(fc);
+  fleet.download_all();
+  const auto xtea = [](std::uint64_t seed) {
+    return algorithms::spec(KernelId::kXtea).make_input(1, seed);
+  };
+  for (unsigned i = 0; i < 4; ++i) fleet.submit(i, KernelId::kXtea, xtea(i));
+  fleet.run();
+  const FleetStats before = fleet.stats();
+  ASSERT_EQ(before.submitted, 4u);
+  const sim::SimTime now = fleet.now();
+  const std::uint64_t grants0 = fleet.card(0).bus().stats().grants;
+  const std::uint64_t grants1 = fleet.card(1).bus().stats().grants;
+
+  try {
+    fleet.card(0).invoke(KernelId::kXtea, xtea(9));
+    FAIL() << "expected kInvalidArgument";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+  }
+
+  const FleetStats after = fleet.stats();
+  EXPECT_EQ(static_cast<const ServerStats&>(after),
+            static_cast<const ServerStats&>(before));
+  EXPECT_EQ(after.submitted, after.completed + after.failed);
+  EXPECT_EQ(after.completed, 4u);
+  EXPECT_EQ(after.batches, 4u);
+  EXPECT_EQ(fleet.now(), now);
+  EXPECT_EQ(fleet.card(0).bus().stats().grants, grants0);
+  EXPECT_EQ(fleet.card(1).bus().stats().grants, grants1);
+
+  EXPECT_FALSE(fleet.card(0).preload(KernelId::kSha256).hit);
+  fleet.card(0).evict(KernelId::kSha256);
+  EXPECT_FALSE(fleet.card(0).mcu().is_resident(
+      algorithms::function_id(KernelId::kSha256)));
+}
+
 }  // namespace
 }  // namespace aad::core

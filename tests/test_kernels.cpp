@@ -28,8 +28,11 @@ TEST(CatalogTest, HasBothKindsAndUniqueIds) {
     EXPECT_NE(s.host_time, nullptr) << s.name;
     EXPECT_NE(s.make_bitstream, nullptr) << s.name;
     EXPECT_NE(s.make_input, nullptr) << s.name;
+    // The MCU executes a behavioral function from its catalog entry: the
+    // bytes from `software`, the fabric time from `fabric_cycles`.
     if (s.kind == bitstream::FunctionKind::kBehavioral) {
       EXPECT_NE(s.fabric_cycles, nullptr) << s.name;
+      EXPECT_EQ(s.driver, nullptr) << s.name;
     }
   }
   EXPECT_GE(netlist_count, 8u);
@@ -110,19 +113,18 @@ TEST(CatalogTest, BehavioralStreamsLookRealistic) {
   EXPECT_GT(stats.zero_word_fraction, 0.02);
 }
 
-TEST(RuntimeRegistryTest, RegistersWithoutDuplicates) {
-  mcu::RuntimeRegistry registry;
-  register_runtimes(registry);
-  EXPECT_NE(registry.find_netlist_driver(function_id(KernelId::kCrc32)),
-            nullptr);
-  EXPECT_NE(registry.find_netlist_driver(function_id(KernelId::kLfsr32)),
-            nullptr);
-  EXPECT_EQ(registry.find_netlist_driver(function_id(KernelId::kAdder32)),
-            nullptr);
-  EXPECT_NO_THROW(registry.behavioral(function_id(KernelId::kAes128)));
-  EXPECT_THROW(registry.behavioral(function_id(KernelId::kAdder32)), Error);
-  // Double registration is a programming error.
-  EXPECT_THROW(register_runtimes(registry), Error);
+TEST(CatalogTest, ExactlyTheSequentialNetlistKernelsCarryADriver) {
+  std::set<KernelId> driven;
+  for (const auto& s : catalog())
+    if (s.driver != nullptr) driven.insert(s.id);
+  EXPECT_EQ(driven, (std::set<KernelId>{KernelId::kCrc32, KernelId::kLfsr32}));
+}
+
+TEST(CatalogTest, FindSpecByKernelId) {
+  for (const auto& s : catalog())
+    EXPECT_EQ(find_spec(function_id(s.id)), &s) << s.name;
+  EXPECT_EQ(find_spec(0), nullptr);
+  EXPECT_EQ(find_spec(999), nullptr);
 }
 
 }  // namespace

@@ -21,9 +21,7 @@ using algorithms::KernelId;
 class McuFixture : public ::testing::Test {
  protected:
   McuFixture()
-      : mcu_(fabric_, scheduler_, registry_, runtime_, make_config()) {
-    algorithms::register_runtimes(runtime_);
-  }
+      : mcu_(fabric_, scheduler_, registry_, make_config()) {}
 
   static McuConfig make_config() {
     McuConfig config;
@@ -40,7 +38,6 @@ class McuFixture : public ::testing::Test {
   fabric::Fabric fabric_;
   sim::Scheduler scheduler_;
   telemetry::Registry registry_;
-  RuntimeRegistry runtime_;
   Mcu mcu_;
 };
 
@@ -117,6 +114,59 @@ TEST_F(McuFixture, BehavioralKernelUsesCycleModel) {
   const ExecutedInvoke result = mcu_.execute_invoke(fid, input);
   EXPECT_EQ(result.output, spec.software(input));
   EXPECT_EQ(result.exec_cycles, spec.fabric_cycles(input.size()));
+}
+
+// A record runs from the catalog kernel its kernel_id names.  The crc32
+// datapath relabelled as a kernel outside the catalog, or as one without a
+// driver, takes the default one-step combinational contract instead of the
+// crc32 driver's byte-serial one.
+TEST_F(McuFixture, NetlistWithoutACatalogDriverRunsOneCombinationalStep) {
+  bitstream::Bitstream crc = algorithms::spec(KernelId::kCrc32)
+                                 .make_bitstream(fabric_.geometry());
+  const Bytes input = {0x5A, 0x01};  // byte[8] + valid[1]
+  const std::map<memory::FunctionId, std::uint32_t> relabelled = {
+      {4242, 4242},                                         // not cataloged
+      {4243, algorithms::function_id(KernelId::kAdder32)},  // no driver
+      {4244, algorithms::function_id(KernelId::kAes128)}};  // behavioral
+  for (const auto& [fid, kernel_id] : relabelled) {
+    crc.info.kernel_id = kernel_id;
+    mcu_.store_function(fid, crc);
+    mcu_.ensure_loaded(fid);
+    const ExecutedInvoke run = mcu_.execute_invoke(fid, input);
+    EXPECT_EQ(run.exec_cycles, 1) << "kernel id " << kernel_id;
+    EXPECT_EQ(run.output.size(), 4u) << "kernel id " << kernel_id;
+    mcu_.evict(fid);
+  }
+  // The same stream under its own id runs the driver: one cycle per byte
+  // plus the drain cycle.
+  crc.info.kernel_id = algorithms::function_id(KernelId::kCrc32);
+  mcu_.store_function(4245, crc);
+  mcu_.ensure_loaded(4245);
+  EXPECT_EQ(mcu_.execute_invoke(4245, input).exec_cycles, 3);
+}
+
+// A behavioral record has no network to fall back on: when its kernel_id
+// names no behavioral catalog kernel, execution fails with
+// kInvalidArgument (the load itself succeeds).
+TEST_F(McuFixture, BehavioralRecordWithoutACatalogModelFailsAtExecute) {
+  const std::map<memory::FunctionId, std::uint32_t> relabelled = {
+      {4250, 4250},                                          // not cataloged
+      {4251, algorithms::function_id(KernelId::kAdder32)}};  // netlist kernel
+  for (const auto& [fid, kernel_id] : relabelled) {
+    bitstream::SynthParams params;
+    params.frames = 4;
+    mcu_.store_function(fid, bitstream::synthesize_behavioral(
+                                 "orphan", kernel_id, 32, 32,
+                                 fabric_.geometry(), params));
+    EXPECT_FALSE(mcu_.ensure_loaded(fid).hit);
+    try {
+      mcu_.execute_invoke(fid, Bytes(8, 0x11));
+      FAIL() << "expected kInvalidArgument for kernel id " << kernel_id;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+    }
+    EXPECT_TRUE(mcu_.is_resident(fid));
+  }
 }
 
 TEST_F(McuFixture, EvictionTriggersWhenDeviceFull) {
@@ -260,9 +310,7 @@ TEST_F(McuFixture, OversizedFunctionRejected) {
 class DiffMcuFixture : public ::testing::Test {
  protected:
   DiffMcuFixture()
-      : mcu_(fabric_, scheduler_, registry_, runtime_, config()) {
-    algorithms::register_runtimes(runtime_);
-  }
+      : mcu_(fabric_, scheduler_, registry_, config()) {}
   static McuConfig config() {
     McuConfig c;
     c.engine.difference_based = true;
@@ -271,7 +319,6 @@ class DiffMcuFixture : public ::testing::Test {
   fabric::Fabric fabric_;
   sim::Scheduler scheduler_;
   telemetry::Registry registry_;
-  RuntimeRegistry runtime_;
   Mcu mcu_;
 };
 
@@ -367,12 +414,10 @@ TEST_F(McuFixture, DefragmentOnEmptyOrPackedDeviceIsNoOp) {
 TEST(McuDefragOnPressure, AvoidsEvictionUnderPureFragmentation) {
   fabric::Fabric fabric;
   sim::Scheduler scheduler;
-  RuntimeRegistry runtime;
-  algorithms::register_runtimes(runtime);
   McuConfig config;
   config.defragment_on_pressure = true;
   telemetry::Registry registry;
-  Mcu mcu(fabric, scheduler, registry, runtime, config);
+  Mcu mcu(fabric, scheduler, registry, config);
 
   for (KernelId id : {KernelId::kAes128, KernelId::kFft, KernelId::kMatMul,
                       KernelId::kModExp}) {
@@ -585,9 +630,7 @@ class DeltaMcuFixture : public ::testing::Test {
   static constexpr unsigned kDirty = 2;
 
   DeltaMcuFixture()
-      : mcu_(fabric_, scheduler_, registry_, runtime_, config()) {
-    algorithms::register_runtimes(runtime_);
-  }
+      : mcu_(fabric_, scheduler_, registry_, config()) {}
 
   static McuConfig config() {
     McuConfig c;
@@ -618,7 +661,6 @@ class DeltaMcuFixture : public ::testing::Test {
   fabric::Fabric fabric_;
   sim::Scheduler scheduler_;
   telemetry::Registry registry_;
-  RuntimeRegistry runtime_;
   Mcu mcu_;
 };
 

@@ -717,5 +717,45 @@ TEST(CoprocessorServerTest, UnknownFunctionThrowsAtSubmit) {
   EXPECT_EQ(server.stats().submitted, 2u);
 }
 
+
+// A card serves through one live server at a time: the synchronous invoke
+// builds a server of its own, so on a card whose server is live it throws
+// kInvalidArgument before running anything, and the live server's stats
+// still conserve (its `server.*` counters saw no foreign request).  Once
+// that server is gone the invoke works again.
+TEST(CoprocessorServerTest, OneLiveServerPerCard) {
+  AgileCoprocessor card;
+  card.download_all();
+  const Bytes input = kernel_input(KernelId::kXtea, 1, 4);
+  {
+    CoprocessorServer server(card);
+    server.submit(0, KernelId::kXtea, input);
+    server.run();
+    const ServerStats before = server.stats();
+    const sim::SimTime now = card.now();
+    const std::uint64_t grants = card.bus().stats().grants;
+
+    try {
+      card.invoke(KernelId::kXtea, input);
+      FAIL() << "expected kInvalidArgument";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kInvalidArgument);
+    }
+    EXPECT_THROW(CoprocessorServer second(card), Error);
+
+    const ServerStats after = server.stats();
+    EXPECT_EQ(after, before);
+    EXPECT_EQ(after.submitted, after.completed + after.failed);
+    EXPECT_EQ(after.batches, after.completed);
+    EXPECT_EQ(card.now(), now);
+    EXPECT_EQ(card.bus().stats().grants, grants);
+  }
+  const ServerRequest record = card.invoke(KernelId::kXtea, input);
+  EXPECT_EQ(record.output, algorithms::spec(KernelId::kXtea).software(input));
+  EXPECT_TRUE(record.load.hit);
+  EXPECT_NO_THROW(CoprocessorServer again(card));  // the invoke's server
+                                                   // released the card
+}
+
 }  // namespace
 }  // namespace aad::core
