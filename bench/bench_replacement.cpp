@@ -8,6 +8,10 @@
 // Expected shape: Belady >= LRU >= FIFO/Random on skewed (zipf, markov)
 // traces; round-robin over a too-big working set is LRU's worst case; all
 // policies converge on uniform traces.
+//
+// --json records, per trace x policy, the config hits, evictions, frames
+// configured (exact integers) and the mean latency:
+// replacement_{hits,evictions,frames,latency_us}_<trace>_<policy>.
 #include "bench_util.h"
 
 #include "core/coprocessor.h"
@@ -25,6 +29,7 @@ const std::vector<KernelId> kBank = {
     KernelId::kMatMul, KernelId::kFft,    KernelId::kFir16};
 
 struct RunResult {
+  std::uint64_t hits;
   double hit_rate;
   std::uint64_t evictions;
   std::uint64_t frames;
@@ -49,6 +54,7 @@ RunResult run_trace(mcu::PolicyKind policy, const workload::Trace& trace) {
   }
   const auto& stats = cp.stats().device;
   return RunResult{
+      stats.config_hits,
       static_cast<double>(stats.config_hits) /
           static_cast<double>(stats.invocations),
       stats.evictions, stats.frames_configured,
@@ -67,15 +73,19 @@ workload::TraceConfig bank_config(std::size_t length, std::uint64_t seed) {
 void run_experiment_tables() {
   struct Shape {
     const char* name;
+    const char* key;  ///< the --json cell tag
     workload::Trace trace;
   };
   const std::size_t n = 400;
   std::vector<Shape> shapes;
-  shapes.push_back({"zipf(1.2)", workload::make_zipf(bank_config(n, 1), 1.2)});
   shapes.push_back(
-      {"markov(.8)", workload::make_markov(bank_config(n, 2), 0.8)});
-  shapes.push_back({"round-robin", workload::make_round_robin(bank_config(n, 3))});
-  shapes.push_back({"uniform", workload::make_uniform(bank_config(n, 4))});
+      {"zipf(1.2)", "zipf", workload::make_zipf(bank_config(n, 1), 1.2)});
+  shapes.push_back({"markov(.8)", "markov",
+                    workload::make_markov(bank_config(n, 2), 0.8)});
+  shapes.push_back({"round-robin", "rr",
+                    workload::make_round_robin(bank_config(n, 3))});
+  shapes.push_back(
+      {"uniform", "uniform", workload::make_uniform(bank_config(n, 4))});
 
   for (const auto& shape : shapes) {
     std::printf("\n=== E3: policy comparison on %s trace (%zu requests, "
@@ -96,6 +106,12 @@ void run_experiment_tables() {
                         bench::fmt_u(r.evictions), bench::fmt_u(r.frames),
                         bench::fmt("%.1f", r.mean_latency_us)},
                        widths);
+      const std::string cell =
+          std::string("_") + shape.key + "_" + to_string(kind);
+      bench::json().set("replacement_hits" + cell, r.hits);
+      bench::json().set("replacement_evictions" + cell, r.evictions);
+      bench::json().set("replacement_frames" + cell, r.frames);
+      bench::json().set("replacement_latency_us" + cell, r.mean_latency_us);
     }
   }
 }
