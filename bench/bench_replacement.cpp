@@ -42,7 +42,7 @@ RunResult run_trace(mcu::PolicyKind policy, const workload::Trace& trace) {
   core::AgileCoprocessor cp(config);
   for (KernelId id : kBank) cp.download(id);
   if (policy == mcu::PolicyKind::kBelady)
-    cp.mcu().policy().set_future(workload::function_sequence(trace));
+    cp.mcu().set_future(workload::function_sequence(trace));
 
   double total_us = 0;
   for (const auto& request : trace) {

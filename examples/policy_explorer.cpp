@@ -47,7 +47,7 @@ void run_policy(mcu::PolicyKind kind, const workload::Trace& trace) {
   core::AgileCoprocessor card(config);
   for (KernelId id : kBank) card.download(id);
   if (kind == mcu::PolicyKind::kBelady)
-    card.mcu().policy().set_future(workload::function_sequence(trace));
+    card.mcu().set_future(workload::function_sequence(trace));
 
   double total_us = 0;
   for (const auto& request : trace) {

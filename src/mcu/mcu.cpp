@@ -6,6 +6,18 @@
 #include "common/crc32.h"
 
 namespace aad::mcu {
+
+const char* to_string(PolicyKind kind) noexcept {
+  switch (kind) {
+    case PolicyKind::kLru: return "lru";
+    case PolicyKind::kFifo: return "fifo";
+    case PolicyKind::kLfu: return "lfu";
+    case PolicyKind::kRandom: return "random";
+    case PolicyKind::kBelady: return "belady";
+  }
+  return "?";
+}
+
 namespace {
 
 /// Auto-codec pick: candidates whose modeled load is within this fraction
@@ -34,7 +46,7 @@ Mcu::Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler,
       ram_(config.ram_capacity),
       engine_(config.engine),
       free_list_(fabric.geometry().frame_count),
-      policy_(make_policy(config.policy, kPolicySeed)),
+      victim_rng_(kPolicySeed),
       counters_{registry.counter("mcu.invocations"),
                 registry.counter("mcu.config_hits"),
                 registry.counter("mcu.config_misses"),
@@ -124,15 +136,13 @@ memory::RomRecord Mcu::store_function(memory::FunctionId id,
 
   // Per-window fingerprints: the driver metadata delta reconfiguration and
   // the load-cost estimator match against the engine's frame table.
-  {
-    auto& hashes = window_hashes_[id];
-    hashes.clear();
-    const std::size_t frame_bytes = geometry.frame_bytes();
-    for (std::size_t off = 0; off + frame_bytes <= raw.size();
-         off += frame_bytes)
-      hashes.push_back(
-          window_content_hash(ByteSpan(raw.data() + off, frame_bytes)));
-  }
+  Stored& meta = stored_[id];
+  meta.window_hashes.clear();
+  const std::size_t frame_bytes = geometry.frame_bytes();
+  for (std::size_t off = 0; off + frame_bytes <= raw.size();
+       off += frame_bytes)
+    meta.window_hashes.push_back(
+        window_content_hash(ByteSpan(raw.data() + off, frame_bytes)));
 
   memory::RomRecord record;
   record.function_id = id;
@@ -154,78 +164,91 @@ memory::RomRecord Mcu::store_function(memory::FunctionId id,
   // Host-driver recovery metadata: the decoded-image CRC every load is
   // verified against, and the pristine stream the re-fetch path restores
   // after a ROM corruption is caught.
-  raw_crcs_[id] = Crc32::compute(raw);
-  pristine_[id] = std::move(compressed);
+  meta.raw_crc = Crc32::compute(raw);
+  meta.pristine = std::move(compressed);
   return stored;
 }
 
 std::vector<memory::FunctionId> Mcu::resident_functions() const {
   std::vector<memory::FunctionId> out;
-  out.reserve(loaded_.size());
-  for (const auto& [id, fn] : loaded_) out.push_back(id);
+  out.reserve(residents_.size());
+  for (const auto& [id, row] : residents_) out.push_back(id);
   return out;
 }
 
 std::vector<fabric::FrameIndex> Mcu::frames_of(memory::FunctionId id) const {
-  const auto it = loaded_.find(id);
-  return it != loaded_.end() ? it->second.frames
-                             : std::vector<fabric::FrameIndex>{};
+  const auto it = residents_.find(id);
+  return it != residents_.end() ? it->second.frames
+                                : std::vector<fabric::FrameIndex>{};
 }
 
 void Mcu::pin(memory::FunctionId id) {
-  AAD_REQUIRE(loaded_.contains(id), "pinning a non-resident function");
-  ++pinned_[id];
+  const auto it = residents_.find(id);
+  AAD_REQUIRE(it != residents_.end(), "pinning a non-resident function");
+  ++it->second.pins;
 }
 
 void Mcu::unpin(memory::FunctionId id) {
-  const auto it = pinned_.find(id);
-  if (it == pinned_.end()) return;
-  if (--it->second == 0) pinned_.erase(it);
+  const auto it = residents_.find(id);
+  if (it != residents_.end() && it->second.pins > 0) --it->second.pins;
+}
+
+std::size_t Mcu::pinned_count() const noexcept {
+  return static_cast<std::size_t>(std::ranges::count_if(
+      residents_, [](const auto& entry) { return entry.second.pins > 0; }));
 }
 
 void Mcu::mark_speculative(memory::FunctionId id) {
-  AAD_REQUIRE(loaded_.contains(id), "marking a non-resident function");
-  speculative_.insert(id);
+  const auto it = residents_.find(id);
+  AAD_REQUIRE(it != residents_.end(), "marking a non-resident function");
+  it->second.speculative = true;
+}
+
+std::size_t Mcu::speculative_count() const noexcept {
+  return static_cast<std::size_t>(std::ranges::count_if(
+      residents_, [](const auto& entry) { return entry.second.speculative; }));
+}
+
+void Mcu::set_future(std::vector<memory::FunctionId> future) {
+  future_ = std::move(future);
+  future_cursor_ = 0;
 }
 
 bool Mcu::load_feasible(memory::FunctionId id) const {
-  if (loaded_.contains(id)) return true;  // hit: no frames touched
+  if (residents_.contains(id)) return true;  // hit: no frames touched
   const auto record = rom_.lookup(id);
   if (!record) return true;  // let load_invoke raise the provisioning error
   // Limit state: every non-pinned resident evicted.  Only the pinned
   // functions' frames stay blocked; can the strategy place `id` then?
   std::vector<bool> blocked(free_list_.frame_count(), false);
-  for (const auto& [pinned, refs] : pinned_) {
-    const auto it = loaded_.find(pinned);
-    if (it == loaded_.end()) continue;
-    for (const fabric::FrameIndex frame : it->second.frames)
-      blocked[frame] = true;
+  for (const auto& [fid, row] : residents_) {
+    if (row.pins == 0) continue;
+    for (const fabric::FrameIndex frame : row.frames) blocked[frame] = true;
   }
   return placement_possible(record->frames, config_.allocation, blocked);
 }
 
 bool Mcu::prefetch_feasible(memory::FunctionId id, sim::SimTime now) const {
-  if (loaded_.contains(id)) return true;  // hit: no frames touched
+  if (residents_.contains(id)) return true;  // hit: no frames touched
   const auto record = rom_.lookup(id);
   if (!record) return false;  // speculating on an unprovisioned id: drop it
   // Like load_feasible's limit state, but only speculative residents and
   // dead-looking demand residents count as evictable; pinned functions and
   // live residents keep their frames blocked.
   std::vector<bool> blocked(free_list_.frame_count(), false);
-  for (const auto& [fn, entry] : loaded_) {
+  for (const auto& [fid, row] : residents_) {
     bool evictable = false;
-    if (!pinned_.contains(fn)) {
-      if (speculative_.contains(fn)) {
+    if (row.pins == 0) {
+      if (row.speculative) {
         evictable = true;
-      } else if (const auto t = table_.find(fn); t != table_.end()) {
-        const FrameTableEntry& frt = t->second;
-        const sim::SimTime idle = now - frt.last_access;
+      } else {
+        const sim::SimTime idle = now - row.last_access;
         sim::SimTime threshold = kMinVictimIdle;
-        if (frt.access_count > 1) {
+        if (row.access_count > 1) {
           const double mean_gap_ps =
-              static_cast<double>((frt.last_access - frt.loaded_at)
-                                      .picoseconds()) /
-              static_cast<double>(frt.access_count - 1);
+              static_cast<double>(
+                  (row.last_access - row.loaded_at).picoseconds()) /
+              static_cast<double>(row.access_count - 1);
           const auto scaled = sim::SimTime::ps(
               static_cast<std::int64_t>(mean_gap_ps * kVictimIdleFactor));
           if (scaled > threshold) threshold = scaled;
@@ -234,27 +257,68 @@ bool Mcu::prefetch_feasible(memory::FunctionId id, sim::SimTime now) const {
       }
     }
     if (evictable) continue;
-    for (const fabric::FrameIndex frame : entry.frames) blocked[frame] = true;
+    for (const fabric::FrameIndex frame : row.frames) blocked[frame] = true;
   }
   return placement_possible(record->frames, config_.allocation, blocked);
 }
 
 sim::SimTime Mcu::evict_cost(memory::FunctionId id) {
-  const auto it = loaded_.find(id);
-  AAD_CHECK(it != loaded_.end(), "evicting a non-resident function");
+  const auto it = residents_.find(id);
+  AAD_CHECK(it != residents_.end(), "evicting a non-resident function");
   free_list_.release(it->second.frames);
-  policy_->on_evict(id);
-  table_.erase(id);
-  loaded_.erase(it);
-  speculative_.erase(id);
+  residents_.erase(it);
   counters_.evictions.add();
   return firmware_cost(config_.eviction_overhead_cycles);
 }
 
 void Mcu::evict(memory::FunctionId id) {
-  AAD_REQUIRE(loaded_.contains(id), "function not resident");
-  AAD_REQUIRE(!pinned_.contains(id), "evicting a pinned function");
+  AAD_REQUIRE(residents_.contains(id), "function not resident");
+  AAD_REQUIRE(!is_pinned(id), "evicting a pinned function");
   scheduler_.advance(evict_cost(id));
+}
+
+memory::FunctionId Mcu::choose_victim() {
+  std::vector<memory::FunctionId> candidates;  // ascending id
+  for (const auto& [fid, row] : residents_) {
+    if (row.pins > 0) continue;
+    // A demand miss steals speculative (prefetched, never demanded) frames
+    // before any demand-loaded resident is considered — a wrong guess must
+    // never cost real work a better victim.  Lowest id wins.
+    if (row.speculative) return fid;
+    candidates.push_back(fid);
+  }
+  if (candidates.empty())
+    AAD_FAIL(ErrorCode::kCapacityExceeded,
+             residents_.empty()
+                 ? "cannot place function even on an empty device "
+                   "(fragmentation-free allocation impossible)"
+                 : "cannot place function: every resident function is "
+                   "pinned (caller should have checked load_feasible)");
+  if (config_.policy == PolicyKind::kRandom)
+    return candidates[victim_rng_.next_below(candidates.size())];
+  // The smallest rank is the victim; ties go to the lowest id.
+  const auto rank = [this](memory::FunctionId fn) {
+    const Resident& row = residents_.at(fn);
+    switch (config_.policy) {
+      case PolicyKind::kFifo:
+        return std::pair{static_cast<std::int64_t>(row.load_seq),
+                         std::int64_t{0}};
+      case PolicyKind::kLfu:
+        return std::pair{static_cast<std::int64_t>(row.access_count),
+                         row.last_access.picoseconds()};
+      case PolicyKind::kBelady: {
+        // Farthest next use; never used again is farthest of all.
+        const auto next = std::find(
+            future_.begin() + static_cast<std::ptrdiff_t>(future_cursor_),
+            future_.end(), fn);
+        return std::pair{-static_cast<std::int64_t>(next - future_.begin()),
+                         std::int64_t{0}};
+      }
+      default:  // kLru
+        return std::pair{row.last_access.picoseconds(), std::int64_t{0}};
+    }
+  };
+  return *std::ranges::min_element(candidates, {}, rank);
 }
 
 DefragResult Mcu::defragment() {
@@ -266,7 +330,8 @@ DefragResult Mcu::defragment() {
 DefragResult Mcu::defragment_at(sim::SimTime start) {
   // Compaction relocates every resident function; a pinned function may be
   // mid-execution on the fabric, so the mini-OS refuses to move it.
-  AAD_REQUIRE(pinned_.empty(), "cannot defragment while functions are pinned");
+  AAD_REQUIRE(pinned_count() == 0,
+              "cannot defragment while functions are pinned");
   DefragResult result;
   sim::SimTime t = start;
   counters_.defragmentations.add();
@@ -276,14 +341,14 @@ DefragResult Mcu::defragment_at(sim::SimTime start) {
   // Processing left-to-right guarantees a function's target region only
   // overlaps frames that are already free or its own old ones.
   std::vector<std::pair<fabric::FrameIndex, memory::FunctionId>> order;
-  for (const auto& [id, fn] : loaded_)
-    order.emplace_back(fn.frames.front(), id);
+  for (const auto& [id, row] : residents_)
+    order.emplace_back(row.frames.front(), id);
   std::sort(order.begin(), order.end());
 
   fabric::FrameIndex next = 0;
   for (const auto& [first, id] : order) {
     (void)first;
-    auto& fn = loaded_.at(id);
+    Resident& fn = residents_.at(id);
     std::vector<fabric::FrameIndex> target(fn.record.frames);
     for (std::size_t i = 0; i < target.size(); ++i)
       target[i] = next + static_cast<fabric::FrameIndex>(i);
@@ -295,7 +360,7 @@ DefragResult Mcu::defragment_at(sim::SimTime start) {
     free_list_.claim(target);
     const ConfigureResult cfg =
         engine_.configure(rom_, fn.record, target, fabric_, config_.rom_timing,
-                          t, raw_crc_of(id));
+                          t, stored_.at(id).raw_crc);
     t += cfg.total;
     counters_.frames_configured.add(cfg.frames_written);
     counters_.frames_skipped.add(cfg.frames_skipped);
@@ -304,7 +369,6 @@ DefragResult Mcu::defragment_at(sim::SimTime start) {
 
     fn.frames = target;
     fn.executor.reset();
-    table_.at(id).frames = target;
     ++result.functions_moved;
     result.frames_reconfigured += cfg.frames_written;
     t += firmware_cost(config_.eviction_overhead_cycles);
@@ -315,10 +379,7 @@ DefragResult Mcu::defragment_at(sim::SimTime start) {
 }
 
 void Mcu::reset_fabric() {
-  loaded_.clear();
-  table_.clear();
-  pinned_.clear();
-  speculative_.clear();
+  residents_.clear();
   free_list_.reset();
   fabric_.erase();
   engine_.reset_tracking();  // the frame table no longer matches the fabric
@@ -330,12 +391,14 @@ std::vector<bool> Mcu::matched_windows(
   std::vector<bool> matched(targets.size(), false);
   if (count) *count = 0;
   if (!config_.engine.delta_reconfig) return matched;
-  const auto it = window_hashes_.find(record.function_id);
-  if (it == window_hashes_.end() || it->second.size() != targets.size())
+  const auto it = stored_.find(record.function_id);
+  if (it == stored_.end() ||
+      it->second.window_hashes.size() != targets.size())
     return matched;
+  const std::vector<std::uint64_t>& hashes = it->second.window_hashes;
   for (std::size_t w = 0; w < targets.size(); ++w) {
     const std::uint64_t resident = engine_.frame_hash(targets[w]);
-    if (resident != 0 && resident == it->second[w]) {
+    if (resident != 0 && resident == hashes[w]) {
       matched[w] = true;
       if (count) ++*count;
     }
@@ -358,9 +421,9 @@ std::optional<Mcu::DeltaPlan> Mcu::plan_placement(
   std::vector<bool> victim_mask;
   std::vector<fabric::FrameIndex> victim_frames;
   unsigned matched_victim = 0;
-  for (const auto& [fid, fn] : loaded_) {
+  for (const auto& [fid, fn] : residents_) {
     if (fid == record.function_id) continue;
-    if (pinned_.contains(fid)) continue;
+    if (fn.pins > 0) continue;
     if (fn.record.frames != record.frames) continue;
     unsigned m = 0;
     auto mask = matched_windows(record, fn.frames, &m);
@@ -394,7 +457,7 @@ std::optional<Mcu::DeltaPlan> Mcu::plan_placement(
 
 LoadEstimate Mcu::estimate_load(memory::FunctionId id) const {
   LoadEstimate est;
-  if (const auto it = loaded_.find(id); it != loaded_.end()) {
+  if (const auto it = residents_.find(id); it != residents_.end()) {
     est.known = true;
     est.resident = true;
     est.frames = it->second.record.frames;
@@ -445,13 +508,12 @@ LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
   sim::SimTime t = start;
   *elapsed = sim::SimTime::zero();
 
-  if (const auto it = loaded_.find(id); it != loaded_.end()) {
+  if (const auto it = residents_.find(id); it != residents_.end()) {
     // Config hit: just refresh the Frame Replacement Table timestamp.
     result.hit = true;
-    auto& entry = table_.at(id);
-    entry.last_access = t;
-    ++entry.access_count;
-    policy_->on_access(id, t);
+    it->second.last_access = t;
+    ++it->second.access_count;
+    advance_future(id);
     counters_.config_hits.add();
     return result;
   }
@@ -488,41 +550,13 @@ LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
     // Under pure external fragmentation, one compaction pass can satisfy a
     // contiguous request without evicting anyone.  (Not while anything is
     // pinned: compaction would relocate an executing function's frames.)
-    if (!tried_defrag && config_.defragment_on_pressure && pinned_.empty() &&
-        free_list_.free_count() >= record->frames) {
+    if (!tried_defrag && config_.defragment_on_pressure &&
+        pinned_count() == 0 && free_list_.free_count() >= record->frames) {
       tried_defrag = true;
       t += defragment_at(t).time;
       continue;
     }
-    auto resident = resident_functions();
-    if (!pinned_.empty())
-      std::erase_if(resident, [this](memory::FunctionId fn) {
-        return pinned_.contains(fn);
-      });
-    if (resident.empty())
-      AAD_FAIL(ErrorCode::kCapacityExceeded,
-               pinned_.empty()
-                   ? "cannot place function even on an empty device "
-                     "(fragmentation-free allocation impossible)"
-                   : "cannot place function: every resident function is "
-                     "pinned (caller should have checked load_feasible)");
-    // A demand miss steals speculative (prefetched, never demanded) frames
-    // before any demand-loaded resident is considered — a wrong guess must
-    // never cost real work a better victim.  Lowest id wins for
-    // determinism; resident_functions() iterates in ascending id order.
-    memory::FunctionId victim = 0;
-    bool stole_speculative = false;
-    if (!speculative_.empty()) {
-      for (const memory::FunctionId fn : resident) {
-        if (speculative_.contains(fn)) {
-          victim = fn;
-          stole_speculative = true;
-          break;
-        }
-      }
-    }
-    if (!stole_speculative) victim = policy_->choose_victim(resident, table_);
-    t += evict_cost(victim);
+    t += evict_cost(choose_victim());
     ++result.evictions;
   }
 
@@ -531,11 +565,12 @@ LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
   // untouched; the driver re-fetches the pristine stream from the host,
   // reprograms the ROM, and retries once before surfacing the failure.
   const sim::SimTime begin = t;
+  const Stored& meta = stored_.at(id);
   ConfigureResult cfg;
   for (unsigned attempt = 0;; ++attempt) {
     try {
       cfg = engine_.configure(rom_, *record, *frames, fabric_,
-                              config_.rom_timing, t, raw_crc_of(id));
+                              config_.rom_timing, t, meta.raw_crc);
       break;
     } catch (const Error& error) {
       if (error.code() != ErrorCode::kCorruptData) {
@@ -543,15 +578,13 @@ LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
         throw;
       }
       counters_.crc_rejects.add();
-      const auto pristine = pristine_.find(id);
-      if (!config_.refetch_on_crc_reject || attempt >= 1 ||
-          pristine == pristine_.end()) {
+      if (!config_.refetch_on_crc_reject || attempt >= 1) {
         free_list_.release(*frames);
         throw;
       }
-      rom_.rewrite_payload(id, pristine->second);
+      rom_.rewrite_payload(id, meta.pristine);
       counters_.refetches.add();
-      t += config_.rom_timing.write_time(pristine->second.size());
+      t += config_.rom_timing.write_time(meta.pristine.size());
     }
   }
   t += cfg.total;
@@ -560,21 +593,15 @@ LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
   counters_.frames_skipped_delta.add(cfg.frames_skipped_delta);
   counters_.bytes_streamed.add(cfg.bytes_streamed);
 
-  LoadedFunction fn;
-  fn.record = *record;
-  fn.frames = *frames;
-  fn.spec = algorithms::find_spec(record->kernel_id);
-  loaded_.emplace(id, std::move(fn));
-
-  FrameTableEntry entry;
-  entry.frames = *frames;
-  entry.loaded_at = t;
-  entry.last_access = t;
-  entry.access_count = 1;
-  table_.emplace(id, std::move(entry));
-
-  policy_->on_load(id, t);
-  policy_->on_access(id, t);
+  Resident& row = residents_[id];
+  row.frames = std::move(*frames);
+  row.loaded_at = t;
+  row.last_access = t;
+  row.access_count = 1;
+  row.load_seq = loads_++;
+  row.record = *record;
+  row.spec = algorithms::find_spec(record->kernel_id);
+  advance_future(id);
 
   const sim::SimTime firmware = firmware_cost(config_.command_overhead_cycles);
   t += firmware;
@@ -586,7 +613,7 @@ LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
   return result;
 }
 
-netlist::LutExecutor& Mcu::executor_for(LoadedFunction& fn) {
+netlist::LutExecutor& Mcu::executor_for(Resident& fn) {
   if (!fn.executor)
     fn.executor.emplace(fabric_.extract_network(fn.frames, fn.record.name,
                                                 fn.record.input_width,
@@ -600,8 +627,9 @@ sim::SimTime Mcu::decode_invoke() {
 }
 
 ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input) {
-  const auto it = loaded_.find(id);
-  AAD_CHECK(it != loaded_.end(), "execute_invoke on a non-resident function");
+  const auto it = residents_.find(id);
+  AAD_CHECK(it != residents_.end(),
+            "execute_invoke on a non-resident function");
   auto& fn = it->second;
   ExecutedInvoke run;
 

@@ -11,19 +11,23 @@
 // ensure_loaded() is that algorithm verbatim: hit check, Free Frame List
 // allocation, eviction loop driven by the Frame Replacement Policy, then
 // streaming configuration.
+//
+// The policy is the paper's LRU — "That algorithm which has the oldest time
+// stamp provides extra frames for potential reconfiguration" — read straight
+// off the Frame Replacement Table, plus FIFO / LFU / Random baselines and a
+// Belady oracle upper bound for experiment E3.  Each is one rule over the
+// table's rows (see PolicyKind).
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
+#include "common/prng.h"
 #include "fabric/fabric.h"
 #include "mcu/config_engine.h"
 #include "mcu/free_frame_list.h"
-#include "mcu/replacement.h"
 #include "memory/ram.h"
 #include "memory/rom.h"
 #include "netlist/lutnetwork.h"
@@ -35,6 +39,48 @@ struct KernelSpec;
 }  // namespace aad::algorithms
 
 namespace aad::mcu {
+
+/// The Frame Replacement Policy: which unpinned resident the eviction loop
+/// frees next (speculative residents always go first, lowest id).
+enum class PolicyKind : std::uint8_t {
+  kLru = 0,     ///< the paper's policy: oldest last_access
+  kFifo = 1,    ///< earliest load (Resident::load_seq)
+  kLfu = 2,     ///< fewest access_count, ties to the oldest last_access
+  kRandom = 3,  ///< a fixed-seed draw over the unpinned residents
+  kBelady = 4,  ///< clairvoyant bound: farthest next use (Mcu::set_future)
+};
+
+const char* to_string(PolicyKind kind) noexcept;
+
+/// One resident function: a row of the paper's Frame Replacement Table —
+/// "the list of frames occupied by each algorithm present on the FPGA along
+/// with a time stamp specifying the last moment at which it was accessed" —
+/// plus what the host driver keeps about it while it is resident.
+struct Resident {
+  std::vector<fabric::FrameIndex> frames;
+  sim::SimTime loaded_at;    ///< end of the load's configuration stream
+  sim::SimTime last_access;  ///< the load, or the latest hit
+  std::uint64_t access_count = 0;
+  /// The card's load count when this row was loaded: FIFO order.  (Not
+  /// loaded_at: the staged load_invoke takes any start instant, so two
+  /// loads can end at the same one.)
+  std::uint64_t load_seq = 0;
+
+  memory::RomRecord record;
+  /// The catalog kernel of record.kernel_id, resolved at load (null when
+  /// the catalog has none).
+  const algorithms::KernelSpec* spec = nullptr;
+  /// Netlist functions: the compiled network, re-extracted from the
+  /// configuration plane on first use after (re)configuration.
+  std::optional<netlist::LutExecutor> executor;
+  /// Pin references (see Mcu::pin); a pinned row is never a victim.
+  unsigned pins = 0;
+  /// Loaded by a prefetch and not yet demanded (see Mcu::mark_speculative).
+  bool speculative = false;
+};
+
+/// The table itself, keyed by resident function.
+using FrameReplacementTable = std::map<memory::FunctionId, Resident>;
 
 struct McuConfig {
   sim::Frequency mcu_clock = sim::Frequency::mhz(66);
@@ -215,13 +261,13 @@ class Mcu {
   void pin(memory::FunctionId id);
   /// Release one pin reference (no-op if not pinned).
   void unpin(memory::FunctionId id);
-  bool is_pinned(memory::FunctionId id) const { return pinned_.contains(id); }
+  bool is_pinned(memory::FunctionId id) const { return pin_count(id) > 0; }
   /// Functions with at least one pin reference (not the reference total).
-  std::size_t pinned_count() const noexcept { return pinned_.size(); }
+  std::size_t pinned_count() const noexcept;
   /// Outstanding pin references on `id` (0 when unpinned).
   unsigned pin_count(memory::FunctionId id) const {
-    const auto it = pinned_.find(id);
-    return it != pinned_.end() ? it->second : 0u;
+    const auto it = residents_.find(id);
+    return it != residents_.end() ? it->second.pins : 0u;
   }
 
   /// Tag a resident function as speculatively loaded (a prefetch, not yet
@@ -232,13 +278,20 @@ class Mcu {
   /// demand hit consumes the prefetch.
   void mark_speculative(memory::FunctionId id);
   /// Drop the speculative tag (no-op when absent).
-  void clear_speculative(memory::FunctionId id) { speculative_.erase(id); }
+  void clear_speculative(memory::FunctionId id) {
+    if (const auto it = residents_.find(id); it != residents_.end())
+      it->second.speculative = false;
+  }
   bool is_speculative(memory::FunctionId id) const {
-    return speculative_.contains(id);
+    const auto it = residents_.find(id);
+    return it != residents_.end() && it->second.speculative;
   }
-  std::size_t speculative_count() const noexcept {
-    return speculative_.size();
-  }
+  std::size_t speculative_count() const noexcept;
+
+  /// Belady only: the upcoming request sequence.  The oracle's cursor
+  /// advances past `future`'s next entry whenever that function hits or
+  /// finishes loading.
+  void set_future(std::vector<memory::FunctionId> future);
 
   /// Could load_invoke(id) complete right now without evicting a pinned
   /// function?  True on a hit; on a miss, checks the limit state in which
@@ -290,14 +343,16 @@ class Mcu {
   // on every routing decision, mirroring a host driver that mirrors the
   // card's resident set from completion records.
   bool is_resident(memory::FunctionId id) const {
-    return loaded_.contains(id);
+    return residents_.contains(id);
   }
-  std::size_t resident_count() const noexcept { return loaded_.size(); }
+  std::size_t resident_count() const noexcept { return residents_.size(); }
   std::vector<memory::FunctionId> resident_functions() const;
   /// The frames `id` currently occupies (empty when not resident) — the
   /// frame-set query the overlap legality check and its tests rest on.
   std::vector<fabric::FrameIndex> frames_of(memory::FunctionId id) const;
-  const FrameReplacementTable& frame_table() const noexcept { return table_; }
+  const FrameReplacementTable& frame_table() const noexcept {
+    return residents_;
+  }
   const FreeFrameList& free_frames() const noexcept { return free_list_; }
   const memory::RomImage& rom() const noexcept { return rom_; }
   memory::RomImage& rom() noexcept { return rom_; }
@@ -307,19 +362,21 @@ class Mcu {
   const memory::LocalRam& ram() const noexcept { return ram_; }
   /// Snapshot of this device's `mcu.*` registry counters.
   McuStats stats() const;
-  ReplacementPolicy& policy() noexcept { return *policy_; }
   const McuConfig& config() const noexcept { return config_; }
 
  private:
-  struct LoadedFunction {
-    memory::RomRecord record;
-    std::vector<fabric::FrameIndex> frames;
-    /// The catalog kernel of record.kernel_id, resolved at load (null when
-    /// the catalog has none).
-    const algorithms::KernelSpec* spec = nullptr;
-    // Netlist functions: the compiled network, re-extracted from the
-    // configuration plane on first use after (re)configuration.
-    std::optional<netlist::LutExecutor> executor;
+  /// What the host driver keeps about each stored function: no ROM bytes,
+  /// just metadata to predict and recover loads.
+  struct Stored {
+    /// Per-window content hashes of the raw payload, matched against the
+    /// engine's frame table to predict delta skips before streaming.
+    std::vector<std::uint64_t> window_hashes;
+    /// CRC-32 of the DECODED image; the engine verifies every load against
+    /// it.
+    std::uint32_t raw_crc = 0;
+    /// The compressed stream as stored: the re-fetch path reprograms the
+    /// ROM from it after a CRC reject.
+    Bytes pristine;
   };
 
   /// Placement prediction under delta reconfiguration: either the frames
@@ -345,8 +402,17 @@ class Mcu {
   sim::SimTime firmware_cost(unsigned cycles) const;
   sim::SimTime evict_cost(memory::FunctionId id);
   DefragResult defragment_at(sim::SimTime start);
+  /// The eviction loop's next victim among the unpinned residents: the
+  /// lowest-id speculative one, else the configured policy's pick.  Throws
+  /// kCapacityExceeded when every resident is pinned (or none is left).
+  memory::FunctionId choose_victim();
+  /// kBelady's cursor: step past the future's next entry when it is `id`.
+  void advance_future(memory::FunctionId id) {
+    if (future_cursor_ < future_.size() && future_[future_cursor_] == id)
+      ++future_cursor_;
+  }
 
-  netlist::LutExecutor& executor_for(LoadedFunction& fn);
+  netlist::LutExecutor& executor_for(Resident& fn);
 
   fabric::Fabric& fabric_;
   sim::Scheduler& scheduler_;
@@ -356,29 +422,14 @@ class Mcu {
   memory::LocalRam ram_;
   ConfigEngine engine_;
   FreeFrameList free_list_;
-  std::unique_ptr<ReplacementPolicy> policy_;
-  FrameReplacementTable table_;
-  std::map<memory::FunctionId, LoadedFunction> loaded_;
-  /// Pin reference counts; a function present here (count >= 1) is
-  /// excluded from eviction.
-  std::map<memory::FunctionId, unsigned> pinned_;
-  /// Residents loaded speculatively (prefetch) and not yet demanded:
-  /// preferred eviction victims — a demand miss steals their frames first.
-  std::set<memory::FunctionId> speculative_;
-  /// Per-window content hashes of every stored function's raw payload —
-  /// host-driver metadata (no ROM bytes), matched against the engine's
-  /// frame table to predict delta skips before streaming anything.
-  std::map<memory::FunctionId, std::vector<std::uint64_t>> window_hashes_;
-  /// Host-driver metadata for corruption recovery: the CRC-32 of each
-  /// stored function's DECODED image (the engine verifies every load
-  /// against it) and a pristine copy of the compressed stream (the
-  /// re-fetch path reprograms the ROM from it after a CRC reject).
-  std::map<memory::FunctionId, std::uint32_t> raw_crcs_;
-  std::map<memory::FunctionId, Bytes> pristine_;
-  std::uint32_t raw_crc_of(memory::FunctionId id) const {
-    const auto it = raw_crcs_.find(id);
-    return it != raw_crcs_.end() ? it->second : 0;
-  }
+  FrameReplacementTable residents_;
+  std::uint64_t loads_ = 0;  ///< completed loads: the next load_seq
+  std::map<memory::FunctionId, Stored> stored_;
+  /// kRandom's draws (fixed seed, so every run replays).
+  Prng victim_rng_;
+  /// kBelady's future request sequence and the position of the next one.
+  std::vector<memory::FunctionId> future_;
+  std::size_t future_cursor_ = 0;
 
   // Registry handles — the `mcu.*` counter block, registered once at
   // construction; stats() snapshots them back into McuStats.

@@ -1,165 +1,198 @@
-// Tests for the Frame Replacement Policies (paper §2.5) against the Frame
-// Replacement Table, including the Belady oracle's dominance property.
+// Tests for the Frame Replacement Policies (paper §2.5): each policy is one
+// rule over the MCU's Frame Replacement Table, exercised through real loads
+// on a small device with four equal-footprint slots, including the Belady
+// oracle's dominance property and the FIFO order across a fabric reset.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
-#include "mcu/replacement.h"
+#include "algorithms/kernels.h"
+#include "bitstream/synth.h"
+#include "core/fleet.h"
+#include "fabric/fabric.h"
+#include "mcu/mcu.h"
 #include "workload/trace.h"
 
 namespace aad::mcu {
 namespace {
 
-FrameTableEntry entry(sim::SimTime last, std::uint64_t count) {
-  FrameTableEntry e;
-  e.last_access = last;
-  e.access_count = count;
-  return e;
-}
+using algorithms::KernelId;
+using memory::FunctionId;
 
-TEST(LruPolicyTest, EvictsOldestTimestamp) {
-  auto lru = make_policy(PolicyKind::kLru);
-  FrameReplacementTable table;
-  table[1] = entry(sim::SimTime::us(30), 5);
-  table[2] = entry(sim::SimTime::us(10), 9);  // oldest
-  table[3] = entry(sim::SimTime::us(20), 1);
-  const FunctionId resident[] = {1, 2, 3};
-  EXPECT_EQ(lru->choose_victim(resident, table), 2u);
+/// A device of 8 frames holding four 2-frame functions, ids 1001 upward.
+class SlotCard {
+ public:
+  explicit SlotCard(PolicyKind policy, unsigned functions = 8)
+      : fabric_(small_device()), mcu_(fabric_, scheduler_, registry_,
+                                      config_for(policy)) {
+    for (unsigned i = 0; i < functions; ++i) {
+      bitstream::SynthParams params;
+      params.frames = 2;
+      params.seed = 1 + i;
+      const FunctionId id = kFirst + i;
+      mcu_.store_function(id, bitstream::synthesize_behavioral(
+                                  "slot" + std::to_string(i), id, 32, 32,
+                                  fabric_.geometry(), params));
+    }
+  }
+
+  static constexpr FunctionId kFirst = 1001;
+
+  Mcu& mcu() { return mcu_; }
+  /// Load (or hit) each function in turn.
+  void run(const std::vector<FunctionId>& sequence) {
+    for (const FunctionId id : sequence) mcu_.ensure_loaded(id);
+  }
+  /// The config misses `sequence` costs from here on.
+  std::uint64_t misses(const std::vector<FunctionId>& sequence) {
+    const std::uint64_t before = mcu_.stats().config_misses;
+    run(sequence);
+    return mcu_.stats().config_misses - before;
+  }
+
+ private:
+  static fabric::Fabric::Config small_device() {
+    fabric::Fabric::Config config;
+    config.geometry.frame_count = 8;
+    return config;
+  }
+  static McuConfig config_for(PolicyKind policy) {
+    McuConfig config;
+    config.policy = policy;
+    return config;
+  }
+
+  fabric::Fabric fabric_;
+  sim::Scheduler scheduler_;
+  telemetry::Registry registry_;
+  Mcu mcu_;
+};
+
+constexpr FunctionId f(unsigned n) { return SlotCard::kFirst + n - 1; }
+
+std::vector<FunctionId> resident(Mcu& mcu) { return mcu.resident_functions(); }
+
+TEST(LruPolicyTest, EvictsOldestAccess) {
+  SlotCard card(PolicyKind::kLru);
+  card.run({f(1), f(2), f(3), f(4), f(1)});
+  card.run({f(5)});  // f(2) has the oldest time stamp
+  EXPECT_EQ(resident(card.mcu()),
+            (std::vector<FunctionId>{f(1), f(3), f(4), f(5)}));
 }
 
 TEST(FifoPolicyTest, EvictsInLoadOrder) {
-  auto fifo = make_policy(PolicyKind::kFifo);
-  FrameReplacementTable table;
-  for (FunctionId f : {5u, 7u, 9u}) {
-    fifo->on_load(f, sim::SimTime::zero());
-    table[f] = entry(sim::SimTime::zero(), 1);
-  }
-  const FunctionId resident[] = {5, 7, 9};
-  EXPECT_EQ(fifo->choose_victim(resident, table), 5u);
-  fifo->on_evict(5);
-  const FunctionId rest[] = {7, 9};
-  EXPECT_EQ(fifo->choose_victim(rest, table), 7u);
-  // Re-accessing does not change FIFO order.
-  fifo->on_access(7, sim::SimTime::us(99));
-  EXPECT_EQ(fifo->choose_victim(rest, table), 7u);
+  SlotCard card(PolicyKind::kFifo);
+  card.run({f(1), f(2), f(3), f(4)});
+  card.run({f(1)});  // re-accessing does not change FIFO order
+  card.run({f(5)});
+  EXPECT_FALSE(card.mcu().is_resident(f(1)));
+  card.run({f(6)});
+  EXPECT_EQ(resident(card.mcu()),
+            (std::vector<FunctionId>{f(3), f(4), f(5), f(6)}));
 }
 
-TEST(LfuPolicyTest, EvictsLowestCountWithLruTieBreak) {
-  auto lfu = make_policy(PolicyKind::kLfu);
-  FrameReplacementTable table;
-  table[1] = entry(sim::SimTime::us(5), 3);
-  table[2] = entry(sim::SimTime::us(9), 1);
-  table[3] = entry(sim::SimTime::us(2), 1);  // same count, older
-  const FunctionId resident[] = {1, 2, 3};
-  EXPECT_EQ(lfu->choose_victim(resident, table), 3u);
+TEST(LfuPolicyTest, EvictsFewestAccessesWithLruTieBreak) {
+  SlotCard card(PolicyKind::kLfu);
+  card.run({f(1), f(2), f(3), f(4), f(1), f(1), f(2), f(4)});
+  // Counts: f1 3, f2 2, f3 1, f4 2.
+  card.run({f(5)});
+  EXPECT_FALSE(card.mcu().is_resident(f(3)));
+  // Counts: f1 3, f2 2, f4 2, f5 2 — a three-way tie, f(2) touched first.
+  card.run({f(5), f(6)});
+  EXPECT_EQ(resident(card.mcu()),
+            (std::vector<FunctionId>{f(1), f(4), f(5), f(6)}));
 }
 
-TEST(RandomPolicyTest, DeterministicForSeedAndInRange) {
-  auto r1 = make_policy(PolicyKind::kRandom, 7);
-  auto r2 = make_policy(PolicyKind::kRandom, 7);
-  FrameReplacementTable table;
-  table[1] = table[2] = table[3] = entry(sim::SimTime::zero(), 1);
-  const FunctionId resident[] = {1, 2, 3};
-  std::set<FunctionId> seen;
-  for (int i = 0; i < 50; ++i) {
-    const FunctionId v = r1->choose_victim(resident, table);
-    EXPECT_EQ(v, r2->choose_victim(resident, table));
-    EXPECT_TRUE(v == 1 || v == 2 || v == 3);
-    seen.insert(v);
+TEST(RandomPolicyTest, DeterministicAndActuallyRandom) {
+  SlotCard a(PolicyKind::kRandom);
+  SlotCard b(PolicyKind::kRandom);
+  std::set<FunctionId> evicted;
+  for (int i = 0; i < 60; ++i) {
+    const FunctionId id = f(1 + static_cast<unsigned>(i % 5));
+    const auto before = resident(a.mcu());
+    a.run({id});
+    b.run({id});
+    ASSERT_EQ(resident(a.mcu()), resident(b.mcu())) << "request " << i;
+    for (const FunctionId fn : before)
+      if (!a.mcu().is_resident(fn)) evicted.insert(fn);
   }
-  EXPECT_GT(seen.size(), 1u);  // actually random, not constant
+  EXPECT_GT(evicted.size(), 1u);  // not one constant victim
 }
 
 TEST(BeladyPolicyTest, EvictsFarthestNextUse) {
-  auto belady = make_policy(PolicyKind::kBelady);
-  belady->set_future({1, 2, 3, 1, 2, 1});
-  FrameReplacementTable table;
-  table[1] = table[2] = table[3] = entry(sim::SimTime::zero(), 1);
-  const FunctionId resident[] = {1, 2, 3};
-  // At cursor 0 everything is ahead; 3 is used farthest (index 2)... no:
-  // next uses are 1->0, 2->1, 3->2, so evicting must pick the farthest
-  // *after* consuming the stream appropriately.  Before any accesses the
-  // farthest next use among {1,2,3} is 3 only until index 2; but 1 and 2
-  // recur later, so the latest FINAL pick is the one whose next use is max:
-  // next(1)=0, next(2)=1, next(3)=2 -> victim 3.
-  EXPECT_EQ(belady->choose_victim(resident, table), 3u);
-  // Consume 1, 2, 3.
-  belady->on_access(1, sim::SimTime::zero());
-  belady->on_access(2, sim::SimTime::zero());
-  belady->on_access(3, sim::SimTime::zero());
-  // Remaining future: 1, 2, 1.  next(3) = never -> victim 3.
-  EXPECT_EQ(belady->choose_victim(resident, table), 3u);
-  belady->on_access(1, sim::SimTime::zero());
-  // Remaining: 2, 1 -> next(1)=1, next(2)=0, next(3)=never.
-  EXPECT_EQ(belady->choose_victim(resident, table), 3u);
+  SlotCard card(PolicyKind::kBelady);
+  card.mcu().set_future({f(1), f(2), f(3), f(4), f(5), f(1), f(2), f(4),
+                         f(3)});
+  card.run({f(1), f(2), f(3), f(4)});
+  // Next uses: f1 at 5, f2 at 6, f3 at 8, f4 at 7.
+  card.run({f(5)});
+  EXPECT_FALSE(card.mcu().is_resident(f(3)));
+  card.run({f(1), f(2), f(4)});  // hits
+  // Nothing is used again; the lowest id goes.
+  card.run({f(3)});
+  EXPECT_EQ(resident(card.mcu()),
+            (std::vector<FunctionId>{f(2), f(3), f(4), f(5)}));
 }
 
-/// Simple frame-less cache simulation: capacity in "function slots".
-/// Returns the miss count for the given policy over the trace.
-unsigned simulate_misses(PolicyKind kind, const std::vector<FunctionId>& seq,
-                         std::size_t capacity) {
-  auto policy = make_policy(kind, 11);
-  policy->set_future(seq);
-  FrameReplacementTable table;
-  std::set<FunctionId> resident;
-  unsigned misses = 0;
-  sim::SimTime now = sim::SimTime::zero();
-  for (FunctionId f : seq) {
-    now += sim::SimTime::us(1);
-    if (!resident.contains(f)) {
-      ++misses;
-      if (resident.size() == capacity) {
-        std::vector<FunctionId> res(resident.begin(), resident.end());
-        const FunctionId victim = policy->choose_victim(res, table);
-        resident.erase(victim);
-        table.erase(victim);
-        policy->on_evict(victim);
-      }
-      resident.insert(f);
-      FrameTableEntry e;
-      e.loaded_at = now;
-      e.last_access = now;
-      e.access_count = 0;
-      table[f] = e;
-      policy->on_load(f, now);
-    }
-    table[f].last_access = now;
-    ++table[f].access_count;
-    policy->on_access(f, now);
+TEST(PolicyEdge, EveryResidentPinnedThrows) {
+  SlotCard card(PolicyKind::kLru);
+  card.run({f(1), f(2), f(3), f(4)});
+  for (unsigned n = 1; n <= 4; ++n) card.mcu().pin(f(n));
+  try {
+    card.run({f(5)});
+    FAIL() << "expected CapacityExceeded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kCapacityExceeded);
   }
-  return misses;
+}
+
+TEST(PolicyNames, EveryKindHasItsName) {
+  EXPECT_STREQ(to_string(PolicyKind::kLru), "lru");
+  EXPECT_STREQ(to_string(PolicyKind::kFifo), "fifo");
+  EXPECT_STREQ(to_string(PolicyKind::kLfu), "lfu");
+  EXPECT_STREQ(to_string(PolicyKind::kRandom), "random");
+  EXPECT_STREQ(to_string(PolicyKind::kBelady), "belady");
+}
+
+// --- policy quality over whole traces --------------------------------------
+
+std::uint64_t trace_misses(PolicyKind kind, const std::vector<FunctionId>& seq,
+                           unsigned functions) {
+  SlotCard card(kind, functions);
+  card.mcu().set_future(seq);
+  return card.misses(seq);
+}
+
+std::vector<FunctionId> zipf_sequence(unsigned functions, std::size_t length,
+                                      double skew, std::uint64_t seed) {
+  workload::TraceConfig config;
+  for (unsigned n = 1; n <= functions; ++n) config.functions.push_back(f(n));
+  config.length = length;
+  config.seed = seed;
+  return workload::function_sequence(workload::make_zipf(config, skew));
 }
 
 TEST(PolicyDominance, BeladyIsOptimalOnSkewedTraces) {
-  workload::TraceConfig config;
-  config.functions = {1, 2, 3, 4, 5, 6, 7, 8};
-  config.length = 2000;
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
-    config.seed = seed;
-    const auto seq =
-        workload::function_sequence(workload::make_zipf(config, 1.0));
-    const unsigned belady = simulate_misses(PolicyKind::kBelady, seq, 4);
+    const auto seq = zipf_sequence(8, 2000, 1.0, seed);
+    const std::uint64_t belady = trace_misses(PolicyKind::kBelady, seq, 8);
     for (PolicyKind kind : {PolicyKind::kLru, PolicyKind::kFifo,
                             PolicyKind::kLfu, PolicyKind::kRandom}) {
-      EXPECT_LE(belady, simulate_misses(kind, seq, 4))
+      EXPECT_LE(belady, trace_misses(kind, seq, 8))
           << "policy " << to_string(kind) << " seed " << seed;
     }
   }
 }
 
 TEST(PolicyDominance, LruBeatsRandomOnSkewedTraces) {
-  workload::TraceConfig config;
-  config.functions = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
-  config.length = 4000;
-  unsigned lru_total = 0;
-  unsigned random_total = 0;
+  std::uint64_t lru_total = 0;
+  std::uint64_t random_total = 0;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    config.seed = seed;
-    const auto seq =
-        workload::function_sequence(workload::make_zipf(config, 1.2));
-    lru_total += simulate_misses(PolicyKind::kLru, seq, 4);
-    random_total += simulate_misses(PolicyKind::kRandom, seq, 4);
+    const auto seq = zipf_sequence(10, 4000, 1.2, seed);
+    lru_total += trace_misses(PolicyKind::kLru, seq, 10);
+    random_total += trace_misses(PolicyKind::kRandom, seq, 10);
   }
   EXPECT_LT(lru_total, random_total);
 }
@@ -168,26 +201,68 @@ TEST(PolicyDominance, RoundRobinIsLrusWorstCase) {
   // Cyclic access over capacity+1 functions: LRU misses everything; random
   // sometimes gets lucky.
   std::vector<FunctionId> seq;
-  for (int i = 0; i < 500; ++i) seq.push_back(1 + (i % 5));
-  const unsigned lru = simulate_misses(PolicyKind::kLru, seq, 4);
-  EXPECT_EQ(lru, 500u);  // total thrash
-  EXPECT_LT(simulate_misses(PolicyKind::kRandom, seq, 4), 500u);
+  for (unsigned i = 0; i < 500; ++i) seq.push_back(f(1 + i % 5));
+  EXPECT_EQ(trace_misses(PolicyKind::kLru, seq, 5), 500u);  // total thrash
+  EXPECT_LT(trace_misses(PolicyKind::kRandom, seq, 5), 500u);
 }
 
-TEST(PolicyFactory, KindsAndNames) {
-  for (PolicyKind kind : {PolicyKind::kLru, PolicyKind::kFifo,
-                          PolicyKind::kLfu, PolicyKind::kRandom,
-                          PolicyKind::kBelady}) {
-    const auto policy = make_policy(kind);
-    EXPECT_EQ(policy->kind(), kind);
-    EXPECT_EQ(policy->name(), to_string(kind));
-  }
+// --- FIFO order across a fabric reset --------------------------------------
+// A reset empties the table, so the load order after it is the only order
+// FIFO may follow.  Loads aes128 (A) then des (B), resets, loads B then A,
+// fills the 48-frame device, and forces exactly one eviction: B must go.
+
+constexpr FunctionId kA = algorithms::function_id(KernelId::kAes128);
+constexpr FunctionId kB = algorithms::function_id(KernelId::kDes);
+// 12 + 8 + 18 + 10 frames fill the device; xtea (4) needs one victim.
+constexpr FunctionId kFill1 = algorithms::function_id(KernelId::kModExp);
+constexpr FunctionId kFill2 = algorithms::function_id(KernelId::kSha256);
+constexpr FunctionId kSmall = algorithms::function_id(KernelId::kXtea);
+
+TEST(FifoPolicyTest, ResetForgetsTheOldLoadOrder) {
+  fabric::Fabric fabric;
+  sim::Scheduler scheduler;
+  telemetry::Registry registry;
+  McuConfig config;
+  config.policy = PolicyKind::kFifo;
+  Mcu mcu(fabric, scheduler, registry, config);
+  for (const KernelId k : {KernelId::kAes128, KernelId::kDes,
+                           KernelId::kModExp, KernelId::kSha256,
+                           KernelId::kXtea})
+    mcu.store_function(algorithms::function_id(k),
+                       algorithms::spec(k).make_bitstream(fabric.geometry()));
+
+  mcu.ensure_loaded(kA);
+  mcu.ensure_loaded(kB);
+  mcu.reset_fabric();
+  for (const FunctionId id : {kB, kA, kFill1, kFill2}) mcu.ensure_loaded(id);
+  ASSERT_EQ(mcu.free_frames().free_count(), 0u);
+
+  const LoadResult load = mcu.ensure_loaded(kSmall);
+  EXPECT_EQ(load.evictions, 1u);
+  EXPECT_FALSE(mcu.is_resident(kB));
+  EXPECT_TRUE(mcu.is_resident(kA));
 }
 
-TEST(PolicyEdge, EmptyResidentSetThrows) {
-  auto lru = make_policy(PolicyKind::kLru);
-  FrameReplacementTable table;
-  EXPECT_THROW(lru->choose_victim({}, table), Error);
+TEST(FifoPolicyTest, CardDeathForgetsTheOldLoadOrder) {
+  core::FleetConfig fc;
+  fc.cards = 1;
+  fc.card.mcu.policy = PolicyKind::kFifo;
+  core::CoprocessorFleet fleet(fc);
+  fleet.download_all();
+  core::AgileCoprocessor& card = fleet.card(0);
+
+  card.preload(KernelId::kAes128);
+  card.preload(KernelId::kDes);
+  fleet.kill_card(0);
+  fleet.revive_card(0);
+  for (const KernelId k : {KernelId::kDes, KernelId::kAes128,
+                           KernelId::kModExp, KernelId::kSha256})
+    card.preload(k);
+  ASSERT_EQ(card.mcu().free_frames().free_count(), 0u);
+
+  EXPECT_EQ(card.preload(KernelId::kXtea).evictions, 1u);
+  EXPECT_FALSE(card.mcu().is_resident(kB));
+  EXPECT_TRUE(card.mcu().is_resident(kA));
 }
 
 }  // namespace
