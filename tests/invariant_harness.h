@@ -16,7 +16,11 @@
 //      function matches a readback of the fabric words it claims to
 //      describe, across deaths (reset_fabric clears tracking) and
 //      recoveries (cold fabric, fresh tracking).
-//   5. Determinism — the same seed produces a byte-identical outcome
+//   5. Frame ownership — on every card the resident functions' frame sets
+//      are pairwise disjoint, none of their frames is on the Free Frame
+//      List, and free + owned frames add up to the device (an eviction or
+//      reset that forgets the free list leaks frames).
+//   6. Determinism — the same seed produces a byte-identical outcome
 //      digest (compare InvariantHarness::digest() across two runs).
 //
 // Tests assert check() returns no violations across many seeds and policy
@@ -29,6 +33,7 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -45,6 +50,8 @@ struct HarnessConfig {
 
   // Fleet shape.
   unsigned cards = 4;
+  unsigned frames = 48;  ///< per card (fabric geometry)
+  mcu::PolicyKind policy = mcu::PolicyKind::kLru;  ///< per card
   core::DispatchPolicy dispatch = core::DispatchPolicy::kResidencyAffinity;
   core::DevicePolicy device = core::DevicePolicy::kFifo;
   core::BatchConfig batch;  ///< kNone default: batches of one
@@ -104,13 +111,14 @@ class InvariantHarness {
     fleet_.run();
   }
 
-  /// Invariants 1-4.  Empty = the run is clean.
+  /// Invariants 1-5.  Empty = the run is clean.
   std::vector<std::string> check() {
     std::vector<std::string> violations;
     check_conservation(violations);
     check_pins(violations);
     check_death_isolation(violations);
     check_delta_tracker(violations);
+    check_frames(violations);
     return violations;
   }
 
@@ -182,6 +190,8 @@ class InvariantHarness {
     fc.server.overlap_reconfig = config.overlap_reconfig;
     fc.server.batch = config.batch;
     fc.card.mcu.engine.delta_reconfig = config.delta_reconfig;
+    fc.card.fabric.geometry.frame_count = config.frames;
+    fc.card.mcu.policy = config.policy;
     fc.faults = plan;
     fc.retry.timeout = config.timeout;
     fc.retry.max_retries = config.max_retries;
@@ -287,6 +297,43 @@ class InvariantHarness {
             violations.push_back(os.str());
           }
         }
+      }
+    }
+  }
+
+  void check_frames(std::vector<std::string>& violations) {
+    for (unsigned i = 0; i < fleet_.card_count(); ++i) {
+      const mcu::Mcu& mcu = fleet_.card(i).mcu();
+      const mcu::FreeFrameList& free = mcu.free_frames();
+      // Every free frame: a scattered gather of all of them.
+      std::set<fabric::FrameIndex> free_set;
+      if (free.free_count() > 0) {
+        const auto all_free = free.peek(
+            free.free_count(), mcu::AllocationStrategy::kGatherScattered);
+        free_set.insert(all_free->begin(), all_free->end());
+      }
+      std::map<fabric::FrameIndex, memory::FunctionId> owner;
+      std::size_t owned = 0;
+      for (const auto& [id, row] : mcu.frame_table()) {
+        for (const fabric::FrameIndex frame : row.frames) {
+          ++owned;
+          std::ostringstream os;
+          if (const auto [it, fresh] = owner.emplace(frame, id); !fresh)
+            os << "frames: card " << i << " frame " << frame
+               << " belongs to both function " << it->second << " and "
+               << id;
+          else if (free_set.contains(frame))
+            os << "frames: card " << i << " frame " << frame
+               << " of function " << id << " is on the free list";
+          if (!os.str().empty()) violations.push_back(os.str());
+        }
+      }
+      if (free.free_count() + owned != free.frame_count()) {
+        std::ostringstream os;
+        os << "frames: card " << i << " has " << free.free_count()
+           << " free + " << owned << " owned frames, not "
+           << free.frame_count();
+        violations.push_back(os.str());
       }
     }
   }

@@ -112,6 +112,35 @@ TEST(InvariantSweepTest, CleanAcrossSeedsAndPolicies) {
   }
 }
 
+// The sweep above rarely fills a card, so it almost never evicts.  Two
+// 24-frame cards under a flatter, wider workload evict on every seed, so
+// the frame-ownership audit sees evictions as well as deaths, and the
+// replacement policy rotates so every victim rule meets pins and deaths.
+TEST(InvariantSweepTest, CleanUnderEvictionPressure) {
+  static const mcu::PolicyKind kPolicies[] = {
+      mcu::PolicyKind::kLru, mcu::PolicyKind::kFifo, mcu::PolicyKind::kLfu,
+      mcu::PolicyKind::kRandom, mcu::PolicyKind::kBelady};
+  const unsigned seeds = harness::invariant_seed_count();
+  std::uint64_t evictions = 0;
+  for (unsigned s = 0; s < seeds; ++s) {
+    harness::HarnessConfig hc = sweep_config(3000 + s, s);
+    hc.cards = 2;
+    hc.frames = 24;
+    hc.clients = 6;
+    hc.bursts = 3;
+    hc.burst_size = 2;
+    hc.zipf_s = 0.3;
+    hc.policy = kPolicies[s % 5];
+    harness::InvariantHarness h(hc);
+    h.run();
+    for (unsigned i = 0; i < h.fleet().card_count(); ++i)
+      evictions += h.fleet().card(i).mcu().stats().evictions;
+    for (const std::string& v : h.check())
+      ADD_FAILURE() << "seed " << hc.seed << ": " << v;
+  }
+  EXPECT_GT(evictions, 0u);
+}
+
 TEST(InvariantSweepTest, SameSeedSameDigest) {
   const harness::HarnessConfig hc = sweep_config(424242, 3);
   harness::InvariantHarness a(hc);
