@@ -71,7 +71,9 @@ struct ServerRequest {
 
   // Batch accounting (BatchConfig).  Without batching every
   // request is its own batch of one.
-  std::uint64_t batch_id = 0;    ///< device commit this request rode, dense
+  /// Device commit this request rode: dense over the card's lifetime,
+  /// across every server the card has had.
+  std::uint64_t batch_id = 0;
   std::uint32_t batch_size = 1;  ///< members of that commit
   /// True when this request shared a batch-mate's decode + load instead of
   /// paying its own engine occupancy (decode_time and prepare_time are

@@ -98,6 +98,7 @@ CoprocessorServer::CoprocessorServer(AgileCoprocessor& card,
                   config.batch.window >= sim::SimTime::zero(),
               "batch window cannot be negative");
   card.served_ = true;
+  base_ = counts();
 }
 
 CoprocessorServer::~CoprocessorServer() { card_.served_ = false; }
@@ -778,21 +779,37 @@ std::size_t CoprocessorServer::run_until(sim::SimTime deadline) {
 
 ServerStats CoprocessorServer::stats() const { return pooled_stats({this}); }
 
+ServerStats CoprocessorServer::counts() const {
+  ServerStats s;
+  s.submitted = counters_.submitted.value() - base_.submitted;
+  s.cancelled = counters_.cancelled.value() - base_.cancelled;
+  s.batches = counters_.batches.value() - base_.batches;
+  s.coalesced_loads = counters_.coalesced_loads.value() - base_.coalesced_loads;
+  s.total_amortized_reconfig =
+      counters_.amortized_reconfig.time() - base_.total_amortized_reconfig;
+  s.prefetch_issued = counters_.prefetch_issued.value() - base_.prefetch_issued;
+  s.prefetch_hits = counters_.prefetch_hits.value() - base_.prefetch_hits;
+  s.prefetch_wasted = counters_.prefetch_wasted.value() - base_.prefetch_wasted;
+  s.hidden_reconfig_prefetch =
+      counters_.hidden_prefetch.time() - base_.hidden_reconfig_prefetch;
+  return s;
+}
+
 ServerStats CoprocessorServer::pooled_stats(
     const std::vector<const CoprocessorServer*>& servers) {
   ServerStats stats;
   std::size_t records = 0;
   for (const CoprocessorServer* server : servers) {
-    const Counters& counters = server->counters_;
-    stats.submitted += counters.submitted.value();
-    stats.cancelled += counters.cancelled.value();
-    stats.batches += counters.batches.value();
-    stats.coalesced_loads += counters.coalesced_loads.value();
-    stats.total_amortized_reconfig += counters.amortized_reconfig.time();
-    stats.prefetch_issued += counters.prefetch_issued.value();
-    stats.prefetch_hits += counters.prefetch_hits.value();
-    stats.prefetch_wasted += counters.prefetch_wasted.value();
-    stats.hidden_reconfig_prefetch += counters.hidden_prefetch.time();
+    const ServerStats counted = server->counts();
+    stats.submitted += counted.submitted;
+    stats.cancelled += counted.cancelled;
+    stats.batches += counted.batches;
+    stats.coalesced_loads += counted.coalesced_loads;
+    stats.total_amortized_reconfig += counted.total_amortized_reconfig;
+    stats.prefetch_issued += counted.prefetch_issued;
+    stats.prefetch_hits += counted.prefetch_hits;
+    stats.prefetch_wasted += counted.prefetch_wasted;
+    stats.hidden_reconfig_prefetch += counted.hidden_reconfig_prefetch;
     const mcu::McuStats device = server->card_.mcu().stats();
     stats.frames_skipped_delta += device.frames_skipped_delta;
     stats.bytes_streamed += device.compressed_bytes_streamed;

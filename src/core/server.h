@@ -132,14 +132,21 @@ struct LatencySummary {
 /// (ceil(0.99*n) == n for 1 <= n <= 100).  Zeroes on an empty sample.
 LatencySummary summarize_latencies(std::vector<sim::SimTime> latencies);
 
+/// One server's account of its card.  The request counters, latencies and
+/// batch/prefetch totals cover what this server did since it was built; the
+/// fields read from the MCU (crc_rejects, refetches, frames_skipped_delta,
+/// bytes_streamed, codec_picks) are card-scoped and include whatever ran on
+/// the card before it.
 struct ServerStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;   ///< successfully (failed ones not counted)
   std::uint64_t failed = 0;      ///< surfaced as failed (CRC reject, ...)
   std::uint64_t cancelled = 0;   ///< pulled back before commit (timeout
                                  ///< redispatch) or orphaned by power_off
-  std::uint64_t crc_rejects = 0; ///< MCU-level corrupted-bitstream rejects
-  std::uint64_t refetches = 0;   ///< pristine-stream ROM repairs that worked
+  std::uint64_t crc_rejects = 0; ///< card-scoped: MCU corrupted-bitstream
+                                 ///< rejects
+  std::uint64_t refetches = 0;   ///< card-scoped: pristine-stream ROM
+                                 ///< repairs that worked
   sim::SimTime makespan;         ///< first submission -> last completion
   double throughput_rps = 0.0;   ///< completed per simulated second
   LatencySummary latency;        ///< over completed requests
@@ -163,10 +170,10 @@ struct ServerStats {
   /// Config-engine occupancy (decode + load) the coalesced members shared
   /// instead of re-paying: the leader's prepare_time, once per follower.
   sim::SimTime total_amortized_reconfig;
-  // Load-cost telemetry, read from the card's MCU counters: frames the
-  // delta tracker skipped, compressed bytes actually fetched from ROM by
-  // loads, and which codec each stored function ended up with (the auto
-  // pick's record).
+  // Load-cost telemetry, read from the card's MCU counters (card-scoped):
+  // frames the delta tracker skipped, compressed bytes actually fetched
+  // from ROM by loads, and which codec each stored function ended up with
+  // (the auto pick's record).
   std::uint64_t frames_skipped_delta = 0;
   std::uint64_t bytes_streamed = 0;
   std::map<compress::CodecId, std::uint64_t> codec_picks;
@@ -446,8 +453,8 @@ class CoprocessorServer {
   struct Counters {
     telemetry::Counter& submitted;
     telemetry::Counter& cancelled;
-    /// Committed device batches; doubles as the dense batch-id allocator
-    /// (a batch's id is the counter's value at commit).
+    /// Committed device batches; doubles as the card's dense batch-id
+    /// allocator (a batch's id is the counter's value at commit).
     telemetry::Counter& batches;
     telemetry::Counter& coalesced_loads;
     telemetry::Counter& amortized_reconfig;  ///< picoseconds
@@ -458,6 +465,12 @@ class CoprocessorServer {
     telemetry::Gauge& queue_depth;  ///< device queue level + high water
   };
   Counters counters_;
+  /// The counter-derived ServerStats fields since construction: the
+  /// counters' growth past base_, their values when this server was built
+  /// (an earlier server or a synchronous invoke on the card counted the
+  /// rest).  The card's registry must not be reset() while a server lives.
+  ServerStats counts() const;
+  ServerStats base_;
 
   // Chrome-trace lanes (telemetry/trace_sink.h); null until attach_trace.
   telemetry::TraceTrack* pci_track_ = nullptr;

@@ -140,6 +140,32 @@ TEST(CoprocessorServerTest, ContendedRequestsWaitAndStaysAccounted) {
   EXPECT_GT(stats.throughput_rps, 0.0);
 }
 
+// A server counts from its own construction, not from the card's first
+// server: the synchronous invoke before it is its own one-request server.
+TEST(CoprocessorServerTest, ServerOnAReusedCardCountsFromZero) {
+  AgileCoprocessor card;
+  card.download(KernelId::kMd5);
+  const Bytes input = kernel_input(KernelId::kMd5, 4, 3);
+  card.invoke(KernelId::kMd5, input);
+
+  CoprocessorServer server(card);
+  const ServerStats fresh = server.stats();
+  EXPECT_EQ(fresh.submitted, 0u);
+  EXPECT_EQ(fresh.completed, 0u);
+  EXPECT_EQ(fresh.failed, 0u);
+  EXPECT_EQ(fresh.cancelled, 0u);
+  EXPECT_EQ(fresh.batches, 0u);
+
+  for (unsigned c = 0; c < 3; ++c) server.submit(c, KernelId::kMd5, input);
+  server.run();
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.submitted, 3u);
+  EXPECT_EQ(stats.submitted, stats.completed + stats.failed + stats.cancelled);
+  EXPECT_EQ(stats.batches, 3u);
+  // Batch ids stay dense over the card: the invoke took id 0.
+  EXPECT_EQ(server.completed().front().batch_id, 1u);
+}
+
 TEST(CoprocessorServerTest, CompletionHookFiresAtCompletionTime) {
   AgileCoprocessor card;
   card.download(KernelId::kXtea);
