@@ -95,12 +95,17 @@ TEST(FifoPolicyTest, EvictsInLoadOrder) {
 
 TEST(LfuPolicyTest, EvictsFewestAccessesWithLruTieBreak) {
   SlotCard card(PolicyKind::kLfu);
-  card.run({f(1), f(2), f(3), f(4), f(1), f(1), f(2), f(4)});
-  // Counts: f1 3, f2 2, f3 1, f4 2.
+  // Each load advances time and a hit does not, so the time stamps run
+  // f4 < f3 < f2 < f1: within a count, higher ids are older.
+  card.run({f(4), f(4), f(3), f(2), f(1)});
+  // Counts: f4 2, f3 1, f2 1, f1 1. LRU alone would evict f(4); a tie
+  // broken by lowest id would evict f(1); LFU with LRU ties evicts f(3).
   card.run({f(5)});
+  EXPECT_TRUE(card.mcu().is_resident(f(4)));
+  EXPECT_TRUE(card.mcu().is_resident(f(1)));
   EXPECT_FALSE(card.mcu().is_resident(f(3)));
-  // Counts: f1 3, f2 2, f4 2, f5 2 — a three-way tie, f(2) touched first.
-  card.run({f(5), f(6)});
+  // Counts: f4 2, f2 1, f1 1, f5 1; f(2) is the oldest of the three ties.
+  card.run({f(6)});
   EXPECT_EQ(resident(card.mcu()),
             (std::vector<FunctionId>{f(1), f(4), f(5), f(6)}));
 }
