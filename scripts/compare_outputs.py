@@ -6,10 +6,13 @@
 Every simulated number this repository prints is deterministic, so a change
 meant to keep behaviour (a refactor, a host-speed optimisation) must leave
 the default standard output of every experiment bench and example
-unchanged.  This script finds every `bench_*` executable in BASE_BUILD and
-every example named by the repository's examples/*.cpp, keeps those present
-in both build directories, runs each with no arguments in a fresh temporary
-working directory, and compares the two standard outputs byte for byte.
+unchanged.  This script finds every `bench_*` executable in BASE_BUILD,
+every example named by the repository's examples/*.cpp and the
+`harness_digests` sweep (one invariant-harness outcome digest per run),
+keeps those present in both build directories, runs each with no arguments
+in a fresh temporary working directory, and compares the two standard
+outputs byte for byte.  AAD_INVARIANT_SEEDS in the environment widens the
+digest sweep.
 
 On the first difference it prints a short unified diff and exits 1.  A run
 that exits non-zero, or runs past TIMEOUT seconds, is also a failure
@@ -28,17 +31,19 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DIFF_LINES = 40
-TIMEOUT = 600  # seconds per run; the whole set takes about 10 s
+TIMEOUT = 600  # seconds per run; the whole set takes about 30 s
+# Executables compared besides the benches and examples.
+TOOLS = {"harness_digests"}
 
 
 def executables(build):
-    """Names of the bench and example executables built in `build`."""
-    examples = {p.stem for p in (ROOT / "examples").glob("*.cpp")}
+    """Names of the bench, example and tool executables built in `build`."""
+    named = {p.stem for p in (ROOT / "examples").glob("*.cpp")} | TOOLS
     names = set()
     for path in build.iterdir():
         if not path.is_file() or not os.access(path, os.X_OK):
             continue
-        if path.name.startswith("bench_") or path.name in examples:
+        if path.name.startswith("bench_") or path.name in named:
             names.add(path.name)
     return names
 
@@ -77,7 +82,7 @@ def main():
         print(f"skip {name}: built only in {where}")
     common = sorted(base & change)
     if not common:
-        print("no bench or example executable in both builds",
+        print("no bench, example or tool executable in both builds",
               file=sys.stderr)
         return 2
 
