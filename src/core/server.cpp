@@ -152,7 +152,6 @@ std::uint64_t CoprocessorServer::submit_function_at(sim::SimTime when,
   p.done = std::move(done);
   Pending& entry = queue_.emplace(id, std::move(p)).first->second;
   ++inbound_[function];
-  ++in_flight_;
   counters_.submitted.add();
   entry.chain_event = schedule(when, [this, id] { begin_pci_in(id); });
   return id;
@@ -180,23 +179,14 @@ std::optional<CoprocessorServer::CancelledRequest> CoprocessorServer::try_cancel
               "uncommitted request has no pending event");
     card_.scheduler().cancel(*p.chain_event);
   }
-  const auto inbound = inbound_.find(p.request.function);
-  AAD_CHECK(inbound != inbound_.end(), "inbound accounting out of sync");
-  if (--inbound->second == 0) inbound_.erase(inbound);
+  retire_inbound(p.request.function);
   // If this was the open batch's last queued member, retire the anchor so
   // open_batch_for stops advertising a batch nobody can join.
   if (hold_anchors_.contains(p.request.function) &&
       queued_for(p.request.function) == 0)
     hold_anchors_.erase(p.request.function);
-  CancelledRequest out;
-  out.id = id;
-  out.client = p.request.client;
-  out.function = p.request.function;
-  out.input = std::move(p.input);
-  out.done = std::move(p.done);
-  out.submit_time = p.request.submit_time;
+  CancelledRequest out = p.refugee();
   queue_.erase(it);
-  --in_flight_;
   counters_.cancelled.add();
   return out;
 }
@@ -209,16 +199,7 @@ CoprocessorServer::power_off() {
   card_.scheduler().cancel_owned(this);
   std::vector<CancelledRequest> refugees;
   refugees.reserve(queue_.size());
-  for (auto& [id, p] : queue_) {
-    CancelledRequest r;
-    r.id = id;
-    r.client = p.request.client;
-    r.function = p.request.function;
-    r.input = std::move(p.input);
-    r.done = std::move(p.done);
-    r.submit_time = p.request.submit_time;
-    refugees.push_back(std::move(r));
-  }
+  for (auto& [id, p] : queue_) refugees.push_back(p.refugee());
   counters_.cancelled.add(queue_.size());
   queue_.clear();
   device_queue_.clear();
@@ -235,7 +216,6 @@ CoprocessorServer::power_off() {
   prefetch_wake_.reset();
   engine_free_ = sim::SimTime::zero();
   fabric_free_ = sim::SimTime::zero();
-  in_flight_ = 0;
   card_.mcu().reset_fabric();  // recovery starts with a cold fabric
   return refugees;
 }
@@ -440,6 +420,7 @@ std::vector<std::uint64_t> CoprocessorServer::collect_batch(
 bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
   AAD_CHECK(!batch.empty(), "serving an empty batch");
   Pending& p = pending(batch.front());
+  const memory::FunctionId function = p.request.function;
   mcu::Mcu& mcu = card_.mcu();
   // The pump only fires once the engine is free, so the engine grant is
   // immediate (or the request defers without committing anything).
@@ -471,27 +452,26 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
   // would send load_invoke into the eviction loop with the pin active and
   // crash on a device where the pinned frames block placement, instead of
   // deferring one event until the unpin retires the pin.
-  if (!mcu.is_resident(p.request.function) &&
+  if (!mcu.is_resident(function) &&
       (fabric_busy || mcu.pinned_count() > 0)) {
     for (const FabricCommitment& c : executing_)
       if (std::find(pins.begin(), pins.end(), c.function) == pins.end())
         pins.push_back(c.function);
     PinGuard probe(mcu, pins);
-    if (!mcu.load_feasible(p.request.function)) return false;
+    if (!mcu.load_feasible(function)) return false;
     // probe unpins; the real pins are re-applied around the load below.
   }
   const sim::SimTime fabric_busy_until = fabric_free_;
 
   p.request.device_start = engine_start;
-
   p.request.decode_time = mcu.decode_invoke();
   const sim::SimTime load_start = engine_start + p.request.decode_time;
   sim::SimTime load_elapsed;
   {
     PinGuard guard(mcu, std::move(pins));
     try {
-      p.request.load = mcu.load_invoke(p.request.function, load_start,
-                                       &load_elapsed, &p.request.load_stages);
+      p.request.load = mcu.load_invoke(function, load_start, &load_elapsed,
+                                       &p.request.load_stages);
     } catch (const Error& error) {
       if (error.code() != ErrorCode::kCorruptData) throw;
       // Corrupted bitstream the MCU's re-fetch path could not repair: the
@@ -501,25 +481,18 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
       return true;  // batch consumed: the pump must drop it from the queue
     }
   }
-  // The load has committed: from here on Mcu::is_resident carries the
-  // routing signal, so the inbound marker retires (were it kept through
-  // PCI-out, an eviction by a later overlapped load could leave the fleet
-  // routing on a function this card no longer holds or expects).
-  const auto inbound = inbound_.find(p.request.function);
-  AAD_CHECK(inbound != inbound_.end(), "inbound accounting out of sync");
-  if (--inbound->second == 0) inbound_.erase(inbound);
-  if (config_.prefetch.enabled)
-    settle_prefetch(p.request.function, p.request.load.hit);
+  if (config_.prefetch.enabled) settle_prefetch(function, p.request.load.hit);
 
   p.request.prepare_time = p.request.decode_time + load_elapsed;
   const sim::SimTime engine_end = engine_start + p.request.prepare_time;
+  engine_free_ = engine_end;
   if (engine_track_ != nullptr) {
     engine_track_->span("engine", "decode", engine_start, load_start,
-                        p.request.id, p.request.client, p.request.function);
+                        p.request.id, p.request.client, function);
     if (load_elapsed > sim::SimTime::zero())
       engine_track_->span("engine", "load", load_start,
                           load_start + load_elapsed, p.request.id,
-                          p.request.client, p.request.function);
+                          p.request.client, function);
   }
 
   // The overlap win: load time that ran while another request's fabric
@@ -528,76 +501,49 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
     p.request.hidden_reconfig =
         std::min(engine_end, fabric_busy_until) - load_start;
 
-  const sim::SimTime fabric_start = std::max(engine_end, fabric_free_);
-  p.request.fabric_wait = fabric_start - engine_end;
-  p.request.fabric_start = fabric_start;
-
-  mcu::ExecutedInvoke run =
-      mcu.execute_invoke(p.request.function, p.input);
-  p.request.execute_time = run.time;
-  p.request.exec_cycles = run.exec_cycles;
-  p.request.output = std::move(run.output);
-  // The input payload stays on the Pending: a card death after commit hands
-  // it back as a refugee for redispatch (at-least-once semantics).
-  p.committed = true;
-
-  engine_free_ = engine_end;
-  fabric_free_ = fabric_start + run.time;
-  if (fabric_track_ != nullptr)
-    fabric_track_->span("fabric", "execute", fabric_start, fabric_free_,
-                        p.request.id, p.request.client, p.request.function);
-  executing_.push_back({fabric_free_, p.request.function});
-  {
-    const std::uint64_t leader_id = batch.front();
-    schedule(fabric_free_, [this, leader_id] { begin_pci_out(leader_id); });
-  }
-
-  // The coalesced members: no engine occupancy at all — they ride the
-  // leader's decode + load and run back-to-back fabric windows behind it.
+  // Commit every member: the leader (member 0) and the coalesced members
+  // behind it, which ride the leader's decode + load with no engine
+  // occupancy of their own and run back-to-back fabric windows.
   const std::uint64_t batch_id = counters_.batches.value();
   counters_.batches.add();
-  const memory::FunctionId function = p.request.function;
-  const sim::SimTime leader_prepare = p.request.prepare_time;
-  p.request.batch_id = batch_id;
-  p.request.batch_size = static_cast<std::uint32_t>(batch.size());
-  for (std::size_t i = 1; i < batch.size(); ++i) {
+  for (std::size_t i = 0; i < batch.size(); ++i) {
     const std::uint64_t member_id = batch[i];
     Pending& q = pending(member_id);
     AAD_CHECK(q.request.function == function, "mixed-function batch");
+    // The load has committed: from here on Mcu::is_resident carries the
+    // routing signal, so the inbound marker retires (were it kept through
+    // PCI-out, an eviction by a later overlapped load could leave the fleet
+    // routing on a function this card no longer holds or expects).
+    retire_inbound(function);
     q.request.batch_id = batch_id;
     q.request.batch_size = static_cast<std::uint32_t>(batch.size());
-    q.request.coalesced_load = true;
-    // The member's load "commits" with the leader's: the function is
-    // resident (and pinned, below) for its window, so it is a hit with no
-    // engine time of its own; Mcu::is_resident carries the routing signal
-    // from here on, exactly as for the leader.
-    q.request.load.hit = true;
-    const auto member_inbound = inbound_.find(function);
-    AAD_CHECK(member_inbound != inbound_.end(),
-              "inbound accounting out of sync");
-    if (--member_inbound->second == 0) inbound_.erase(member_inbound);
+    if (i > 0) {
+      // A member's load "commits" with the leader's: the function is
+      // resident for its window, so it is a hit with no engine time.
+      q.request.device_start = engine_start;
+      q.request.coalesced_load = true;
+      q.request.load.hit = true;
+      counters_.coalesced_loads.add();
+      counters_.amortized_reconfig.add_time(p.request.prepare_time);
+    }
 
-    q.request.device_start = engine_start;
-    const sim::SimTime member_start = fabric_free_;
-    q.request.fabric_start = member_start;
-    q.request.fabric_wait = member_start - engine_end;
-
-    mcu::ExecutedInvoke member_run =
-        mcu.execute_invoke(function, q.input);
-    q.request.execute_time = member_run.time;
-    q.request.exec_cycles = member_run.exec_cycles;
-    q.request.output = std::move(member_run.output);
+    const sim::SimTime fabric_start = std::max(engine_end, fabric_free_);
+    q.request.fabric_wait = fabric_start - engine_end;
+    q.request.fabric_start = fabric_start;
+    mcu::ExecutedInvoke run = mcu.execute_invoke(function, q.input);
+    q.request.execute_time = run.time;
+    q.request.exec_cycles = run.exec_cycles;
+    q.request.output = std::move(run.output);
+    // The input payload stays on the Pending: a card death after commit
+    // hands it back as a refugee for redispatch (at-least-once semantics).
     q.committed = true;
 
-    fabric_free_ = member_start + member_run.time;
+    fabric_free_ = fabric_start + run.time;
     if (fabric_track_ != nullptr)
-      fabric_track_->span("fabric", "execute", member_start, fabric_free_,
+      fabric_track_->span("fabric", "execute", fabric_start, fabric_free_,
                           q.request.id, q.request.client, function);
     executing_.push_back({fabric_free_, function});
     schedule(fabric_free_, [this, member_id] { begin_pci_out(member_id); });
-
-    counters_.coalesced_loads.add();
-    counters_.amortized_reconfig.add_time(leader_prepare);
   }
 
   // A real batch keeps one pin reference on its function until the last
@@ -611,14 +557,18 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
   return true;
 }
 
+void CoprocessorServer::retire_inbound(memory::FunctionId function) {
+  const auto it = inbound_.find(function);
+  AAD_CHECK(it != inbound_.end(), "inbound accounting out of sync");
+  if (--it->second == 0) inbound_.erase(it);
+}
+
 void CoprocessorServer::fail_batch(const std::vector<std::uint64_t>& batch,
                                    FailReason reason) {
   for (const std::uint64_t member : batch) {
     Pending& q = pending(member);
     q.committed = true;  // terminal: a timeout cancel must not race this
-    const auto inbound = inbound_.find(q.request.function);
-    AAD_CHECK(inbound != inbound_.end(), "inbound accounting out of sync");
-    if (--inbound->second == 0) inbound_.erase(inbound);
+    retire_inbound(q.request.function);
     q.request.failed = true;
     q.request.fail_reason = reason;
     if (engine_track_ != nullptr)
@@ -648,7 +598,6 @@ void CoprocessorServer::complete(std::uint64_t id) {
   ServerRequest request = std::move(it->second.request);
   const Completion done = std::move(it->second.done);
   queue_.erase(it);
-  --in_flight_;
   request.complete_time = now();
   completed_.push_back(std::move(request));
   if (config_.prefetch.enabled && !completed_.back().failed) {
@@ -694,8 +643,7 @@ void CoprocessorServer::pump_prefetch() {
   // will want it within the speculative load's own window, so the pump
   // only runs on a fully idle card.  No re-arm here: every completion
   // re-arms the pump while candidates are waiting (complete()).
-  if (in_flight_ > 0) return;
-  if (!device_queue_.empty()) return;
+  if (!queue_.empty()) return;
   if (now() < device_available()) {
     schedule_prefetch_pump(device_available());
     return;

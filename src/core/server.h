@@ -266,7 +266,7 @@ class CoprocessorServer {
   // --- introspection -------------------------------------------------------
 
   sim::SimTime now() const noexcept { return card_.now(); }
-  std::size_t in_flight() const noexcept { return in_flight_; }
+  std::size_t in_flight() const noexcept { return queue_.size(); }
   const ServerConfig& config() const noexcept { return config_; }
   /// Is any in-flight request for `function` heading to this card whose
   /// load has not yet committed?  The fleet's residency-affinity router
@@ -371,6 +371,12 @@ class CoprocessorServer {
     /// pci-in -> device_ready); unset while it sits in the device queue or
     /// after commit.
     std::optional<sim::EventId> chain_event;
+
+    /// Hand the payload and completion hook back for redispatch.
+    CancelledRequest refugee() {
+      return {request.id,       request.client, request.function,
+              std::move(input), std::move(done), request.submit_time};
+    }
   };
   /// A committed fabric window: `function` owns the fabric until `end` and
   /// must be pinned against eviction by any load overlapping that window.
@@ -406,6 +412,9 @@ class CoprocessorServer {
   /// (overlap disabled, or its load cannot avoid the pinned frames); the
   /// pump retries once the fabric frees, and can reorder around it.
   bool serve_batch(const std::vector<std::uint64_t>& batch);
+  /// One request for `function` has committed or left: drop its inbound
+  /// marker.
+  void retire_inbound(memory::FunctionId function);
   void begin_pci_out(std::uint64_t id);
   void complete(std::uint64_t id);
   Pending& pending(std::uint64_t id);
@@ -433,7 +442,6 @@ class CoprocessorServer {
   /// In-flight requests whose load has not yet committed, by function.
   std::map<memory::FunctionId, unsigned> inbound_;
   std::uint64_t next_id_ = 0;
-  std::size_t in_flight_ = 0;
   sim::SimTime engine_free_;         ///< config engine busy-until
   sim::SimTime fabric_free_;         ///< fabric busy-until
   std::vector<FabricCommitment> executing_;  ///< fabric windows not yet over
