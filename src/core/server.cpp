@@ -18,24 +18,6 @@ sim::SimTime percentile(const std::vector<sim::SimTime>& sorted, double q) {
   return sorted[rank - 1];
 }
 
-/// Unpins on scope exit, so a throwing load cannot leak pins.
-class PinGuard {
- public:
-  PinGuard(mcu::Mcu& mcu, std::vector<memory::FunctionId> pins)
-      : mcu_(mcu), pins_(std::move(pins)) {
-    for (const memory::FunctionId fn : pins_) mcu_.pin(fn);
-  }
-  ~PinGuard() {
-    for (const memory::FunctionId fn : pins_) mcu_.unpin(fn);
-  }
-  PinGuard(const PinGuard&) = delete;
-  PinGuard& operator=(const PinGuard&) = delete;
-
- private:
-  mcu::Mcu& mcu_;
-  std::vector<memory::FunctionId> pins_;
-};
-
 }  // namespace
 
 const char* to_string(DevicePolicy policy) {
@@ -434,52 +416,39 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
 
   // Overlapped reconfiguration: with the fabric still executing, this
   // request's load may stream through the config engine only if it cannot
-  // touch any executing function's frames.  Pinning the executing functions
-  // keeps them out of the eviction loop, which — allocation only ever
-  // handing out free frames — makes the new frame set disjoint from theirs.
-  // When overlap is off, or even the limit state (everything non-pinned
-  // evicted) cannot place the function, defer: the request waits for the
-  // fabric like the pre-split server, but uncommitted, so the device
-  // policy can still reorder the queue meanwhile.
-  std::vector<memory::FunctionId> pins;
-  const bool fabric_busy = fabric_free_ > engine_start;
-  if (fabric_busy && !config_.overlap_reconfig) return false;
-  // The probe must also run when the fabric looks free but a pin is still
-  // held: a previous batch's standing pin outlives its last fabric window
-  // by one same-timestamp event (the unpin fires AT fabric_free_, and the
-  // scheduler orders equal timestamps FIFO, so a device_ready enqueued
-  // before that batch committed runs first).  Skipping the probe there
-  // would send load_invoke into the eviction loop with the pin active and
-  // crash on a device where the pinned frames block placement, instead of
-  // deferring one event until the unpin retires the pin.
-  if (!mcu.is_resident(function) &&
-      (fabric_busy || mcu.pinned_count() > 0)) {
-    for (const FabricCommitment& c : executing_)
-      if (std::find(pins.begin(), pins.end(), c.function) == pins.end())
-        pins.push_back(c.function);
-    PinGuard probe(mcu, pins);
-    if (!mcu.load_feasible(function)) return false;
-    // probe unpins; the real pins are re-applied around the load below.
-  }
+  // touch any executing function's frames.  A miss is told to keep every
+  // function with an open window, which keeps them out of the eviction
+  // loop — and, allocation only ever handing out free frames, makes the
+  // new frame set disjoint from theirs.  When overlap is off, or even the
+  // limit state (everything not kept evicted) cannot place the function,
+  // defer: the request waits for the fabric like the pre-split server, but
+  // uncommitted, so the device policy can still reorder the queue
+  // meanwhile.
   const sim::SimTime fabric_busy_until = fabric_free_;
+  if (fabric_busy_until > engine_start && !config_.overlap_reconfig)
+    return false;
+  std::vector<memory::FunctionId> keep;
+  if (!mcu.is_resident(function)) {
+    for (const FabricCommitment& c : executing_)
+      if (std::ranges::find(keep, c.function) == keep.end())
+        keep.push_back(c.function);
+    if (!keep.empty() && !mcu.load_feasible(function, keep)) return false;
+  }
 
   p.request.device_start = engine_start;
   p.request.decode_time = mcu.decode_invoke();
   const sim::SimTime load_start = engine_start + p.request.decode_time;
   sim::SimTime load_elapsed;
-  {
-    PinGuard guard(mcu, std::move(pins));
-    try {
-      p.request.load = mcu.load_invoke(function, load_start, &load_elapsed,
-                                       &p.request.load_stages);
-    } catch (const Error& error) {
-      if (error.code() != ErrorCode::kCorruptData) throw;
-      // Corrupted bitstream the MCU's re-fetch path could not repair: the
-      // fabric is untouched (decode-before-program), so nothing to unwind
-      // on the device — the whole batch surfaces as failed right now.
-      fail_batch(batch, FailReason::kCrcReject);
-      return true;  // batch consumed: the pump must drop it from the queue
-    }
+  try {
+    p.request.load = mcu.load_invoke(function, load_start, &load_elapsed,
+                                     &p.request.load_stages, keep);
+  } catch (const Error& error) {
+    if (error.code() != ErrorCode::kCorruptData) throw;
+    // Corrupted bitstream the MCU's re-fetch path could not repair: the
+    // fabric is untouched (decode-before-program), so nothing to unwind on
+    // the device — the whole batch surfaces as failed right now.
+    fail_batch(batch, FailReason::kCrcReject);
+    return true;  // batch consumed: the pump must drop it from the queue
   }
   if (config_.prefetch.enabled) settle_prefetch(function, p.request.load.hit);
 
@@ -544,15 +513,6 @@ bool CoprocessorServer::serve_batch(const std::vector<std::uint64_t>& batch) {
                           q.request.id, q.request.client, function);
     executing_.push_back({fabric_free_, function});
     schedule(fabric_free_, [this, member_id] { begin_pci_out(member_id); });
-  }
-
-  // A real batch keeps one pin reference on its function until the last
-  // window retires, so an overlapped load of another function streaming
-  // during the batch can never evict it between windows (Mcu pins are
-  // refcounted, so this composes with the per-load PinGuards above).
-  if (batch.size() > 1) {
-    mcu.pin(function);
-    schedule(fabric_free_, [this, function] { card_.mcu().unpin(function); });
   }
   return true;
 }
@@ -642,7 +602,10 @@ void CoprocessorServer::pump_prefetch() {
   // Demand work owns the engine — and a request still in PCI-in or decode
   // will want it within the speculative load's own window, so the pump
   // only runs on a fully idle card.  No re-arm here: every completion
-  // re-arms the pump while candidates are waiting (complete()).
+  // re-arms the pump while candidates are waiting (complete()).  Idle
+  // means nothing is inbound and every fabric window has ended (each ends
+  // before its request's PCI-out), so a speculative load has nothing to
+  // keep and the limit state of an empty device always places it.
   if (!queue_.empty()) return;
   if (now() < device_available()) {
     schedule_prefetch_pump(device_available());
@@ -653,7 +616,7 @@ void CoprocessorServer::pump_prefetch() {
   while (!prefetch_queue_.empty()) {
     const memory::FunctionId function = prefetch_queue_.front();
     prefetch_queue_.erase(prefetch_queue_.begin());
-    if (mcu.is_resident(function) || inbound_.contains(function)) continue;
+    if (mcu.is_resident(function)) continue;
     // The modeled delta/codec cost must exist (the function is provisioned
     // and estimable); load_invoke below charges the REAL elapsed time.
     const mcu::LoadEstimate est = mcu.estimate_load(function);
@@ -662,27 +625,7 @@ void CoprocessorServer::pump_prefetch() {
     // a live resident is a bad bet and is skipped outright.
     if (est.evictions > 0 && !mcu.prefetch_feasible(function, now()))
       continue;
-    // Feasibility through the demand machinery: pin the executing AND
-    // inbound demand functions around the probe + load, exactly like an
-    // overlapped demand load — the speculation may evict idle residents
-    // (the replacement policy's victim), but never a function real work is
-    // running or about to hit.  The guard unwinds the pins with this
-    // scope — a speculative load never holds a standing pin, so it cannot
-    // delay real work either.
     const sim::SimTime start = now();
-    std::erase_if(executing_, [start](const FabricCommitment& c) {
-      return c.end <= start;
-    });
-    std::vector<memory::FunctionId> pins;
-    for (const FabricCommitment& c : executing_)
-      if (std::find(pins.begin(), pins.end(), c.function) == pins.end())
-        pins.push_back(c.function);
-    for (const auto& [inbound_fn, refs] : inbound_)
-      if (mcu.is_resident(inbound_fn) &&
-          std::find(pins.begin(), pins.end(), inbound_fn) == pins.end())
-        pins.push_back(inbound_fn);
-    PinGuard guard(mcu, std::move(pins));
-    if (!mcu.load_feasible(function)) continue;
     sim::SimTime elapsed;
     try {
       mcu.load_invoke(function, start, &elapsed);

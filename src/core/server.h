@@ -17,11 +17,11 @@
 // on — request B's *reconfiguration* streams through the config engine
 // while request A still owns the fabric.  That is legal exactly when B's
 // allocated frames are disjoint from every executing function's frames; the
-// server guarantees it by pinning every function with an outstanding fabric
-// window (mcu::Mcu::pin) for the duration of B's load, so the eviction loop
-// can never touch them, and by serializing behind the fabric when
-// mcu::Mcu::load_feasible says the pinned frames fragment the device too
-// much.  The server orders its device-ready queue by one of three
+// server guarantees it by passing B's load the set of functions whose
+// fabric windows are still open (the keep set of mcu::Mcu::load_invoke), so
+// the eviction loop can never touch them, and by serializing behind the
+// fabric when mcu::Mcu::load_feasible says the kept frames fragment the
+// device too much.  The server orders its device-ready queue by one of three
 // DevicePolicy values: FIFO (data-arrival order; bit-exact with the
 // pre-split single-resource server when overlap_reconfig is off),
 // resident-first and shortest-reconfiguration-first.
@@ -29,10 +29,10 @@
 // On top of that pick, the BatchMode coalesces queued SAME-FUNCTION
 // requests into one batch: the batch shares a single firmware decode and a
 // single on-demand load, then runs back-to-back fabric windows, so one
-// reconfiguration is amortized across every member.  The batch's function
-// holds a pin reference (mcu::Mcu::pin is refcounted) from load commit
-// until its last window retires, so overlapped loads of other functions
-// can never evict it mid-batch.  BatchMode::kNone (the default) serves
+// reconfiguration is amortized across every member.  Each member's window
+// stays open until it retires, so a later overlapped load keeps the
+// batch's function until the last one ends and can never evict it
+// mid-batch.  BatchMode::kNone (the default) serves
 // every request as a batch of one and is bit-exact with the unbatched
 // server; kGreedy drains the queue immediately; kWindowed holds commitment
 // up to a horizon so more same-function arrivals can coalesce.
@@ -196,8 +196,8 @@ struct ServerStats {
 /// fully idle, the server consults a per-client Markov predictor trained on
 /// its completion stream and speculatively streams the predicted next
 /// configuration into free frames or frames of dead-looking residents
-/// (never a live one — Mcu::prefetch_feasible gates that).  A speculative
-/// load never holds a standing pin, and the MCU's eviction loop steals
+/// (never a live one — Mcu::prefetch_feasible gates that).  The pump only
+/// loads on a fully idle card, and the MCU's eviction loop steals
 /// speculative frames FIRST the instant a demand miss needs them, so a
 /// prefetch can never delay real work.  Default off: the server is
 /// bit-exact with the prefetch-free pipeline.
@@ -299,7 +299,7 @@ class CoprocessorServer {
   /// Ask this card to speculatively warm `function` at absolute time
   /// `when` (>= now) — the fleet's cross-card prefetch path.  The request
   /// joins the local candidate queue and obeys the same rules as local
-  /// predictions: idle engine only, free frames only, no pin held.  No-op
+  /// predictions: idle card only, free frames or dead residents only.  No-op
   /// when prefetch is disabled.
   void queue_prefetch_at(sim::SimTime when, memory::FunctionId function);
   /// Candidates + issued-but-unconsumed prefetches (tests/benches).
@@ -378,8 +378,8 @@ class CoprocessorServer {
               std::move(input), std::move(done), request.submit_time};
     }
   };
-  /// A committed fabric window: `function` owns the fabric until `end` and
-  /// must be pinned against eviction by any load overlapping that window.
+  /// A committed fabric window: `function` owns the fabric until `end`, and
+  /// any load overlapping that window must keep it.
   struct FabricCommitment {
     sim::SimTime end;
     memory::FunctionId function;
@@ -409,7 +409,7 @@ class CoprocessorServer {
   /// back-to-back fabric windows, and mutate the MCU accordingly.
   /// Returns false — nothing committed, every member stays queued — when
   /// the fabric is busy and the leader may not take the engine yet
-  /// (overlap disabled, or its load cannot avoid the pinned frames); the
+  /// (overlap disabled, or its load cannot avoid the kept frames); the
   /// pump retries once the fabric frees, and can reorder around it.
   bool serve_batch(const std::vector<std::uint64_t>& batch);
   /// One request for `function` has committed or left: drop its inbound

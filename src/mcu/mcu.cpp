@@ -182,22 +182,6 @@ std::vector<fabric::FrameIndex> Mcu::frames_of(memory::FunctionId id) const {
                                 : std::vector<fabric::FrameIndex>{};
 }
 
-void Mcu::pin(memory::FunctionId id) {
-  const auto it = residents_.find(id);
-  AAD_REQUIRE(it != residents_.end(), "pinning a non-resident function");
-  ++it->second.pins;
-}
-
-void Mcu::unpin(memory::FunctionId id) {
-  const auto it = residents_.find(id);
-  if (it != residents_.end() && it->second.pins > 0) --it->second.pins;
-}
-
-std::size_t Mcu::pinned_count() const noexcept {
-  return static_cast<std::size_t>(std::ranges::count_if(
-      residents_, [](const auto& entry) { return entry.second.pins > 0; }));
-}
-
 void Mcu::mark_speculative(memory::FunctionId id) {
   const auto it = residents_.find(id);
   AAD_REQUIRE(it != residents_.end(), "marking a non-resident function");
@@ -214,34 +198,36 @@ void Mcu::set_future(std::vector<memory::FunctionId> future) {
   future_cursor_ = 0;
 }
 
-bool Mcu::load_feasible(memory::FunctionId id) const {
+template <class Evictable>
+bool Mcu::placeable_after_evicting(const memory::RomRecord& record,
+                                   Evictable evictable) const {
+  std::vector<bool> blocked(free_list_.frame_count(), false);
+  for (const auto& [fid, row] : residents_) {
+    if (evictable(fid, row)) continue;
+    for (const fabric::FrameIndex frame : row.frames) blocked[frame] = true;
+  }
+  return placement_possible(record.frames, config_.allocation, blocked);
+}
+
+bool Mcu::load_feasible(memory::FunctionId id, KeepSet keep) const {
   if (residents_.contains(id)) return true;  // hit: no frames touched
   const auto record = rom_.lookup(id);
   if (!record) return true;  // let load_invoke raise the provisioning error
-  // Limit state: every non-pinned resident evicted.  Only the pinned
-  // functions' frames stay blocked; can the strategy place `id` then?
-  std::vector<bool> blocked(free_list_.frame_count(), false);
-  for (const auto& [fid, row] : residents_) {
-    if (row.pins == 0) continue;
-    for (const fabric::FrameIndex frame : row.frames) blocked[frame] = true;
-  }
-  return placement_possible(record->frames, config_.allocation, blocked);
+  return placeable_after_evicting(
+      *record, [keep](memory::FunctionId fid, const Resident&) {
+        return std::ranges::find(keep, fid) == keep.end();
+      });
 }
 
 bool Mcu::prefetch_feasible(memory::FunctionId id, sim::SimTime now) const {
   if (residents_.contains(id)) return true;  // hit: no frames touched
   const auto record = rom_.lookup(id);
   if (!record) return false;  // speculating on an unprovisioned id: drop it
-  // Like load_feasible's limit state, but only speculative residents and
-  // dead-looking demand residents count as evictable; pinned functions and
-  // live residents keep their frames blocked.
-  std::vector<bool> blocked(free_list_.frame_count(), false);
-  for (const auto& [fid, row] : residents_) {
-    bool evictable = false;
-    if (row.pins == 0) {
-      if (row.speculative) {
-        evictable = true;
-      } else {
+  // Only speculative residents and dead-looking demand residents count as
+  // evictable; live residents keep their frames blocked.
+  return placeable_after_evicting(
+      *record, [now](memory::FunctionId, const Resident& row) {
+        if (row.speculative) return true;
         const sim::SimTime idle = now - row.last_access;
         sim::SimTime threshold = kMinVictimIdle;
         if (row.access_count > 1) {
@@ -253,13 +239,8 @@ bool Mcu::prefetch_feasible(memory::FunctionId id, sim::SimTime now) const {
               static_cast<std::int64_t>(mean_gap_ps * kVictimIdleFactor));
           if (scaled > threshold) threshold = scaled;
         }
-        evictable = idle >= threshold;
-      }
-    }
-    if (evictable) continue;
-    for (const fabric::FrameIndex frame : row.frames) blocked[frame] = true;
-  }
-  return placement_possible(record->frames, config_.allocation, blocked);
+        return idle >= threshold;
+      });
 }
 
 sim::SimTime Mcu::evict_cost(memory::FunctionId id) {
@@ -273,14 +254,15 @@ sim::SimTime Mcu::evict_cost(memory::FunctionId id) {
 
 void Mcu::evict(memory::FunctionId id) {
   AAD_REQUIRE(residents_.contains(id), "function not resident");
-  AAD_REQUIRE(!is_pinned(id), "evicting a pinned function");
+  AAD_REQUIRE(scheduler_.idle(),
+              "synchronous evict needs a scheduler with no pending events");
   scheduler_.advance(evict_cost(id));
 }
 
-memory::FunctionId Mcu::choose_victim() {
+memory::FunctionId Mcu::choose_victim(KeepSet keep) {
   std::vector<memory::FunctionId> candidates;  // ascending id
   for (const auto& [fid, row] : residents_) {
-    if (row.pins > 0) continue;
+    if (std::ranges::find(keep, fid) != keep.end()) continue;
     // A demand miss steals speculative (prefetched, never demanded) frames
     // before any demand-loaded resident is considered — a wrong guess must
     // never cost real work a better victim.  Lowest id wins.
@@ -293,7 +275,7 @@ memory::FunctionId Mcu::choose_victim() {
                  ? "cannot place function even on an empty device "
                    "(fragmentation-free allocation impossible)"
                  : "cannot place function: every resident function is "
-                   "pinned (caller should have checked load_feasible)");
+                   "kept (caller should have checked load_feasible)");
   if (config_.policy == PolicyKind::kRandom)
     return candidates[victim_rng_.next_below(candidates.size())];
   // The smallest rank is the victim; ties go to the lowest id.
@@ -322,16 +304,15 @@ memory::FunctionId Mcu::choose_victim() {
 }
 
 DefragResult Mcu::defragment() {
+  AAD_REQUIRE(scheduler_.idle(),
+              "synchronous defragment needs a scheduler with no pending "
+              "events");
   const DefragResult result = defragment_at(scheduler_.now());
   scheduler_.advance(result.time);
   return result;
 }
 
 DefragResult Mcu::defragment_at(sim::SimTime start) {
-  // Compaction relocates every resident function; a pinned function may be
-  // mid-execution on the fabric, so the mini-OS refuses to move it.
-  AAD_REQUIRE(pinned_count() == 0,
-              "cannot defragment while functions are pinned");
   DefragResult result;
   sim::SimTime t = start;
   counters_.defragmentations.add();
@@ -407,7 +388,7 @@ std::vector<bool> Mcu::matched_windows(
 }
 
 std::optional<Mcu::DeltaPlan> Mcu::plan_placement(
-    const memory::RomRecord& record) const {
+    const memory::RomRecord& record, KeepSet keep) const {
   // Candidate A: the frames the free list would hand out.
   const auto free_frames = free_list_.peek(record.frames, config_.allocation);
   unsigned matched_free = 0;
@@ -415,15 +396,15 @@ std::optional<Mcu::DeltaPlan> Mcu::plan_placement(
   if (free_frames)
     free_mask = matched_windows(record, *free_frames, &matched_free);
 
-  // Candidate B: in-place upgrade — the same-footprint unpinned resident
-  // whose frames match the most windows (lowest id wins ties).
+  // Candidate B: in-place upgrade — the same-footprint resident outside
+  // `keep` whose frames match the most windows (lowest id wins ties).
   std::optional<memory::FunctionId> victim;
   std::vector<bool> victim_mask;
   std::vector<fabric::FrameIndex> victim_frames;
   unsigned matched_victim = 0;
   for (const auto& [fid, fn] : residents_) {
     if (fid == record.function_id) continue;
-    if (fn.pins > 0) continue;
+    if (std::ranges::find(keep, fid) != keep.end()) continue;
     if (fn.record.frames != record.frames) continue;
     unsigned m = 0;
     auto mask = matched_windows(record, fn.frames, &m);
@@ -471,7 +452,7 @@ LoadEstimate Mcu::estimate_load(memory::FunctionId id) const {
 
   std::vector<bool> skip;
   if (config_.engine.delta_reconfig) {
-    if (const auto plan = plan_placement(*record)) {
+    if (const auto plan = plan_placement(*record, {})) {
       skip = plan->matched;
       est.frames_matched = plan->matched_count;
       est.evictions = plan->upgrade_victim ? 1 : 0;
@@ -503,7 +484,8 @@ LoadResult Mcu::ensure_loaded(memory::FunctionId id) {
 }
 
 LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
-                            sim::SimTime* elapsed, LoadStages* stages) {
+                            sim::SimTime* elapsed, LoadStages* stages,
+                            KeepSet keep) {
   LoadResult result;
   sim::SimTime t = start;
   *elapsed = sim::SimTime::zero();
@@ -532,7 +514,8 @@ LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
   // stream of just the dirty windows.
   std::optional<std::vector<fabric::FrameIndex>> frames;
   if (config_.engine.delta_reconfig) {
-    if (auto plan = plan_placement(*record); plan && plan->upgrade_victim) {
+    if (auto plan = plan_placement(*record, keep);
+        plan && plan->upgrade_victim) {
       t += evict_cost(*plan->upgrade_victim);
       ++result.evictions;
       free_list_.claim(plan->frames);
@@ -549,14 +532,14 @@ LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
     counters_.allocation_retries.add();
     // Under pure external fragmentation, one compaction pass can satisfy a
     // contiguous request without evicting anyone.  (Not while anything is
-    // pinned: compaction would relocate an executing function's frames.)
-    if (!tried_defrag && config_.defragment_on_pressure &&
-        pinned_count() == 0 && free_list_.free_count() >= record->frames) {
+    // kept: compaction would relocate an executing function's frames.)
+    if (!tried_defrag && config_.defragment_on_pressure && keep.empty() &&
+        free_list_.free_count() >= record->frames) {
       tried_defrag = true;
       t += defragment_at(t).time;
       continue;
     }
-    t += evict_cost(choose_victim());
+    t += evict_cost(choose_victim(keep));
     ++result.evictions;
   }
 

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/prng.h"
@@ -40,13 +41,14 @@ struct KernelSpec;
 
 namespace aad::mcu {
 
-/// The Frame Replacement Policy: which unpinned resident the eviction loop
-/// frees next (speculative residents always go first, lowest id).
+/// The Frame Replacement Policy: which resident the eviction loop frees
+/// next among those the load may evict (speculative residents always go
+/// first, lowest id).
 enum class PolicyKind : std::uint8_t {
   kLru = 0,     ///< the paper's policy: oldest last_access
   kFifo = 1,    ///< earliest load (Resident::load_seq)
   kLfu = 2,     ///< fewest access_count, ties to the oldest last_access
-  kRandom = 3,  ///< a fixed-seed draw over the unpinned residents
+  kRandom = 3,  ///< a fixed-seed draw over the evictable residents
   kBelady = 4,  ///< clairvoyant bound: farthest next use (Mcu::set_future)
 };
 
@@ -73,14 +75,16 @@ struct Resident {
   /// Netlist functions: the compiled network, re-extracted from the
   /// configuration plane on first use after (re)configuration.
   std::optional<netlist::LutExecutor> executor;
-  /// Pin references (see Mcu::pin); a pinned row is never a victim.
-  unsigned pins = 0;
   /// Loaded by a prefetch and not yet demanded (see Mcu::mark_speculative).
   bool speculative = false;
 };
 
 /// The table itself, keyed by resident function.
 using FrameReplacementTable = std::map<memory::FunctionId, Resident>;
+
+/// The functions a load must not evict: those whose fabric windows are
+/// still open at the load's start (see Mcu::load_invoke).
+using KeepSet = std::span<const memory::FunctionId>;
 
 struct McuConfig {
   sim::Frequency mcu_clock = sim::Frequency::mhz(66);
@@ -219,20 +223,24 @@ class Mcu {
   // order; the configuration-engine stages (decode_invoke + load_invoke)
   // and the fabric stage (execute_invoke) are separable, so the server may
   // stream request B's configuration while request A still owns the fabric
-  // — provided every function with an outstanding fabric window is pinned
-  // (see pin()) so B's load cannot evict or overwrite its frames.
+  // — provided B's load is told to keep every function with an open fabric
+  // window: a kept row is never a victim, and allocation only ever hands
+  // out free frames, so B's frame set is disjoint from theirs.
 
   /// Firmware command decode — the fixed per-command cost the
   /// microcontroller pays before the on-demand load.  Counts the invocation.
   sim::SimTime decode_invoke();
 
   /// The on-demand load (§2.5) as of `start`: hit check, allocation,
-  /// eviction loop (pinned functions are never chosen as victims), streaming
-  /// configuration.  `*elapsed` receives the full duration (zero on a hit);
-  /// `*stages`, when given, the configuration engine's stage sums (left
-  /// untouched on a hit).
+  /// eviction loop (never choosing a function in `keep`), streaming
+  /// configuration.  With a non-empty `keep` the defragment-on-pressure
+  /// pass is skipped: compaction would move the kept functions' frames.
+  /// `*elapsed` receives the full duration (zero on a hit); `*stages`, when
+  /// given, the configuration engine's stage sums (left untouched on a
+  /// hit).
   LoadResult load_invoke(memory::FunctionId id, sim::SimTime start,
-                         sim::SimTime* elapsed, LoadStages* stages = nullptr);
+                         sim::SimTime* elapsed, LoadStages* stages = nullptr,
+                         KeepSet keep = {});
 
   /// Data-in, fabric execution, output collection, run from the catalog
   /// kernel the record's kernel_id names (algorithms/kernels.h): a netlist
@@ -243,35 +251,8 @@ class Mcu {
   /// Requires `id` resident (load_invoke was called).
   ExecutedInvoke execute_invoke(memory::FunctionId id, ByteSpan input);
 
-  // --- pinning (overlapped reconfiguration + batching) ---------------------
-  // While the fabric executes function A, the server streams function B's
-  // configuration through the engine.  Pinning A for the duration of B's
-  // load_invoke keeps A out of the eviction loop, and — because allocation
-  // only ever hands out free frames — guarantees B's frame set is disjoint
-  // from A's.  Pins are REFERENCE COUNTED: two independent holders (a
-  // request batch pinning its function across all of its back-to-back
-  // fabric windows, and an overlapped load pinning every executing
-  // function for its duration) can pin the same function, and it stays
-  // pinned until the last holder unpins.  Pins are a host-driver concept:
-  // they cost no simulated time.
-
-  /// Exclude a resident function from eviction.  Each pin() call takes one
-  /// reference; the function is evictable again only when every reference
-  /// has been unpin()ned.
-  void pin(memory::FunctionId id);
-  /// Release one pin reference (no-op if not pinned).
-  void unpin(memory::FunctionId id);
-  bool is_pinned(memory::FunctionId id) const { return pin_count(id) > 0; }
-  /// Functions with at least one pin reference (not the reference total).
-  std::size_t pinned_count() const noexcept;
-  /// Outstanding pin references on `id` (0 when unpinned).
-  unsigned pin_count(memory::FunctionId id) const {
-    const auto it = residents_.find(id);
-    return it != residents_.end() ? it->second.pins : 0u;
-  }
-
   /// Tag a resident function as speculatively loaded (a prefetch, not yet
-  /// demanded).  Speculative residents are NOT pinned — the opposite: the
+  /// demanded).  Speculative residents are the opposite of kept ones: the
   /// eviction loop prefers them as victims, so a demand miss steals their
   /// frames before touching any demand-loaded resident.  The tag clears on
   /// eviction and device reset; the driver clears it explicitly when a
@@ -293,13 +274,13 @@ class Mcu {
   /// finishes loading.
   void set_future(std::vector<memory::FunctionId> future);
 
-  /// Could load_invoke(id) complete right now without evicting a pinned
-  /// function?  True on a hit; on a miss, checks the limit state in which
-  /// every non-pinned resident is evicted — if the allocation strategy
-  /// cannot place the function even then (pinned frames fragment the
-  /// device), an overlapped load is illegal and the caller must serialize
-  /// behind the fabric.  Pure query: no simulated time, no state change.
-  bool load_feasible(memory::FunctionId id) const;
+  /// Could load_invoke(id, ..., keep) complete right now?  True on a hit;
+  /// on a miss, checks the limit state in which every resident outside
+  /// `keep` is evicted — if the allocation strategy cannot place the
+  /// function even then (the kept frames fragment the device), an
+  /// overlapped load is illegal and the caller must serialize behind the
+  /// fabric.  Pure query: no simulated time, no state change.
+  bool load_feasible(memory::FunctionId id, KeepSet keep = {}) const;
 
   /// Could a SPECULATIVE load of `id` be satisfied from free frames,
   /// other speculative residents, and demand residents that look DEAD?
@@ -327,11 +308,14 @@ class Mcu {
   }
 
   /// Explicitly evict a resident function (host-directed swap-out).
+  /// Advances time, so the card must be quiescent: throws
+  /// kInvalidArgument while the scheduler holds a pending event.
   void evict(memory::FunctionId id);
 
   /// Compact resident functions toward frame 0 by relocating them
   /// (re-streaming each from ROM — legal because bitstreams are
-  /// slot-relative).  Leaves one contiguous free region.  Advances time.
+  /// slot-relative).  Leaves one contiguous free region.  Advances time;
+  /// like evict, needs a scheduler with no pending event.
   DefragResult defragment();
 
   /// Drop all resident functions and erase the fabric (device reset).
@@ -391,8 +375,8 @@ class Mcu {
     std::vector<bool> matched;  ///< per-window delta-skip prediction
     unsigned matched_count = 0;
   };
-  std::optional<DeltaPlan> plan_placement(
-      const memory::RomRecord& record) const;
+  std::optional<DeltaPlan> plan_placement(const memory::RomRecord& record,
+                                         KeepSet keep) const;
   std::vector<bool> matched_windows(const memory::RomRecord& record,
                                     std::span<const fabric::FrameIndex> targets,
                                     unsigned* count) const;
@@ -402,10 +386,17 @@ class Mcu {
   sim::SimTime firmware_cost(unsigned cycles) const;
   sim::SimTime evict_cost(memory::FunctionId id);
   DefragResult defragment_at(sim::SimTime start);
-  /// The eviction loop's next victim among the unpinned residents: the
-  /// lowest-id speculative one, else the configured policy's pick.  Throws
-  /// kCapacityExceeded when every resident is pinned (or none is left).
-  memory::FunctionId choose_victim();
+  /// The limit state both feasibility probes check: could the allocation
+  /// strategy place `record` once every resident that `evictable` accepts
+  /// is evicted?
+  template <class Evictable>
+  bool placeable_after_evicting(const memory::RomRecord& record,
+                                Evictable evictable) const;
+  /// The eviction loop's next victim among the residents outside `keep`:
+  /// the lowest-id speculative one, else the configured policy's pick.
+  /// Throws kCapacityExceeded when every resident is kept (or none is
+  /// left).
+  memory::FunctionId choose_victim(KeepSet keep);
   /// kBelady's cursor: step past the future's next entry when it is `id`.
   void advance_future(memory::FunctionId id) {
     if (future_cursor_ < future_.size() && future_[future_cursor_] == id)

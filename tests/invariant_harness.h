@@ -8,25 +8,24 @@
 //   1. Conservation — every submitted request completes or fails exactly
 //      once (its hook fires once), ok + failed == submitted, and the fleet
 //      drains (in_flight() == 0, scheduler idle).
-//   2. Pin hygiene — after the drain, no card holds a pin reference
-//      (PinGuard/batch unpins balanced even across deaths and cancels).
-//   3. Liveness isolation — no completed request's fabric window overlaps
+//   2. Liveness isolation — no completed request's fabric window overlaps
 //      a death interval of the card it ran on (a dead card does no work).
-//   4. Delta-tracker consistency — every tracked frame hash of a resident
+//   3. Delta-tracker consistency — every tracked frame hash of a resident
 //      function matches a readback of the fabric words it claims to
 //      describe, across deaths (reset_fabric clears tracking) and
 //      recoveries (cold fabric, fresh tracking).
-//   5. Frame ownership — on every card the resident functions' frame sets
+//   4. Frame ownership — on every card the resident functions' frame sets
 //      are pairwise disjoint, none of their frames is on the Free Frame
 //      List, and free + owned frames add up to the device (an eviction or
 //      reset that forgets the free list leaks frames).
-//   6. Determinism — the same seed produces a byte-identical outcome
+//   5. Determinism — the same seed produces a byte-identical outcome
 //      digest (compare InvariantHarness::digest() across two runs).
 //
 // Tests assert check() returns no violations across many seeds and policy
-// combinations; the mutation tests assert a deliberately broken run (a
-// doctored completion count, a leaked pin) is CAUGHT, so the harness can
-// never silently rot into a tautology.
+// combinations; the mutation test asserts a deliberately broken run (a
+// doctored completion count) is CAUGHT, so the harness can never silently
+// rot into a tautology.  tests/harness_digests.cpp prints digest() over a
+// fixed sweep, to compare two builds run for run.
 #pragma once
 
 #include <cstdint>
@@ -70,7 +69,7 @@ struct HarnessConfig {
 
   // Speculative prefetch (core::PrefetchConfig).  Off by default so every
   // pre-existing sweep is unchanged; the prefetch sweeps turn it on to
-  // prove speculative pins unwind like demand pins across deaths.
+  // prove speculative loads survive deaths like demand loads.
   bool prefetch = false;
   double prefetch_confidence = 0.35;
 
@@ -111,11 +110,10 @@ class InvariantHarness {
     fleet_.run();
   }
 
-  /// Invariants 1-5.  Empty = the run is clean.
+  /// Invariants 1-4.  Empty = the run is clean.
   std::vector<std::string> check() {
     std::vector<std::string> violations;
     check_conservation(violations);
-    check_pins(violations);
     check_death_isolation(violations);
     check_delta_tracker(violations);
     check_frames(violations);
@@ -233,15 +231,6 @@ class InvariantHarness {
       violations.push_back("conservation: scheduler still holds " +
                            std::to_string(fleet_.scheduler().pending()) +
                            " live events after the drain");
-  }
-
-  void check_pins(std::vector<std::string>& violations) {
-    for (unsigned i = 0; i < fleet_.card_count(); ++i)
-      if (fleet_.card(i).mcu().pinned_count() != 0)
-        violations.push_back(
-            "pins: card " + std::to_string(i) + " still holds " +
-            std::to_string(fleet_.card(i).mcu().pinned_count()) +
-            " pinned functions after the drain");
   }
 
   void check_death_isolation(std::vector<std::string>& violations) {

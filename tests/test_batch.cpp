@@ -3,9 +3,9 @@
 // unbatched server), greedy drains the same-function queue behind one
 // decode + load and splits it at kMaxBatch, the windowed mode degenerates
 // to no-batch on a lone request, coalesces late arrivals inside its
-// horizon and commits early once kMaxBatch requests wait, the batch's pin
-// reference survives an overlapped load's pin/unpin cycle (eviction
-// pressure mid-batch), and a single-card fleet with batching is bit-exact
+// horizon and commits early once kMaxBatch requests wait, an overlapped
+// load under eviction pressure mid-batch keeps the batch's function until
+// its last window ends, and a single-card fleet with batching is bit-exact
 // with a bare CoprocessorServer.
 #include <gtest/gtest.h>
 
@@ -315,14 +315,16 @@ TEST(BatchPolicyTest, WindowedHoldSurvivesThePickMovingToAnotherFunction) {
   EXPECT_EQ(warm_sha->device_start, mm->device_start + mm->prepare_time);
 }
 
-TEST(BatchPolicyTest, EvictionPressureMidBatchKeepsTheFunctionPinned) {
-  // A three-request SHA-256 batch owns the fabric; mid-batch, a cold
-  // MatMul load streams through the engine (overlapped reconfiguration)
-  // on a full device, forcing the eviction loop.  The overlapped load's
-  // own PinGuard pins SHA-256 and releases it when the load commits — and
-  // because Mcu pins are refcounted, the BATCH's reference must survive
-  // that release, keeping SHA-256 resident until its last window retires.
-  AgileCoprocessor card;
+TEST(BatchPolicyTest, EvictionPressureMidBatchKeepsTheFunctionResident) {
+  // A SHA-256 batch owns the fabric; mid-batch, a cold MatMul load
+  // streams through the engine (overlapped reconfiguration) on a full
+  // device, forcing the eviction loop.  The Belady oracle is told SHA-256
+  // is never used again, so it is the victim of choice — but its windows
+  // are still open at the load's start, so the load keeps it and evicts
+  // FFT instead: SHA-256 stays resident until its last window ends.
+  CoprocessorConfig cc;
+  cc.mcu.policy = mcu::PolicyKind::kBelady;
+  AgileCoprocessor card(cc);
   card.download(KernelId::kSha256);   // 10 frames
   card.download(KernelId::kAes128);   // 12 frames
   card.download(KernelId::kFft);      // 16 frames
@@ -337,9 +339,12 @@ TEST(BatchPolicyTest, EvictionPressureMidBatchKeepsTheFunctionPinned) {
   server.submit(0, KernelId::kAes128, kernel_input(KernelId::kAes128, 2, 1));
   server.submit(0, KernelId::kFft, kernel_input(KernelId::kFft, 2, 2));
   server.run();
+  card.mcu().set_future({matmul, algorithms::function_id(KernelId::kAes128),
+                         algorithms::function_id(KernelId::kFft)});
 
-  // The batch: three long SHA-256 requests (big payloads keep the fabric
-  // busy while the MatMul load streams).
+  // Three long SHA-256 requests (big payloads keep the fabric busy while
+  // the MatMul load streams): the first commits alone with the load, the
+  // next two as a batch behind it.
   std::vector<Bytes> sha_inputs;
   for (unsigned c = 0; c < 3; ++c) {
     sha_inputs.push_back(kernel_input(KernelId::kSha256, 256, 20 + c));
@@ -348,38 +353,48 @@ TEST(BatchPolicyTest, EvictionPressureMidBatchKeepsTheFunctionPinned) {
   const Bytes mm_input = kernel_input(KernelId::kMatMul, 2, 9);
   server.submit(4, KernelId::kMatMul, mm_input);
 
-  // Step the event loop until MatMul's overlapped load has committed (its
-  // PinGuard has pinned and unpinned SHA-256 by then): the batch's own
-  // reference must still hold.
-  bool observed = false;
-  for (int step = 0; step < 10000 && !observed; ++step) {
+  // Step the event loop, noting when MatMul is resident and whether
+  // SHA-256 still is; the windows are known once the run is over.
+  struct Sample {
+    sim::SimTime at;
+    bool sha_resident;
+  };
+  std::vector<Sample> with_matmul;
+  while (server.in_flight() > 0) {
     server.run_until(server.now() + sim::SimTime::us(20));
-    if (card.mcu().is_resident(matmul) && server.in_flight() > 0) {
-      EXPECT_TRUE(card.mcu().is_pinned(sha))
-          << "batch pin lost before the last window retired";
-      EXPECT_TRUE(card.mcu().is_resident(sha));
-      observed = true;
-    }
+    if (card.mcu().is_resident(matmul))
+      with_matmul.push_back({server.now(), card.mcu().is_resident(sha)});
   }
-  ASSERT_TRUE(observed) << "MatMul load never committed mid-batch";
-  server.run();
 
   // The load had to evict on a full device — and could not touch the
-  // pinned batch function.
+  // kept batch function.
   ASSERT_EQ(server.completed().size(), 6u);
+  sim::SimTime last_sha_window;
+  unsigned coalesced = 0;
   for (const ServerRequest& r : server.completed()) {
     if (r.function == matmul) {
-      EXPECT_GE(r.load.evictions, 1u);
+      EXPECT_EQ(r.load.evictions, 1u);  // FFT, not SHA-256
     }
     if (r.function == sha) {
+      coalesced += r.coalesced_load ? 1 : 0;
       EXPECT_EQ(r.output,
                 algorithms::spec(KernelId::kSha256)
                     .software(sha_inputs[r.client - 1]));
+      last_sha_window =
+          std::max(last_sha_window, r.fabric_start + r.execute_time);
     }
   }
+  EXPECT_GT(coalesced, 0u) << "no SHA-256 batch formed";
+  unsigned mid_batch = 0;
+  for (const Sample& sample : with_matmul) {
+    if (sample.at >= last_sha_window) continue;
+    ++mid_batch;
+    EXPECT_TRUE(sample.sha_resident)
+        << "SHA-256 evicted at " << sample.at.nanoseconds()
+        << " ns, before its last window ended";
+  }
+  EXPECT_GT(mid_batch, 0u) << "MatMul load never committed mid-batch";
   EXPECT_TRUE(card.mcu().is_resident(sha));
-  // Every reference was released: the batch retired, the guards unwound.
-  EXPECT_EQ(card.mcu().pinned_count(), 0u);
 }
 
 TEST(BatchPolicyTest, SingleCardFleetWithBatchingIsBitExactWithServer) {

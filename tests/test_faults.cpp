@@ -3,8 +3,8 @@
 // The headline is the property-based sweep: seeded random fault plans
 // (card deaths, recoveries, ROM corruption) run against every dispatch x
 // batch policy combination, then tests/invariant_harness.h asserts the
-// system-wide invariants (conservation, pin hygiene, death isolation,
-// delta-tracker consistency, determinism).  The mutation tests doctor a
+// system-wide invariants (conservation, death isolation, delta-tracker
+// consistency, frame ownership, determinism).  The mutation tests doctor a
 // clean run to prove the harness actually catches violations.  Around the
 // sweep sit targeted regressions: redispatch off a dead card (including a
 // request submitted straight to the card's server), CRC-reject + refetch
@@ -62,8 +62,7 @@ harness::HarnessConfig sweep_config(std::uint64_t seed, unsigned slot) {
   }
   // Speculative prefetch rides along on a co-prime cadence (slots 2-3 of
   // every 4) so the sweep crosses it with every other axis: the invariants
-  // must hold when a card dies mid-prefetch, and speculative pins must
-  // unwind exactly like demand pins.
+  // must hold when a card dies mid-prefetch.
   hc.prefetch = (slot % 4) >= 2;
   // Compress the fault horizon into the traffic window so deaths land while
   // requests are actually in flight.
@@ -115,11 +114,18 @@ TEST(InvariantSweepTest, CleanAcrossSeedsAndPolicies) {
 // The sweep above rarely fills a card, so it almost never evicts.  Two
 // 24-frame cards under a flatter, wider workload evict on every seed, so
 // the frame-ownership audit sees evictions as well as deaths, and the
-// replacement policy rotates so every victim rule meets pins and deaths.
+// replacement policy rotates so every victim rule meets kept functions and
+// deaths.  The device-stage axes the main sweep leaves out ride along:
+// windowed batching, shortest-reconfiguration-first and overlap off.
 TEST(InvariantSweepTest, CleanUnderEvictionPressure) {
   static const mcu::PolicyKind kPolicies[] = {
       mcu::PolicyKind::kLru, mcu::PolicyKind::kFifo, mcu::PolicyKind::kLfu,
       mcu::PolicyKind::kRandom, mcu::PolicyKind::kBelady};
+  static const DevicePolicy kDevices[] = {
+      DevicePolicy::kFifo, DevicePolicy::kResidentFirst,
+      DevicePolicy::kShortestReconfigFirst};
+  static const BatchMode kBatches[] = {BatchMode::kNone, BatchMode::kGreedy,
+                                       BatchMode::kWindowed};
   const unsigned seeds = harness::invariant_seed_count();
   std::uint64_t evictions = 0;
   for (unsigned s = 0; s < seeds; ++s) {
@@ -131,6 +137,9 @@ TEST(InvariantSweepTest, CleanUnderEvictionPressure) {
     hc.burst_size = 2;
     hc.zipf_s = 0.3;
     hc.policy = kPolicies[s % 5];
+    hc.device = kDevices[(s + 2) % 3];
+    hc.batch.mode = kBatches[(s + 1) % 3];
+    hc.overlap_reconfig = (s % 4) != 1;
     harness::InvariantHarness h(hc);
     h.run();
     for (unsigned i = 0; i < h.fleet().card_count(); ++i)
@@ -154,8 +163,7 @@ TEST(InvariantSweepTest, SameSeedSameDigest) {
 // Heavier prefetch pressure than the rotating sweep: every seed runs with
 // the predictor on at low confidence (many speculative loads) under the
 // same compressed death plans.  A card dying mid-prefetch must not break
-// conservation or leak the transient pins the pump holds during its
-// feasibility probe + load.
+// conservation or frame ownership.
 TEST(InvariantSweepTest, CleanWithPrefetchUnderFaults) {
   const unsigned seeds = harness::invariant_seed_count();
   for (unsigned s = 0; s < seeds; ++s) {
@@ -209,27 +217,6 @@ TEST(InvariantSweepTest, MutantDoubleCompletionIsCaught) {
   const std::vector<std::string> violations = h.check();
   ASSERT_FALSE(violations.empty());
   EXPECT_NE(violations.front().find("conservation"), std::string::npos);
-}
-
-TEST(InvariantSweepTest, MutantLeakedPinIsCaught) {
-  harness::HarnessConfig hc;
-  hc.seed = 11;
-  hc.death_rate_per_ms = 0.0;
-  harness::InvariantHarness h(hc);
-  h.run();
-  ASSERT_TRUE(h.check().empty());
-  // Leak a pin on some card that still holds residency.
-  bool leaked = false;
-  for (unsigned i = 0; i < h.fleet().card_count() && !leaked; ++i) {
-    const auto resident = h.fleet().card(i).mcu().resident_functions();
-    if (resident.empty()) continue;
-    h.fleet().card(i).mcu().pin(resident.front());
-    leaked = true;
-  }
-  ASSERT_TRUE(leaked) << "no card kept residency; cannot stage the mutant";
-  const std::vector<std::string> violations = h.check();
-  ASSERT_FALSE(violations.empty());
-  EXPECT_NE(violations.front().find("pins"), std::string::npos);
 }
 
 // --- targeted fault regressions --------------------------------------------
@@ -290,8 +277,8 @@ TEST(FaultRecoveryTest, ZeroHungRequestsUnderDeathPlan) {
   EXPECT_TRUE(fleet.card_alive(3));
 }
 
-// A revived card comes back with a cold fabric: nothing resident, nothing
-// pinned, and it serves traffic again afterwards.
+// A revived card comes back with a cold fabric: nothing resident, and it
+// serves traffic again afterwards.
 TEST(FaultRecoveryTest, DeathRecoveryLeavesFabricCold) {
   FleetConfig fc;
   fc.cards = 2;
@@ -312,11 +299,10 @@ TEST(FaultRecoveryTest, DeathRecoveryLeavesFabricCold) {
           algorithms::bank_input(r.function, r.payload_blocks, index++),
           [&fired](const ServerRequest&) { ++fired; });
     }
-  // Probe the card while it is down: dead, cold, unpinned.
+  // Probe the card while it is down: dead and cold.
   fleet.scheduler().schedule_at(base + sim::SimTime::us(350), [&fleet] {
     EXPECT_FALSE(fleet.card_alive(0));
     EXPECT_EQ(fleet.card(0).mcu().resident_count(), 0u);
-    EXPECT_EQ(fleet.card(0).mcu().pinned_count(), 0u);
   });
   fleet.run();
 
@@ -416,8 +402,8 @@ TEST(CrcRejectTest, RefetchRecoversCorruptedBitstream) {
 }
 
 // With refetch disabled the load is rejected cleanly: the request fails
-// with kCrcReject, nothing is programmed, no pins leak, and the card keeps
-// serving other functions.
+// with kCrcReject, nothing is programmed, and the card keeps serving other
+// functions.
 TEST(CrcRejectTest, WithoutRefetchFailsCleanly) {
   CoprocessorConfig cc;
   cc.mcu.refetch_on_crc_reject = false;
@@ -452,7 +438,6 @@ TEST(CrcRejectTest, WithoutRefetchFailsCleanly) {
     EXPECT_EQ(card.mcu().stats().refetches, 0u);
     EXPECT_FALSE(card.mcu().is_resident(bad));
     EXPECT_TRUE(card.mcu().is_resident(good));
-    EXPECT_EQ(card.mcu().pinned_count(), 0u);
     EXPECT_EQ(server.stats().failed, 1u);
     EXPECT_EQ(server.in_flight(), 0u);
   }
@@ -467,7 +452,6 @@ TEST(CrcRejectTest, WithoutRefetchFailsCleanly) {
     EXPECT_EQ(e.code(), ErrorCode::kCorruptData);
   }
   EXPECT_FALSE(card.mcu().is_resident(bad));
-  EXPECT_EQ(card.mcu().pinned_count(), 0u);
   EXPECT_TRUE(card.scheduler().idle());
 }
 

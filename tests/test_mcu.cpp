@@ -484,73 +484,53 @@ TEST_F(McuFixture, FramesOfReportsResidencyFrameSets) {
   EXPECT_TRUE(mcu_.frames_of(aes).empty());
 }
 
-TEST_F(McuFixture, PinExcludesFunctionFromEviction) {
+TEST_F(McuFixture, KeptFunctionIsNeverEvicted) {
   // 48-frame device: AES(12) + FFT(16) + MatMul(14) fill it to 42; SHA256
   // (10) forces the eviction loop.  With LRU the victim would be AES, but
-  // a pinned AES (as if mid-execution on the fabric) must survive.
+  // a load told to keep AES (as if mid-execution on the fabric) takes the
+  // next-oldest resident instead.
   provision(KernelId::kAes128);
   provision(KernelId::kFft);
   provision(KernelId::kMatMul);
   provision(KernelId::kSha256);
   const auto aes = algorithms::function_id(KernelId::kAes128);
+  const auto fft = algorithms::function_id(KernelId::kFft);
   mcu_.ensure_loaded(aes);
-  mcu_.ensure_loaded(algorithms::function_id(KernelId::kFft));
+  mcu_.ensure_loaded(fft);
   mcu_.ensure_loaded(algorithms::function_id(KernelId::kMatMul));
 
-  mcu_.pin(aes);
-  EXPECT_TRUE(mcu_.is_pinned(aes));
+  const std::vector<memory::FunctionId> keep{aes};
+  sim::SimTime elapsed;
   const auto load =
-      mcu_.ensure_loaded(algorithms::function_id(KernelId::kSha256));
+      mcu_.load_invoke(algorithms::function_id(KernelId::kSha256),
+                       scheduler_.now(), &elapsed, nullptr, keep);
   EXPECT_GE(load.evictions, 1u);
-  EXPECT_TRUE(mcu_.is_resident(aes));  // LRU victim, but pinned
-  mcu_.unpin(aes);
-  EXPECT_FALSE(mcu_.is_pinned(aes));
+  EXPECT_TRUE(mcu_.is_resident(aes));  // LRU victim, but kept
+  EXPECT_FALSE(mcu_.is_resident(fft));
 }
 
-TEST_F(McuFixture, PinnedFunctionsRejectEvictAndDefragment) {
+TEST_F(McuFixture, EvictAndDefragmentNeedAnIdleScheduler) {
+  // Both host calls advance the card's clock, so they refuse to run while
+  // an event is pending (a server's pipeline in flight) rather than move
+  // frames under it.
   provision(KernelId::kAdder32);
   const auto fid = algorithms::function_id(KernelId::kAdder32);
   mcu_.ensure_loaded(fid);
-  mcu_.pin(fid);
-  EXPECT_THROW(mcu_.evict(fid), Error);          // host-directed swap-out
-  EXPECT_THROW(mcu_.defragment(), Error);        // would relocate its frames
-  mcu_.unpin(fid);
-  mcu_.evict(fid);                               // legal once unpinned
-  EXPECT_FALSE(mcu_.is_resident(fid));
-  EXPECT_THROW(mcu_.pin(fid), Error);            // pinning needs residency
-}
-
-TEST_F(McuFixture, PinReferencesCompose) {
-  // Two independent holders — a request batch spanning several fabric
-  // windows, and an overlapped load's PinGuard — pin the same function;
-  // the function stays pinned until BOTH release (refcounted, not a set).
-  provision(KernelId::kAdder32);
-  const auto fid = algorithms::function_id(KernelId::kAdder32);
-  mcu_.ensure_loaded(fid);
-
-  mcu_.pin(fid);    // the batch's reference
-  mcu_.pin(fid);    // an overlapped load's guard
-  EXPECT_EQ(mcu_.pin_count(fid), 2u);
-  EXPECT_EQ(mcu_.pinned_count(), 1u);  // one function, two references
-
-  mcu_.unpin(fid);  // the guard releases when the load commits
-  EXPECT_TRUE(mcu_.is_pinned(fid));    // the batch still holds it
-  EXPECT_EQ(mcu_.pin_count(fid), 1u);
+  scheduler_.schedule_after(sim::SimTime::us(1), [] {});
   EXPECT_THROW(mcu_.evict(fid), Error);
+  EXPECT_THROW(mcu_.defragment(), Error);
+  EXPECT_TRUE(mcu_.is_resident(fid));
 
-  mcu_.unpin(fid);  // the batch's last window retires
-  EXPECT_FALSE(mcu_.is_pinned(fid));
-  EXPECT_EQ(mcu_.pin_count(fid), 0u);
-  mcu_.unpin(fid);  // over-release is a harmless no-op
-  EXPECT_EQ(mcu_.pin_count(fid), 0u);
-  mcu_.evict(fid);  // evictable again
+  scheduler_.run();
+  mcu_.defragment();
+  mcu_.evict(fid);
   EXPECT_FALSE(mcu_.is_resident(fid));
 }
 
-TEST_F(McuFixture, LoadFeasibleHonorsPinnedLimitState) {
-  // Fill the device, pin everything: no load can be placed.  Unpin one
-  // function and the load becomes feasible again (its frames could be
-  // evicted in the limit).
+TEST_F(McuFixture, LoadFeasibleHonorsTheKeepSet) {
+  // Fill the device and keep everything: no load can be placed.  Drop one
+  // function from the keep set and the load becomes feasible again (its
+  // frames could be evicted in the limit).
   provision(KernelId::kAes128);
   provision(KernelId::kFft);
   provision(KernelId::kMatMul);
@@ -563,23 +543,22 @@ TEST_F(McuFixture, LoadFeasibleHonorsPinnedLimitState) {
   mcu_.ensure_loaded(fft);
   mcu_.ensure_loaded(mm);  // 42 of 48 frames used
 
-  EXPECT_TRUE(mcu_.load_feasible(aes));  // hit: always feasible
-  mcu_.pin(aes);
-  mcu_.pin(fft);
-  mcu_.pin(mm);
-  EXPECT_FALSE(mcu_.load_feasible(sha));  // 6 free frames, 10 needed
-  mcu_.unpin(fft);
-  EXPECT_TRUE(mcu_.load_feasible(sha));   // evicting FFT frees a 16-run
+  const std::vector<memory::FunctionId> all{aes, fft, mm};
+  EXPECT_TRUE(mcu_.load_feasible(aes, all));  // hit: always feasible
+  EXPECT_TRUE(mcu_.load_feasible(sha));       // nothing kept
+  EXPECT_FALSE(mcu_.load_feasible(sha, all));  // 6 free frames, 10 needed
+  const std::vector<memory::FunctionId> keep{aes, mm};
+  EXPECT_TRUE(mcu_.load_feasible(sha, keep));  // evicting FFT frees 16
 
-  // The eviction loop respects the remaining pins: SHA-256 lands without
+  // The eviction loop respects the keep set: SHA-256 lands without
   // touching AES or MatMul.
-  const auto load = mcu_.ensure_loaded(sha);
+  sim::SimTime elapsed;
+  const auto load =
+      mcu_.load_invoke(sha, scheduler_.now(), &elapsed, nullptr, keep);
   EXPECT_GE(load.evictions, 1u);
   EXPECT_TRUE(mcu_.is_resident(aes));
   EXPECT_TRUE(mcu_.is_resident(mm));
   EXPECT_FALSE(mcu_.is_resident(fft));
-  mcu_.unpin(aes);
-  mcu_.unpin(mm);
 }
 
 TEST_F(McuFixture, StagedCallsReturnDurationsWithoutAdvancingTime) {
@@ -761,93 +740,85 @@ TEST_F(DeltaMcuFixture, AutoCodecPicksARealCodecAndRecordsIt) {
   EXPECT_EQ(mcu_.execute_invoke(fid, input).output, spec.software(input));
 }
 
-// Randomized property test: a seeded stream of pin / unpin / invoke /
-// evict / defragment operations against a shadow model of the pin table.
-// The driver-visible invariants must hold after every step, whatever the
-// interleaving: pin_refs mirrors the model exactly, pinned functions are
-// always resident (eviction pressure and compaction never touch them), and
-// releasing every reference leaves the card fully evictable again.
-TEST_F(McuFixture, RandomizedPinLoadEvictProperty) {
+// Randomized property test: a seeded stream of loads told to keep a random
+// set of residents, plain invokes, evictions and compactions, on a card
+// that defragments under pressure.  Whatever the interleaving, a load the
+// limit-state probe accepts succeeds and leaves every kept function
+// resident on its own frames (neither evicted nor relocated), and the
+// frame accounting stays whole.
+TEST(McuKeepTest, RandomizedKeepLoadEvictProperty) {
+  fabric::Fabric fabric;
+  sim::Scheduler scheduler;
+  telemetry::Registry registry;
+  McuConfig config;
+  config.defragment_on_pressure = true;
+  Mcu mcu(fabric, scheduler, registry, config);
   const std::vector<KernelId> kernels = {
       KernelId::kAdder32, KernelId::kParity32, KernelId::kCrc32,
       KernelId::kAes128,  KernelId::kSha256,   KernelId::kMatMul,
       KernelId::kFft,     KernelId::kFir16};
   std::vector<memory::FunctionId> bank;
   for (const KernelId k : kernels) {
-    provision(k);
     bank.push_back(algorithms::function_id(k));
+    mcu.store_function(bank.back(),
+                       algorithms::spec(k).make_bitstream(fabric.geometry()));
   }
 
   Prng rng(20260808);
-  std::map<memory::FunctionId, unsigned> model;  // shadow pin table
-  const auto check_model = [&] {
-    std::size_t pinned_functions = 0;
-    for (const memory::FunctionId id : bank) {
-      const auto it = model.find(id);
-      const unsigned want = it == model.end() ? 0 : it->second;
-      ASSERT_EQ(mcu_.pin_count(id), want) << "function " << id;
-      if (want == 0) continue;
-      ++pinned_functions;
-      ASSERT_TRUE(mcu_.is_pinned(id));
-      ASSERT_TRUE(mcu_.is_resident(id))
-          << "pinned function " << id << " was evicted";
-    }
-    ASSERT_EQ(mcu_.pinned_count(), pinned_functions);
-  };
-
+  unsigned kept_loads = 0;
   for (int step = 0; step < 300; ++step) {
     const memory::FunctionId id = bank[rng.next_below(bank.size())];
-    switch (rng.next_below(8)) {
+    switch (rng.next_below(6)) {
       case 0:
       case 1:
-      case 2: {  // invoke: load (evicting under pressure) + execute
-        if (!mcu_.is_resident(id) && !mcu_.load_feasible(id)) break;
-        mcu_.ensure_loaded(id);
-        const ExecutedInvoke result =
-            mcu_.execute_invoke(id, algorithms::bank_input(id, 1, rng.next()));
-        ASSERT_FALSE(result.output.empty());
-        ASSERT_TRUE(mcu_.is_resident(id));
+      case 2: {  // load keeping up to three random residents, then execute
+        std::vector<memory::FunctionId> residents = mcu.resident_functions();
+        std::vector<memory::FunctionId> keep;
+        const std::size_t want = rng.next_below(4);
+        while (keep.size() < want && !residents.empty()) {
+          const std::size_t pick = rng.next_below(residents.size());
+          keep.push_back(residents[pick]);
+          residents.erase(residents.begin() +
+                          static_cast<std::ptrdiff_t>(pick));
+        }
+        std::map<memory::FunctionId, std::vector<fabric::FrameIndex>> before;
+        for (const memory::FunctionId k : keep) before[k] = mcu.frames_of(k);
+        if (!mcu.load_feasible(id, keep)) {
+          ASSERT_FALSE(mcu.is_resident(id));
+          break;
+        }
+        sim::SimTime elapsed;
+        mcu.load_invoke(id, scheduler.now(), &elapsed, nullptr, keep);
+        scheduler.advance(elapsed);
+        if (!keep.empty()) ++kept_loads;
+        for (const auto& [k, frames] : before)
+          ASSERT_EQ(mcu.frames_of(k), frames)
+              << "kept function " << k << " was evicted or moved";
+        ASSERT_FALSE(
+            mcu.execute_invoke(id, algorithms::bank_input(id, 1, rng.next()))
+                .output.empty());
         break;
       }
-      case 3:
-      case 4:  // pin: cap concurrent pins so big kernels stay placeable
-        if (!mcu_.is_resident(id) || mcu_.pinned_count() >= 3) break;
-        mcu_.pin(id);
-        ++model[id];
+      case 3:  // an ordinary load: everything is evictable
+        mcu.ensure_loaded(id);
+        ASSERT_TRUE(mcu.is_resident(id));
         break;
-      case 5:  // unpin (sometimes of an unpinned function: must no-op)
-        mcu_.unpin(id);
-        if (const auto it = model.find(id); it != model.end())
-          if (--it->second == 0) model.erase(it);
+      case 4:
+        if (mcu.is_resident(id)) mcu.evict(id);
+        ASSERT_FALSE(mcu.is_resident(id));
         break;
-      case 6:  // evict an unpinned resident function
-        if (!mcu_.is_resident(id) || mcu_.is_pinned(id)) break;
-        mcu_.evict(id);
-        ASSERT_FALSE(mcu_.is_resident(id));
-        break;
-      case 7:  // compaction relocates frames; the driver refuses to move
-                // pinned ones at all
-        if (mcu_.pinned_count() > 0) {
-          EXPECT_THROW(mcu_.defragment(), Error);
-        } else {
-          mcu_.defragment();
-        }
+      case 5:
+        mcu.defragment();
         break;
     }
-    check_model();
+    std::size_t owned = 0;
+    for (const memory::FunctionId fn : mcu.resident_functions())
+      owned += mcu.frames_of(fn).size();
+    ASSERT_EQ(owned + mcu.free_frames().free_count(),
+              mcu.free_frames().frame_count());
   }
-
-  // Release everything: the card must end fully unpinned with every
-  // remaining resident function still invokable.
-  for (auto& [id, refs] : model)
-    while (refs-- > 0) mcu_.unpin(id);
-  model.clear();
-  EXPECT_EQ(mcu_.pinned_count(), 0u);
-  for (const memory::FunctionId id : bank) {
-    if (!mcu_.is_resident(id)) continue;
-    EXPECT_FALSE(mcu_.execute_invoke(id, algorithms::bank_input(id, 1, 999))
-                     .output.empty());
-  }
+  EXPECT_GT(kept_loads, 0u);
+  EXPECT_GT(mcu.stats().evictions, 0u);
 }
 
 TEST_F(DeltaMcuFixture, ResetFabricClearsTheDeltaTracker) {

@@ -41,6 +41,7 @@ class SlotCard {
   static constexpr FunctionId kFirst = 1001;
 
   Mcu& mcu() { return mcu_; }
+  sim::SimTime now() const { return scheduler_.now(); }
   /// Load (or hit) each function in turn.
   void run(const std::vector<FunctionId>& sequence) {
     for (const FunctionId id : sequence) mcu_.ensure_loaded(id);
@@ -141,12 +142,14 @@ TEST(BeladyPolicyTest, EvictsFarthestNextUse) {
             (std::vector<FunctionId>{f(2), f(3), f(4), f(5)}));
 }
 
-TEST(PolicyEdge, EveryResidentPinnedThrows) {
+TEST(PolicyEdge, EveryResidentKeptThrows) {
   SlotCard card(PolicyKind::kLru);
   card.run({f(1), f(2), f(3), f(4)});
-  for (unsigned n = 1; n <= 4; ++n) card.mcu().pin(f(n));
+  const std::vector<FunctionId> keep{f(1), f(2), f(3), f(4)};
+  EXPECT_FALSE(card.mcu().load_feasible(f(5), keep));
   try {
-    card.run({f(5)});
+    sim::SimTime elapsed;
+    card.mcu().load_invoke(f(5), card.now(), &elapsed, nullptr, keep);
     FAIL() << "expected CapacityExceeded";
   } catch (const Error& e) {
     EXPECT_EQ(e.code(), ErrorCode::kCapacityExceeded);
