@@ -283,8 +283,7 @@ memory::FunctionId Mcu::choose_victim(KeepSet keep) {
     const Resident& row = residents_.at(fn);
     switch (config_.policy) {
       case PolicyKind::kFifo:
-        return std::pair{static_cast<std::int64_t>(row.load_seq),
-                         std::int64_t{0}};
+        return std::pair{row.loaded_at.picoseconds(), std::int64_t{0}};
       case PolicyKind::kLfu:
         return std::pair{static_cast<std::int64_t>(row.access_count),
                          row.last_access.picoseconds()};
@@ -361,6 +360,7 @@ DefragResult Mcu::defragment_at(sim::SimTime start) {
 
 void Mcu::reset_fabric() {
   residents_.clear();
+  last_load_end_ = sim::SimTime::zero();
   free_list_.reset();
   fabric_.erase();
   engine_.reset_tracking();  // the frame table no longer matches the fabric
@@ -499,6 +499,8 @@ LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
     counters_.config_hits.add();
     return result;
   }
+  AAD_CHECK(start >= last_load_end_,
+            "a load starts before the previous load on this card ended");
 
   const auto record = rom_.lookup(id);
   if (!record)
@@ -581,7 +583,6 @@ LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
   row.loaded_at = t;
   row.last_access = t;
   row.access_count = 1;
-  row.load_seq = loads_++;
   row.record = *record;
   row.spec = algorithms::find_spec(record->kernel_id);
   advance_future(id);
@@ -593,6 +594,7 @@ LoadResult Mcu::load_invoke(memory::FunctionId id, sim::SimTime start,
   result.frames_configured = static_cast<unsigned>(cfg.frames_written);
   result.reconfig_time = t - begin;
   *elapsed = t - start;
+  last_load_end_ = t;
   return result;
 }
 

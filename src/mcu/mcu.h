@@ -46,7 +46,7 @@ namespace aad::mcu {
 /// first, lowest id).
 enum class PolicyKind : std::uint8_t {
   kLru = 0,     ///< the paper's policy: oldest last_access
-  kFifo = 1,    ///< earliest load (Resident::load_seq)
+  kFifo = 1,    ///< earliest load (Resident::loaded_at)
   kLfu = 2,     ///< fewest access_count, ties to the oldest last_access
   kRandom = 3,  ///< a fixed-seed draw over the evictable residents
   kBelady = 4,  ///< clairvoyant bound: farthest next use (Mcu::set_future)
@@ -60,13 +60,11 @@ const char* to_string(PolicyKind kind) noexcept;
 /// plus what the host driver keeps about it while it is resident.
 struct Resident {
   std::vector<fabric::FrameIndex> frames;
-  sim::SimTime loaded_at;    ///< end of the load's configuration stream
+  /// End of the load's configuration stream; strictly increasing per card
+  /// (loads never overlap), so it is also FIFO's order.
+  sim::SimTime loaded_at;
   sim::SimTime last_access;  ///< the load, or the latest hit
   std::uint64_t access_count = 0;
-  /// The card's load count when this row was loaded: FIFO order.  (Not
-  /// loaded_at: the staged load_invoke takes any start instant, so two
-  /// loads can end at the same one.)
-  std::uint64_t load_seq = 0;
 
   memory::RomRecord record;
   /// The catalog kernel of record.kernel_id, resolved at load (null when
@@ -237,7 +235,8 @@ class Mcu {
   /// pass is skipped: compaction would move the kept functions' frames.
   /// `*elapsed` receives the full duration (zero on a hit); `*stages`, when
   /// given, the configuration engine's stage sums (left untouched on a
-  /// hit).
+  /// hit).  A miss must start no earlier than the previous load on this
+  /// card ended: the one configuration engine streams one load at a time.
   LoadResult load_invoke(memory::FunctionId id, sim::SimTime start,
                          sim::SimTime* elapsed, LoadStages* stages = nullptr,
                          KeepSet keep = {});
@@ -318,7 +317,8 @@ class Mcu {
   /// like evict, needs a scheduler with no pending event.
   DefragResult defragment();
 
-  /// Drop all resident functions and erase the fabric (device reset).
+  /// Drop all resident functions and erase the fabric (device reset).  The
+  /// next load may start at any instant.
   void reset_fabric();
 
   // --- inspection ----------------------------------------------------------
@@ -414,7 +414,8 @@ class Mcu {
   ConfigEngine engine_;
   FreeFrameList free_list_;
   FrameReplacementTable residents_;
-  std::uint64_t loads_ = 0;  ///< completed loads: the next load_seq
+  /// When the last completed load on this card ended (zero after a reset).
+  sim::SimTime last_load_end_;
   std::map<memory::FunctionId, Stored> stored_;
   /// kRandom's draws (fixed seed, so every run replays).
   Prng victim_rng_;

@@ -586,7 +586,9 @@ TEST_F(McuFixture, StagedCallsReturnDurationsWithoutAdvancingTime) {
   EXPECT_GT(run.time, fabric_.execution_time(run.exec_cycles));  // + staging
   EXPECT_EQ(scheduler_.now(), start);  // the staged path never advances time
 
-  // The same cold load again (first-fit hands back the same frames).
+  // The same cold load again (first-fit hands back the same frames), once
+  // the staged load has left the configuration engine.
+  scheduler_.advance(decode + load_elapsed);
   mcu_.evict(a);
   const sim::SimTime before = scheduler_.now();
   const LoadResult again = mcu_.ensure_loaded(a);

@@ -188,8 +188,9 @@ TEST(McuStealTest, DemandMissStealsSpeculativeBeforeLru) {
   mcu::Mcu& mcu = card.mcu();
 
   sim::SimTime elapsed;
-  mcu.load_invoke(t.a, sim::SimTime::us(0), &elapsed);   // demand, old
-  mcu.load_invoke(t.b, sim::SimTime::us(500), &elapsed); // newer
+  mcu.load_invoke(t.a, sim::SimTime::us(0), &elapsed);  // demand, old
+  const sim::SimTime b_start = sim::SimTime::us(500);   // after a's load
+  mcu.load_invoke(t.b, b_start, &elapsed);              // newer
   mcu.mark_speculative(t.b);
   ASSERT_TRUE(mcu.is_resident(t.a));
   ASSERT_TRUE(mcu.is_resident(t.b));
@@ -197,7 +198,7 @@ TEST(McuStealTest, DemandMissStealsSpeculativeBeforeLru) {
 
   // Demand-load c: LRU's victim would be a (oldest), but the speculative
   // b must be stolen first.
-  mcu.load_invoke(t.c, sim::SimTime::us(1000), &elapsed);
+  mcu.load_invoke(t.c, b_start + elapsed, &elapsed);
   EXPECT_TRUE(mcu.is_resident(t.c));
   EXPECT_FALSE(mcu.is_resident(t.b)) << "speculative frames were not stolen";
   EXPECT_TRUE(mcu.is_resident(t.a)) << "demand resident evicted instead of "
@@ -215,10 +216,12 @@ TEST(McuStealTest, PrefetchFeasibleProtectsLiveResidents) {
 
   sim::SimTime elapsed;
   mcu.load_invoke(t.a, sim::SimTime::us(0), &elapsed);
-  mcu.load_invoke(t.b, sim::SimTime::us(100), &elapsed);
-  // Residents touched 200us ago are live: speculating c may not displace
-  // them even though load_feasible (the demand rule) would allow it.
-  const sim::SimTime soon = sim::SimTime::us(300);
+  const sim::SimTime b_start = elapsed;  // b streams once a's load ends
+  mcu.load_invoke(t.b, b_start, &elapsed);
+  // Residents touched within the last millisecond are live: speculating c
+  // may not displace them even though load_feasible (the demand rule)
+  // would allow it.
+  const sim::SimTime soon = b_start + elapsed + sim::SimTime::us(200);
   EXPECT_TRUE(mcu.load_feasible(t.c));
   EXPECT_FALSE(mcu.prefetch_feasible(t.c, soon));
 
@@ -248,7 +251,7 @@ TEST(McuStealTest, PrefetchFeasibleScalesWithObservedCadence) {
 
   sim::SimTime elapsed;
   mcu.load_invoke(t.a, sim::SimTime::us(0), &elapsed);
-  mcu.load_invoke(t.b, sim::SimTime::us(0), &elapsed);
+  mcu.load_invoke(t.b, elapsed, &elapsed);
   // Re-access a on a 4ms cadence (resident load_invoke = FRT hit): mean
   // gap 4ms, so with factor 2 it stays protected until ~8ms idle even
   // though the 1ms floor has long passed.
