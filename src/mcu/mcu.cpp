@@ -43,7 +43,6 @@ Mcu::Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler,
       scheduler_(scheduler),
       config_(config),
       rom_(config.rom_capacity),
-      ram_(config.ram_capacity),
       engine_(config.engine),
       free_list_(fabric.geometry().frame_count),
       victim_rng_(kPolicySeed),
@@ -621,9 +620,8 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input) {
   // Data-input module: host payload is already in local RAM (PCI layer);
   // stage it to the fabric.  The module streams from RAM to the fabric as
   // it reads.
-  ram_.reset_allocation();
-  const std::size_t in_off = ram_.allocate(input.size());
-  ram_.write(in_off, input);
+  if (input.size() > config_.ram_capacity)
+    AAD_FAIL(ErrorCode::kCapacityExceeded, "local RAM exhausted");
   sim::SimTime io = config_.ram_timing.access_time(input.size());
 
   // Execute.
@@ -645,9 +643,10 @@ ExecutedInvoke Mcu::execute_invoke(memory::FunctionId id, ByteSpan input) {
   }
   run.exec_cycles = hw.cycles;
 
-  // Output-collection module: stage result through local RAM.
-  const std::size_t out_off = ram_.allocate(hw.output.size());
-  ram_.write(out_off, hw.output);
+  // Output-collection module: stage result through local RAM, beside the
+  // input.
+  if (input.size() + hw.output.size() > config_.ram_capacity)
+    AAD_FAIL(ErrorCode::kCapacityExceeded, "local RAM exhausted");
   io += config_.ram_timing.access_time(hw.output.size());
 
   run.output = std::move(hw.output);

@@ -104,6 +104,7 @@ struct McuConfig {
   memory::RamTiming ram_timing;
   ConfigEngineConfig engine;
   std::size_t rom_capacity = 512 * 1024;
+  /// Local RAM bytes: one invocation's input and output must fit together.
   std::size_t ram_capacity = 64 * 1024;
 };
 
@@ -247,7 +248,9 @@ class Mcu {
   /// run_combinational when it has none or the id is outside the catalog; a
   /// behavioral function takes the kernel's software and fabric_cycles, and
   /// throws kInvalidArgument when its id names no behavioral kernel.
-  /// Requires `id` resident (load_invoke was called).
+  /// Throws kCapacityExceeded when the input alone, or input and output
+  /// together, exceed ram_capacity.  Requires `id` resident (load_invoke
+  /// was called).
   ExecutedInvoke execute_invoke(memory::FunctionId id, ByteSpan input);
 
   /// Tag a resident function as speculatively loaded (a prefetch, not yet
@@ -343,7 +346,6 @@ class Mcu {
   /// The configuration engine (read-only): the invariant harness audits
   /// its delta frame-hash tracker against the fabric's actual contents.
   const ConfigEngine& engine() const noexcept { return engine_; }
-  const memory::LocalRam& ram() const noexcept { return ram_; }
   /// Snapshot of this device's `mcu.*` registry counters.
   McuStats stats() const;
   const McuConfig& config() const noexcept { return config_; }
@@ -410,7 +412,6 @@ class Mcu {
   McuConfig config_;
 
   memory::RomImage rom_;
-  memory::LocalRam ram_;
   ConfigEngine engine_;
   FreeFrameList free_list_;
   FrameReplacementTable residents_;

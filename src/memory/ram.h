@@ -1,13 +1,13 @@
 // Local RAM: the staging buffer between the PCI interface and the data
 // input / output-collection modules (paper §2.3).  Inputs land here before
 // being fed to the fabric; outputs are collected here before the PCI
-// read-back.  A bump allocator models the firmware's per-invocation buffer
-// management; the high-water mark sizes the part.
+// read-back.  The simulator models only what the part costs — its access
+// time here and its capacity (McuConfig::ram_capacity, checked per
+// invocation) — not the bytes it holds.
 #pragma once
 
 #include <cstdint>
 
-#include "common/bytebuffer.h"
 #include "sim/time.h"
 
 namespace aad::memory {
@@ -21,29 +21,6 @@ struct RamTiming {
     return clock.cycles(static_cast<std::int64_t>(
         (words + words_per_cycle - 1) / words_per_cycle));
   }
-};
-
-class LocalRam {
- public:
-  explicit LocalRam(std::size_t capacity_bytes);
-
-  /// Reserve `bytes` for a buffer; returns its offset.
-  /// Throws kCapacityExceeded when the part is too small.
-  std::size_t allocate(std::size_t bytes);
-
-  /// Release all per-invocation buffers (end of command).
-  void reset_allocation() noexcept { bump_ = 0; }
-
-  void write(std::size_t offset, ByteSpan data);
-  ByteSpan read(std::size_t offset, std::size_t bytes) const;
-
-  std::size_t capacity() const noexcept { return storage_.size(); }
-  std::size_t high_water_mark() const noexcept { return high_water_; }
-
- private:
-  Bytes storage_;
-  std::size_t bump_ = 0;
-  std::size_t high_water_ = 0;
 };
 
 }  // namespace aad::memory

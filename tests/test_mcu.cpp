@@ -601,6 +601,39 @@ TEST_F(McuFixture, StagedCallsReturnDurationsWithoutAdvancingTime) {
   EXPECT_EQ(mcu_.stats().invocations, 1u);  // only decode_invoke counts
 }
 
+TEST(McuRamTest, InputAndOutputMustFitInLocalRam) {
+  // One invocation stages its input and then its output side by side in
+  // local RAM: the input alone must fit before execution, and input +
+  // output after it.
+  const auto& spec = algorithms::spec(KernelId::kSha256);
+  const auto fid = algorithms::function_id(KernelId::kSha256);
+  const Bytes input = spec.make_input(4, 1);
+  const std::size_t output = spec.software(input).size();
+  const auto run_with_capacity = [&](std::size_t capacity) {
+    fabric::Fabric fabric;
+    sim::Scheduler scheduler;
+    telemetry::Registry registry;
+    McuConfig config;
+    config.ram_capacity = capacity;
+    Mcu mcu(fabric, scheduler, registry, config);
+    mcu.store_function(fid, spec.make_bitstream(fabric.geometry()));
+    mcu.ensure_loaded(fid);
+    return mcu.execute_invoke(fid, input);
+  };
+  const auto expect_exhausted = [&](std::size_t capacity) {
+    try {
+      run_with_capacity(capacity);
+      ADD_FAILURE() << "capacity " << capacity << " did not overflow";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCapacityExceeded);
+    }
+  };
+  expect_exhausted(input.size() + output - 1);  // output does not fit
+  expect_exhausted(input.size() - 1);           // input does not fit
+  EXPECT_EQ(run_with_capacity(input.size() + output).output,
+            spec.software(input));
+}
+
 // --- delta reconfiguration (frame-content tracking) ---------------------------
 
 class DeltaMcuFixture : public ::testing::Test {

@@ -1,5 +1,6 @@
-// Tests for the two-ended ROM image, record serialization, ROM/RAM timing
-// models and the local RAM staging buffer.
+// Tests for the two-ended ROM image, record serialization and the ROM/RAM
+// timing models.  (Local RAM capacity is checked per invocation:
+// tests/test_mcu.cpp.)
 #include <gtest/gtest.h>
 
 #include "common/prng.h"
@@ -128,38 +129,6 @@ TEST(RomTimingTest, SequentialReadScalesWithSize) {
   EXPECT_LT(t4k, t1k * 5);
   // Writes are slower (flash programming).
   EXPECT_GT(timing.write_time(1024), t1k * 3);
-}
-
-TEST(LocalRamTest, AllocateWriteRead) {
-  LocalRam ram(4096);
-  const std::size_t off = ram.allocate(128);
-  const Bytes data = payload_of(128, 3);
-  ram.write(off, data);
-  const ByteSpan back = ram.read(off, 128);
-  EXPECT_TRUE(std::equal(data.begin(), data.end(), back.begin()));
-}
-
-TEST(LocalRamTest, ExhaustionThrows) {
-  LocalRam ram(256);
-  ram.allocate(200);
-  EXPECT_THROW(ram.allocate(100), Error);
-  ram.reset_allocation();
-  EXPECT_NO_THROW(ram.allocate(100));
-}
-
-TEST(LocalRamTest, HighWaterMarkTracksPeak) {
-  LocalRam ram(1024);
-  ram.allocate(100);
-  ram.allocate(200);
-  ram.reset_allocation();
-  ram.allocate(50);
-  EXPECT_EQ(ram.high_water_mark(), 300u);
-}
-
-TEST(LocalRamTest, BoundsChecked) {
-  LocalRam ram(64);
-  EXPECT_THROW(ram.write(60, payload_of(8, 1)), Error);
-  EXPECT_THROW(ram.read(60, 8), Error);
 }
 
 TEST(RamTimingTest, AccessTimeScales) {
