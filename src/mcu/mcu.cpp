@@ -35,6 +35,10 @@ constexpr std::uint64_t kPolicySeed = 1;
 constexpr sim::SimTime kMinVictimIdle = sim::SimTime::ms(1);
 constexpr double kVictimIdleFactor = 2.0;
 
+bool is_kept(KeepSet keep, memory::FunctionId id) {
+  return std::ranges::find(keep, id) != keep.end();
+}
+
 }  // namespace
 
 Mcu::Mcu(fabric::Fabric& fabric, sim::Scheduler& scheduler,
@@ -214,7 +218,7 @@ bool Mcu::load_feasible(memory::FunctionId id, KeepSet keep) const {
   if (!record) return true;  // let load_invoke raise the provisioning error
   return placeable_after_evicting(
       *record, [keep](memory::FunctionId fid, const Resident&) {
-        return std::ranges::find(keep, fid) == keep.end();
+        return !is_kept(keep, fid);
       });
 }
 
@@ -261,7 +265,7 @@ void Mcu::evict(memory::FunctionId id) {
 memory::FunctionId Mcu::choose_victim(KeepSet keep) {
   std::vector<memory::FunctionId> candidates;  // ascending id
   for (const auto& [fid, row] : residents_) {
-    if (std::ranges::find(keep, fid) != keep.end()) continue;
+    if (is_kept(keep, fid)) continue;
     // A demand miss steals speculative (prefetched, never demanded) frames
     // before any demand-loaded resident is considered — a wrong guess must
     // never cost real work a better victim.  Lowest id wins.
@@ -403,7 +407,7 @@ std::optional<Mcu::DeltaPlan> Mcu::plan_placement(
   unsigned matched_victim = 0;
   for (const auto& [fid, fn] : residents_) {
     if (fid == record.function_id) continue;
-    if (std::ranges::find(keep, fid) != keep.end()) continue;
+    if (is_kept(keep, fid)) continue;
     if (fn.record.frames != record.frames) continue;
     unsigned m = 0;
     auto mask = matched_windows(record, fn.frames, &m);
